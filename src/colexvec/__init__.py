@@ -5,13 +5,9 @@ __version__ = "0.1.0"
 from .baselines import (
     SimilarityProvider,
     cosine_adjacency_provider,
-    cosine_adjacency_similarity,
     embedding_provider,
     ppmi_provider,
-    ppmi_similarity,
     random_walk_provider,
-    random_walk_similarity,
-    shortest_path_distance,
     shortest_path_provider,
     similarity_matrix,
 )

@@ -2,45 +2,43 @@
 
 Four metrics: shortest-path distance on inverted weights, cosine between
 adjacency rows, pairwise PPMI, and truncated random-walk profile
-similarity. Each comes as a standalone query function plus a provider
-factory that precomputes what repeated queries need.
+similarity. Each provider factory precomputes the full n x n score table
+once, so every query, one pair or the whole matrix, is an array lookup.
+Embedding sets get a provider of the same shape.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 import numpy as np
+import scipy.sparse
 
 from .embeddings import EmbeddingSet
 from .errors import ValidationError
 from .graph import ColexGraph, DenseMatrix, adjacency_matrix, invert_weights
 from .numerics import cosine_similarity
-from .runtime import worker_count
 
 PROVIDER_SOURCES = frozenset(
     {"shortest_path", "cosine_adjacency", "ppmi", "random_walk", "embedding"}
 )
 
-DISCONNECTED = math.inf
-
 
 @dataclass(frozen=True)
 class SimilarityProvider:
-    """A scoring function over concept pairs plus its orientation.
+    """Vectorised scores over concept pairs plus their orientation.
 
-    `higher_is_more_similar` is False only for shortest-path distances.
-    `covered` is the set of concepts the provider can score.
+    `index` maps every concept the provider can score to its row.
+    `score(ia, ib)` takes two broadcastable arrays of such rows and returns
+    the array of scores of the paired concepts. `higher_is_more_similar`
+    is False only for shortest-path distances.
     """
 
     source: str
     score: Callable
     higher_is_more_similar: bool
-    covered: frozenset = field(default_factory=frozenset)
+    index: Mapping
 
     def __post_init__(self):
         if self.source not in PROVIDER_SOURCES:
@@ -51,78 +49,43 @@ class SimilarityProvider:
                 f"{self.source} provider must have higher_is_more_similar={expected}"
             )
 
+    @property
+    def covered(self) -> frozenset:
+        """The concepts the provider can score."""
+        return frozenset(self.index)
 
-def _check_nodes(g: ColexGraph, *nodes):
-    for node in nodes:
-        if node not in g.nodes:
-            raise KeyError(f"concept {node!r} not in graph")
+    def rows(self, concepts) -> np.ndarray:
+        """Row indices of `concepts`; an unknown concept raises KeyError naming it."""
+        try:
+            return np.array([self.index[c] for c in concepts], dtype=np.intp)
+        except KeyError as exc:
+            raise KeyError(
+                f"concept {exc.args[0]!r} not covered by the {self.source} provider"
+            ) from None
 
-
-def _neighbor_map(g: ColexGraph) -> dict:
-    adj = {node: [] for node in g.nodes}
-    for src, dst, w in g.edges:
-        adj[src].append((dst, w))
-        if not g.directed:
-            adj[dst].append((src, w))
-    return adj
-
-
-def _dijkstra(adj: dict, source) -> dict:
-    dist = {source: 0.0}
-    heap = [(0.0, source)]
-    done = set()
-    while heap:
-        d, node = heapq.heappop(heap)
-        if node in done:
-            continue
-        done.add(node)
-        for nbr, w in adj[node]:
-            nd = d + w
-            if nd < dist.get(nbr, math.inf):
-                dist[nbr] = nd
-                heapq.heappush(heap, (nd, nbr))
-    return dist
+    def score_pairs(self, a, b) -> np.ndarray:
+        """Scores of the pairs (a[k], b[k]) of two equal-length concept sequences."""
+        return self.score(self.rows(a), self.rows(b))
 
 
-def shortest_path_distance(g: ColexGraph, a, b) -> float:
-    """Dijkstra distance on an inverse-distance graph; inf marks disconnection."""
-    if g.weight_semantics != "inverse_distance":
-        raise ValidationError(
-            "shortest_path_distance needs inverse_distance weights; apply invert_weights"
-        )
-    _check_nodes(g, a, b)
-    if a == b:
-        return 0.0
-    dist = _dijkstra(_neighbor_map(g), a)
-    return dist.get(b, DISCONNECTED)
+def _table_provider(source: str, order: list, table: np.ndarray) -> SimilarityProvider:
+    return SimilarityProvider(
+        source=source,
+        score=lambda ia, ib: table[ia, ib],
+        higher_is_more_similar=source != "shortest_path",
+        index={node: i for i, node in enumerate(order)},
+    )
 
 
-def cosine_adjacency_similarity(g: ColexGraph, a, b) -> float:
-    """Cosine of the two concepts' adjacency-matrix rows; isolated rows give 0."""
-    _check_nodes(g, a, b)
-    order = g.sorted_nodes()
-    mat = adjacency_matrix(g, order).values
-    idx = {node: i for i, node in enumerate(order)}
-    return _row_cosine(mat[idx[a]], mat[idx[b]])
+def _row_cosines(rows: np.ndarray) -> np.ndarray:
+    """Cosine of every pair of rows; a zero row scores 0 against everything.
 
-
-def _row_cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
-
-
-def ppmi_similarity(g: ColexGraph, a, b) -> float:
-    """Positive pointwise mutual information of the pair under adjacency mass."""
-    if g.weight_semantics != "family_count":
-        raise ValidationError("ppmi_similarity needs family_count weights")
-    _check_nodes(g, a, b)
-    order = g.sorted_nodes()
-    mat = adjacency_matrix(g, order).values
-    idx = {node: i for i, node in enumerate(order)}
-    return float(_ppmi_matrix(mat)[idx[a], idx[b]])
+    The rows are not normalised first: for integer-valued rows the Gram
+    entries are exact, so each cell equals the per-pair dot/(|u||v|).
+    """
+    norms = np.linalg.norm(rows, axis=1)
+    denom = np.outer(norms, norms)
+    return np.divide(rows @ rows.T, denom, out=np.zeros_like(denom), where=denom > 0)
 
 
 def _ppmi_matrix(mat: np.ndarray) -> np.ndarray:
@@ -138,23 +101,6 @@ def _ppmi_matrix(mat: np.ndarray) -> np.ndarray:
     return np.maximum(pmi, 0.0)
 
 
-def random_walk_similarity(
-    g: ColexGraph, a, b, alpha: float = 0.5, max_steps: int = 5
-) -> float:
-    """Cosine of decay-weighted visit profiles over walks of up to max_steps."""
-    if not (0.0 < alpha < 1.0):
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    if max_steps < 1:
-        raise ValidationError(f"max_steps must be >= 1, got {max_steps}")
-    if g.weight_semantics != "family_count":
-        raise ValidationError("random_walk_similarity needs family_count weights")
-    _check_nodes(g, a, b)
-    order = g.sorted_nodes()
-    profiles = _walk_profiles(adjacency_matrix(g, order).values, alpha, max_steps)
-    idx = {node: i for i, node in enumerate(order)}
-    return _row_cosine(profiles[idx[a]], profiles[idx[b]])
-
-
 def _walk_profiles(mat: np.ndarray, alpha: float, max_steps: int) -> np.ndarray:
     """sum_{k=1..K} alpha^k P^k with P the row-normalized adjacency."""
     rowsum = mat.sum(axis=1, keepdims=True)
@@ -167,130 +113,87 @@ def _walk_profiles(mat: np.ndarray, alpha: float, max_steps: int) -> np.ndarray:
     return acc
 
 
-# ---------------------------------------------------------------------------
-# provider factories
-
-
 def shortest_path_provider(g: ColexGraph) -> SimilarityProvider:
-    """Distance provider; disconnected pairs get 2x the largest finite distance.
+    """Dijkstra distances on inverse-distance weights; disconnected pairs get
+    2x the largest finite distance (0 when the graph has no edges).
 
     Accepts a family-count graph and inverts the weights internally.
-    Per-source distances are cached; the global default fill is computed
-    the first time a disconnected pair is actually queried.
     """
+    # imported here: csgraph pulls in scipy.linalg, about 0.15 s that every
+    # command not scoring shortest paths would otherwise pay at import
+    from scipy.sparse.csgraph import dijkstra
+
     if g.weight_semantics == "family_count":
         g = invert_weights(g)
-    adj = _neighbor_map(g)
-    cache: dict = {}
-    fill: dict = {}
-
-    def source_dist(node) -> dict:
-        if node not in cache:
-            cache[node] = _dijkstra(adj, node)
-        return cache[node]
-
-    def default_fill() -> float:
-        if "value" not in fill:
-            finite_max = 0.0
-            for node in adj:
-                dist = source_dist(node)
-                if dist:
-                    finite_max = max(finite_max, max(dist.values()))
-            fill["value"] = 2.0 * finite_max
-        return fill["value"]
-
-    def score(a, b) -> float:
-        _check_nodes(g, a, b)
-        if a == b:
-            return 0.0
-        d = source_dist(a).get(b, DISCONNECTED)
-        return default_fill() if d == DISCONNECTED else d
-
-    return SimilarityProvider(
-        source="shortest_path",
-        score=score,
-        higher_is_more_similar=False,
-        covered=frozenset(g.nodes),
-    )
-
-
-def _matrix_row_provider(source: str, g: ColexGraph, rows: np.ndarray, order: list):
-    idx = {node: i for i, node in enumerate(order)}
-    norms = np.linalg.norm(rows, axis=1)
-
-    def score(a, b) -> float:
-        _check_nodes(g, a, b)
-        i, j = idx[a], idx[b]
-        if norms[i] == 0.0 or norms[j] == 0.0:
-            return 0.0
-        return float(np.dot(rows[i], rows[j]) / (norms[i] * norms[j]))
-
-    return SimilarityProvider(
-        source=source, score=score, higher_is_more_similar=True,
-        covered=frozenset(g.nodes),
-    )
+    order = g.sorted_nodes()
+    weights = scipy.sparse.csr_matrix(adjacency_matrix(g, order).values)
+    dist = dijkstra(weights, directed=True)
+    finite = np.isfinite(dist)
+    fill = 2.0 * dist[finite].max() if finite.any() else 0.0
+    dist[~finite] = fill
+    return _table_provider("shortest_path", order, dist)
 
 
 def cosine_adjacency_provider(g: ColexGraph) -> SimilarityProvider:
+    """Cosine of the concepts' adjacency-matrix rows; isolated rows score 0."""
     order = g.sorted_nodes()
     mat = adjacency_matrix(g, order).values
-    return _matrix_row_provider("cosine_adjacency", g, mat, order)
+    return _table_provider("cosine_adjacency", order, _row_cosines(mat))
 
 
 def ppmi_provider(g: ColexGraph, mode: str = "pairwise") -> SimilarityProvider:
-    """PPMI provider; `mode` picks the pairwise value or cosine over PPMI rows."""
+    """Positive pointwise mutual information under adjacency mass.
+
+    `mode` picks the pairwise PPMI value or the cosine between PPMI rows.
+    """
     if g.weight_semantics != "family_count":
         raise ValidationError("ppmi_provider needs family_count weights")
-    order = g.sorted_nodes()
-    mat = adjacency_matrix(g, order).values
-    ppmi = _ppmi_matrix(mat)
-    if mode == "cosine_rows":
-        return _matrix_row_provider("ppmi", g, ppmi, order)
-    if mode != "pairwise":
+    if mode not in ("pairwise", "cosine_rows"):
         raise ValidationError(f"unknown ppmi mode {mode!r}")
-    idx = {node: i for i, node in enumerate(order)}
-
-    def score(a, b) -> float:
-        _check_nodes(g, a, b)
-        return float(ppmi[idx[a], idx[b]])
-
-    return SimilarityProvider(
-        source="ppmi", score=score, higher_is_more_similar=True,
-        covered=frozenset(g.nodes),
-    )
+    order = g.sorted_nodes()
+    ppmi = _ppmi_matrix(adjacency_matrix(g, order).values)
+    table = _row_cosines(ppmi) if mode == "cosine_rows" else ppmi
+    return _table_provider("ppmi", order, table)
 
 
 def random_walk_provider(
     g: ColexGraph, alpha: float = 0.5, max_steps: int = 5
 ) -> SimilarityProvider:
+    """Cosine of decay-weighted visit profiles over walks of up to max_steps."""
+    if not (0.0 < alpha < 1.0):
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    if max_steps < 1:
+        raise ValidationError(f"max_steps must be >= 1, got {max_steps}")
     if g.weight_semantics != "family_count":
         raise ValidationError("random_walk_provider needs family_count weights")
     order = g.sorted_nodes()
     profiles = _walk_profiles(adjacency_matrix(g, order).values, alpha, max_steps)
-    return _matrix_row_provider("random_walk", g, profiles, order)
+    return _table_provider("random_walk", order, _row_cosines(profiles))
 
 
 def embedding_provider(es: EmbeddingSet) -> SimilarityProvider:
-    def score(a, b) -> float:
-        for node in (a, b):
-            if node not in es.vectors:
-                raise KeyError(f"concept {node!r} not in embedding set")
-        return cosine_similarity(es.vectors[a], es.vectors[b])
+    """Cosine between embedding vectors, computed pair by pair.
 
+    Fused embeddings hold exactly tied scores; the per-pair
+    `cosine_similarity` keeps those ties (a matrix product can break them
+    by an ulp and so move rank statistics) and warns on zero vectors.
+    """
+    order = es.sorted_concepts()
+    vectors = es.matrix(order).values
+    pair_cosine = np.vectorize(
+        lambda i, j: cosine_similarity(vectors[i], vectors[j]), otypes=[float]
+    )
     return SimilarityProvider(
-        source="embedding", score=score, higher_is_more_similar=True,
-        covered=es.coverage(),
+        source="embedding",
+        score=pair_cosine,
+        higher_is_more_similar=True,
+        index={concept: i for i, concept in enumerate(order)},
     )
 
 
 def similarity_matrix(provider: SimilarityProvider, order) -> DenseMatrix:
-    """Full pairwise score matrix over `order`, computed row-parallel."""
+    """Full pairwise score matrix over `order`."""
     order = list(order)
-
-    def one_row(a) -> np.ndarray:
-        return np.array([provider.score(a, b) for b in order])
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        rows = list(pool.map(one_row, order))
-    values = np.vstack(rows) if rows else np.zeros((0, 0))
+    rows = provider.rows(order)
+    values = provider.score(rows[:, None], rows[None, :])
     return DenseMatrix(values=values, row_labels=tuple(order))

@@ -135,18 +135,23 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _baseline_provider(
+    method: str, g, alpha: float = 0.5, max_steps: int = 5, ppmi_mode: str = "pairwise"
+) -> SimilarityProvider:
+    if method == "shortest-path":
+        return shortest_path_provider(g)
+    if method == "cosine":
+        return cosine_adjacency_provider(g)
+    if method == "ppmi":
+        return ppmi_provider(g, mode=ppmi_mode)
+    return random_walk_provider(g, alpha=alpha, max_steps=max_steps)
+
+
 def provider_from_spec(spec: str) -> SimilarityProvider:
     """'<method>:<graph.tsv>' for a topology baseline, else an embedding file."""
     method, sep, rest = spec.partition(":")
     if sep and method in BASELINE_METHODS:
-        g = to_undirected(load_graph(rest))
-        if method == "shortest-path":
-            return shortest_path_provider(g)
-        if method == "cosine":
-            return cosine_adjacency_provider(g)
-        if method == "ppmi":
-            return ppmi_provider(g)
-        return random_walk_provider(g)
+        return _baseline_provider(method, to_undirected(load_graph(rest)))
     return embedding_provider(load_embedding(spec))
 
 
@@ -248,25 +253,18 @@ def cmd_map_external(args) -> dict:
     return {"out": args.out, "concepts": len(es.vectors), "excluded": len(excluded)}
 
 
-def _baseline_provider(args, g) -> SimilarityProvider:
-    if args.method == "shortest-path":
-        return shortest_path_provider(g)
-    if args.method == "cosine":
-        return cosine_adjacency_provider(g)
-    if args.method == "ppmi":
-        return ppmi_provider(g, mode=args.ppmi_mode)
-    return random_walk_provider(g, alpha=args.alpha, max_steps=args.max_steps)
-
-
 def cmd_baseline(args) -> dict:
     g = to_undirected(load_graph(args.graph))
-    provider = _baseline_provider(args, g)
+    provider = _baseline_provider(
+        args.method, g, alpha=args.alpha, max_steps=args.max_steps, ppmi_mode=args.ppmi_mode
+    )
     out = Path(args.out)
     if args.pairs:
         pairs = load_concept_pairs(args.pairs)
+        scores = provider.score_pairs([p.a for p in pairs], [p.b for p in pairs])
         lines = ["CONCEPT_A\tCONCEPT_B\tSCORE"]
-        for pair in pairs:
-            lines.append(f"{pair.a}\t{pair.b}\t{provider.score(pair.a, pair.b):.8g}")
+        for pair, score in zip(pairs, scores):
+            lines.append(f"{pair.a}\t{pair.b}\t{score:.8g}")
         out.write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"wrote {out}: {len(pairs)} scored pairs ({args.method})")
         return {"out": args.out, "pairs": len(pairs)}
@@ -353,15 +351,41 @@ def _step_argv(command: str, step_args: dict) -> list:
     return argv
 
 
+def _check_pipeline_config(path, config) -> None:
+    """Reject a malformed config with a field-level message before any step runs."""
+    if not isinstance(config, dict):
+        raise ColexvecError(f"{path}: top level must be a JSON object")
+    steps = config.get("steps")
+    if not isinstance(steps, list) or not steps:
+        raise ColexvecError(f"{path}: needs a non-empty 'steps' list")
+    report = config.get("report")
+    if not isinstance(report, str) or not report:
+        raise ColexvecError(f"{path}: needs a 'report' output path")
+    for i, step in enumerate(steps):
+        where = f"{path}: steps[{i}]"
+        if not isinstance(step, dict):
+            raise ColexvecError(f"{where}: must be an object")
+        command = step.get("command")
+        if not isinstance(command, str):
+            raise ColexvecError(f"{where}: needs a string 'command'")
+        if command == "pipeline":
+            raise ColexvecError(f"{where}: pipelines cannot nest")
+        if command not in HANDLERS:
+            raise ColexvecError(f"{where}: unknown command {command!r}")
+        step_args = step.get("args", {})
+        if not isinstance(step_args, dict):
+            raise ColexvecError(f"{where}: 'args' must be an object")
+        for key, value in step_args.items():
+            if not isinstance(value, (str, int, float)):
+                raise ColexvecError(f"{where}: args.{key} must be a string or a number")
+
+
 def cmd_pipeline(args) -> dict:
     config_path = Path(args.config)
     config = json.loads(config_path.read_text(encoding="utf-8"))
-    steps = config.get("steps")
-    if not isinstance(steps, list) or not steps:
-        raise ColexvecError("pipeline config needs a non-empty 'steps' list")
-    report_path = config.get("report")
-    if not report_path:
-        raise ColexvecError("pipeline config needs a 'report' output path")
+    _check_pipeline_config(args.config, config)
+    steps = config["steps"]
+    report_path = config["report"]
 
     input_keys = {"wordlist", "graph", "pairs", "embedding", "vectors",
                   "concept_map", "concepts", "sim", "inputs"}
@@ -376,6 +400,7 @@ def cmd_pipeline(args) -> dict:
         for key, value in step.get("args", {}).items():
             if key not in input_keys:
                 continue
+            value = str(value)
             candidates = value.split(",") if key == "inputs" else _sim_input_paths(value) if key == "sim" else [value]
             for cand in candidates:
                 # hash true externals only; files another step writes are
@@ -387,17 +412,14 @@ def cmd_pipeline(args) -> dict:
     summaries = []
     metrics = {}
     for step in steps:
-        command = step.get("command")
-        if command == "pipeline":
-            raise ColexvecError("pipeline steps cannot nest pipelines")
-        argv = _step_argv(command, step.get("args", {}))
-        ns = parser.parse_args(argv)
+        command, step_args = step["command"], step.get("args", {})
+        ns = parser.parse_args(_step_argv(command, step_args))
         summary = HANDLERS[command](ns)
-        summaries.append({"command": command, "args": step.get("args", {}),
-                          "summary": summary})
+        summaries.append({"command": command, "args": step_args, "summary": summary})
         inner = summary.get("report")
         if isinstance(inner, dict) and "task" in inner:
-            metrics[inner["task"]] = inner["metric"]
+            # one entry per evaluation step, so two steps of a task never collide
+            metrics.setdefault(inner["task"], {})[str(step_args["report"])] = inner["metric"]
 
     doc = {
         "name": config.get("name", config_path.stem),

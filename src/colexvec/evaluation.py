@@ -158,7 +158,7 @@ def eval_lsim(sim: SimilarityProvider, pairs) -> EvalReport:
     pairs = list(pairs)
     if not pairs:
         raise ValidationError("no rated pairs given")
-    evaluable = [p for p in pairs if p.a in sim.covered and p.b in sim.covered]
+    evaluable = [p for p in pairs if p.a in sim.index and p.b in sim.index]
     coverage = len(evaluable) / len(pairs)
     if len(evaluable) < 3:
         raise InsufficientDataError(
@@ -166,7 +166,7 @@ def eval_lsim(sim: SimilarityProvider, pairs) -> EvalReport:
             f"(coverage {coverage:.3f}); need at least 3"
         )
     ratings = [p.rating for p in evaluable]
-    scores = [sim.score(p.a, p.b) for p in evaluable]
+    scores = sim.score_pairs([p.a for p in evaluable], [p.b for p in evaluable])
     rho = spearman_rho(ratings, scores)
     return EvalReport(task="lsim", metric=rho, coverage=coverage, runs=1)
 
@@ -218,9 +218,10 @@ def eval_binary(
     Run r draws its negatives with seed + r. Positives with uncovered
     concepts are excluded up front (reported as coverage). Scores of
     distance providers are negated so that higher always means more
-    similar. In-sample accuracy is reported because with a single monotone
-    feature it equals best-threshold separability, the quantity of
-    interest; the fit never sees held-out data.
+    similar. Accuracy is measured in-sample, following the paper's
+    protocol; the fit never sees held-out data. The log-loss fit need not
+    pick the accuracy-maximising threshold, so the result can fall short
+    of best-threshold separability on the same scores.
 
     Features are standardized before the fit: affine changes of the score
     scale then leave the fitted predictions (and the accuracy) exactly
@@ -231,31 +232,27 @@ def eval_binary(
         raise ValidationError("no positive pairs given")
     if runs < 1:
         raise ValidationError("runs must be >= 1")
-    evaluable = [p for p in positives if p.a in sim.covered and p.b in sim.covered]
+    evaluable = [p for p in positives if p.a in sim.index and p.b in sim.index]
     coverage = len(evaluable) / len(positives)
     if not evaluable:
         raise InsufficientDataError("no positive pair is covered by the provider")
-    pool = sorted(sim.covered) if pool is None else list(pool)
-    outside = [c for c in pool if c not in sim.covered]
+    pool = sorted(sim.index) if pool is None else list(pool)
+    outside = [c for c in pool if c not in sim.index]
     if outside:
         raise ValidationError(
             f"pool contains concepts the provider cannot score, e.g. {outside[:3]}"
         )
 
     sign = 1.0 if sim.higher_is_more_similar else -1.0
-    cache = {}
 
-    def scored(pair: ConceptPair) -> float:
-        key = (pair.a, pair.b)
-        if key not in cache:
-            cache[key] = sign * sim.score(pair.a, pair.b)
-        return cache[key]
+    def scored(pairs) -> np.ndarray:
+        return sign * sim.score_pairs([p.a for p in pairs], [p.b for p in pairs])
 
-    pos_features = [scored(p) for p in evaluable]
+    pos_features = scored(evaluable)
     accuracies = []
     for r in range(runs):
         negatives = draw_negatives(evaluable, pool, seed + r)
-        features = np.array(pos_features + [scored(n) for n in negatives])
+        features = np.concatenate([pos_features, scored(negatives)])
         labels = [1] * len(evaluable) + [0] * len(negatives)
         spread_f = features.std()
         if spread_f > 0:

@@ -176,6 +176,33 @@ def save_graph(g: ColexGraph, path) -> None:
     )
 
 
+def _load_sidecar(sidecar: Path) -> dict:
+    """Read and type-check a graph sidecar; errors name the offending field."""
+    text = sidecar.read_text(encoding="utf-8")
+    try:
+        meta = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(sidecar, exc.lineno, exc.msg) from None
+    if not isinstance(meta, dict):
+        raise ParseError(sidecar, 1, "expected a JSON object")
+
+    def reject(key, message):
+        # save_graph writes one field per line; point at the field's line
+        lines = text.splitlines()
+        line_no = next((i for i, line in enumerate(lines, 1) if f'"{key}"' in line), 1)
+        raise ParseError(sidecar, line_no, f"field {key!r} {message}, got {meta[key]!r}")
+
+    if "directed" in meta and not isinstance(meta["directed"], bool):
+        reject("directed", "must be a JSON boolean")
+    for key, allowed in (("colex_type", COLEX_TYPES), ("weight_semantics", WEIGHT_SEMANTICS)):
+        if key in meta and not (isinstance(meta[key], str) and meta[key] in allowed):
+            reject(key, f"must be one of {sorted(allowed)}")
+    isolated = meta.get("isolated_nodes", [])
+    if not isinstance(isolated, list) or not all(isinstance(n, str) for n in isolated):
+        reject("isolated_nodes", "must be a list of concept ids")
+    return meta
+
+
 def load_graph(path) -> ColexGraph:
     """Read an edge-list TSV plus sidecar metadata into a validated graph.
 
@@ -190,8 +217,7 @@ def load_graph(path) -> ColexGraph:
     }
     sidecar = sidecar_path(path)
     if sidecar.exists():
-        loaded = json.loads(sidecar.read_text(encoding="utf-8"))
-        meta.update(loaded)
+        meta.update(_load_sidecar(sidecar))
 
     edges = []
     with path.open(encoding="utf-8") as fh:
@@ -222,7 +248,7 @@ def load_graph(path) -> ColexGraph:
         return make_graph(
             edges,
             colex_type=meta["colex_type"],
-            directed=bool(meta["directed"]),
+            directed=meta["directed"],
             weight_semantics=meta["weight_semantics"],
             extra_nodes=meta.get("isolated_nodes", ()),
         )

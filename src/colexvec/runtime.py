@@ -24,7 +24,11 @@ def file_sha256(path) -> str:
 
 
 def worker_count() -> int:
-    """Worker cap from COLEXVEC_THREADS, defaulting to the available cores."""
+    """Worker cap from COLEXVEC_THREADS, defaulting to the available cores.
+
+    No package code runs a worker pool; the benchmark harness records this
+    value in every run's environment.
+    """
     raw = os.environ.get("COLEXVEC_THREADS")
     if raw is None:
         return os.cpu_count() or 1

@@ -22,9 +22,10 @@ import numpy as np
 import pytest
 
 import tests.test_baselines as tb
+import tests.test_evaluation as te
 import tests.test_prone as tp
 import tests.test_wordlist as tw
-from colexvec.baselines import SimilarityProvider, shortest_path_provider
+from colexvec.baselines import ppmi_provider, random_walk_provider, shortest_path_provider
 from colexvec.cli import run
 from colexvec.combine import combine
 from colexvec.embeddings import EmbeddingSet
@@ -106,11 +107,12 @@ def test_criterion_2_baseline_oracles():
         g = tb.random_small_graph(rng)
         inv = invert_weights(g)
         nodes = g.sorted_nodes()
-        for a, b in itertools.combinations(nodes, 2):
-            got = tb.all_simple_paths_min(inv, a, b)
-            from colexvec.baselines import shortest_path_distance
-
-            assert shortest_path_distance(inv, a, b) == pytest.approx(got)
+        dist = tb.scores_by_pair(shortest_path_provider(inv), g)
+        oracle = {(a, b): tb.all_simple_paths_min(inv, a, b)
+                  for a, b in itertools.combinations(nodes, 2)}
+        fill = 2.0 * max((d for d in oracle.values() if not math.isinf(d)), default=0.0)
+        for (a, b), got in oracle.items():
+            assert dist[a, b] == pytest.approx(fill if math.isinf(got) else got)
 
         order = nodes
         mat = adjacency_matrix(g, order).values
@@ -123,28 +125,27 @@ def test_criterion_2_baseline_oracles():
         for k in range(1, 6):
             power = power @ p
             profiles += 0.5**k * power
-        from colexvec.baselines import ppmi_similarity, random_walk_similarity
-
+        ppmi = tb.scores_by_pair(ppmi_provider(g), g)
+        walk = tb.scores_by_pair(random_walk_provider(g), g)
         for i, a in enumerate(order):
             for j, b in enumerate(order):
                 if i == j:
                     continue
                 joint = mat[i, j] / total
                 want = max(0.0, math.log(joint / (marginal[i] * marginal[j]))) if joint else 0.0
-                assert ppmi_similarity(g, a, b) == pytest.approx(want, abs=1e-9)
+                assert ppmi[a, b] == pytest.approx(want, abs=1e-9)
                 ni, nj = np.linalg.norm(profiles[i]), np.linalg.norm(profiles[j])
                 want_rw = 0.0 if ni == 0 or nj == 0 else float(profiles[i] @ profiles[j] / (ni * nj))
-                assert random_walk_similarity(g, a, b) == pytest.approx(want_rw, abs=1e-9)
+                assert walk[a, b] == pytest.approx(want_rw, abs=1e-9)
 
     path_graph = make_graph([("A", "B", 2), ("B", "C", 1)], "full", False)
-    from colexvec.baselines import ppmi_similarity
-
-    assert ppmi_similarity(path_graph, "A", "B") == pytest.approx(0.6931, abs=1e-4)
+    assert tb.score(ppmi_provider(path_graph), "A", "B") == pytest.approx(0.6931, abs=1e-4)
     mat = adjacency_matrix(path_graph, ["A", "B", "C"]).values
     p = mat / mat.sum(axis=1, keepdims=True)
     profile_a = (0.5 * p + 0.25 * (p @ p))[0]
     assert np.allclose(profile_a, [1 / 6, 1 / 2, 1 / 12])
-    report(2, "Dijkstra = all-paths minimum; PPMI and walk profiles match dense powers")
+    report(2, "Dijkstra = all-paths minimum (2x-max fill when disconnected); "
+              "PPMI and walk profiles match dense powers")
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +256,8 @@ def test_criterion_6_evaluation_invariances():
         bump = 0.45 if tuple(sorted((a, b))) in positive_keys else 0.05
         return 5.0 + bump + level
 
-    def provider(fn):
-        return SimilarityProvider(
-            source="embedding", score=fn, higher_is_more_similar=True,
-            covered=frozenset(concepts),
-        )
-
     metrics = [
-        eval_binary(provider(fn), positives, runs=10, seed=11).metric
+        eval_binary(te.make_provider(fn, concepts), positives, runs=10, seed=11).metric
         for fn in (base, lambda a, b: 2.0 * base(a, b) + 7.0, lambda a, b: base(a, b) ** 3)
     ]
     assert metrics[0] == metrics[1] == metrics[2]

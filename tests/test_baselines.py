@@ -4,24 +4,31 @@ import random
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import floyd_warshall
 
 from colexvec.baselines import (
     cosine_adjacency_provider,
-    cosine_adjacency_similarity,
     embedding_provider,
     ppmi_provider,
-    ppmi_similarity,
     random_walk_provider,
-    random_walk_similarity,
-    shortest_path_distance,
     shortest_path_provider,
     similarity_matrix,
 )
 from colexvec.embeddings import EmbeddingSet
-from colexvec.errors import ValidationError
 from colexvec.graph import adjacency_matrix, invert_weights, make_graph
 
 PATH_GRAPH = make_graph([("A", "B", 2), ("B", "C", 1)], "full", False)
+
+
+def score(provider, a, b) -> float:
+    return float(provider.score_pairs([a], [b])[0])
+
+
+def scores_by_pair(provider, g) -> dict:
+    """Every ordered pair's score, read off one similarity_matrix call."""
+    order = g.sorted_nodes()
+    values = similarity_matrix(provider, order).values
+    return {(a, b): values[i, j] for i, a in enumerate(order) for j, b in enumerate(order)}
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -62,26 +69,31 @@ def random_small_graph(rng):
 
 
 def test_shortest_path_hand_value():
-    inv = invert_weights(PATH_GRAPH)
-    assert shortest_path_distance(inv, "A", "C") == pytest.approx(1.5)
-    assert shortest_path_distance(inv, "A", "A") == 0.0
+    provider = shortest_path_provider(invert_weights(PATH_GRAPH))
+    assert score(provider, "A", "C") == pytest.approx(1.5)
+    assert score(provider, "A", "A") == 0.0
 
 
-def test_shortest_path_requires_inverted_weights():
-    with pytest.raises(ValidationError):
-        shortest_path_distance(PATH_GRAPH, "A", "C")
+def test_shortest_path_inverts_family_counts():
+    direct = similarity_matrix(shortest_path_provider(PATH_GRAPH), ["A", "B", "C"])
+    inverted = similarity_matrix(
+        shortest_path_provider(invert_weights(PATH_GRAPH)), ["A", "B", "C"]
+    )
+    assert np.array_equal(direct.values, inverted.values)
 
 
 def test_shortest_path_disconnected_marker():
-    g = invert_weights(
-        make_graph([("A", "B", 1), ("C", "D", 1)], "full", False)
-    )
-    assert shortest_path_distance(g, "A", "C") == math.inf
+    g = make_graph([("A", "B", 1), ("B", "C", 1), ("D", "E", 1)], "full", False)
+    dist = scores_by_pair(shortest_path_provider(g), g)
+    connected = [dist[p] for p in (("A", "B"), ("A", "C"), ("D", "E"))]
+    # a disconnected pair sits strictly beyond every connected one
+    assert dist["A", "D"] > max(connected)
+    assert dist["A", "D"] == dist["C", "E"] == dist["E", "A"]
 
 
 def test_shortest_path_absent_node():
-    with pytest.raises(KeyError):
-        shortest_path_distance(invert_weights(PATH_GRAPH), "A", "Z")
+    with pytest.raises(KeyError, match="'Z'"):
+        score(shortest_path_provider(invert_weights(PATH_GRAPH)), "A", "Z")
 
 
 def test_shortest_path_matches_all_paths_oracle():
@@ -90,24 +102,23 @@ def test_shortest_path_matches_all_paths_oracle():
         g = random_small_graph(rng)
         inv = invert_weights(g)
         nodes = g.sorted_nodes()
-        for a, b in itertools.combinations(nodes, 2):
-            assert shortest_path_distance(inv, a, b) == pytest.approx(
-                all_simple_paths_min(inv, a, b)
-            )
+        dist = scores_by_pair(shortest_path_provider(inv), g)
+        oracle = {(a, b): all_simple_paths_min(inv, a, b)
+                  for a, b in itertools.combinations(nodes, 2)}
+        finite = [d for d in oracle.values() if not math.isinf(d)]
+        fill = 2.0 * max(finite, default=0.0)
+        for (a, b), want in oracle.items():
+            assert dist[a, b] == pytest.approx(fill if math.isinf(want) else want)
 
 
 def test_shortest_path_triangle_inequality():
     rng = random.Random(3)
     for _ in range(10):
         g = invert_weights(random_small_graph(rng))
-        nodes = g.sorted_nodes()
-        for a, b, c in itertools.permutations(nodes, 3):
-            dab = shortest_path_distance(g, a, b)
-            dbc = shortest_path_distance(g, b, c)
-            dac = shortest_path_distance(g, a, c)
-            if math.isinf(dab) or math.isinf(dbc):
-                continue
-            assert dac <= dab + dbc + 1e-9
+        # the disconnection fill (2x the largest distance) keeps the inequality
+        dist = scores_by_pair(shortest_path_provider(g), g)
+        for a, b, c in itertools.permutations(g.sorted_nodes(), 3):
+            assert dist[a, c] <= dist[a, b] + dist[b, c] + 1e-9
 
 
 def test_shortest_path_rank_order_scale_invariant():
@@ -119,8 +130,8 @@ def test_shortest_path_rank_order_scale_invariant():
     pairs = list(itertools.combinations(g.sorted_nodes(), 2))
     p1 = shortest_path_provider(g)
     p2 = shortest_path_provider(scaled)
-    d1 = [p1.score(a, b) for a, b in pairs]
-    d2 = [p2.score(a, b) for a, b in pairs]
+    d1 = [score(p1, a, b) for a, b in pairs]
+    d2 = [score(p2, a, b) for a, b in pairs]
     assert np.array_equal(np.argsort(d1, kind="stable"), np.argsort(d2, kind="stable"))
 
 
@@ -128,8 +139,8 @@ def test_shortest_path_provider_default_fill():
     g = make_graph([("A", "B", 1), ("C", "D", 1)], "full", False)
     provider = shortest_path_provider(g)
     # max finite distance is 1.0 after inversion, so the fill is 2.0
-    assert provider.score("A", "C") == pytest.approx(2.0)
-    assert provider.score("A", "B") == pytest.approx(1.0)
+    assert score(provider, "A", "C") == pytest.approx(2.0)
+    assert score(provider, "A", "B") == pytest.approx(1.0)
     assert not provider.higher_is_more_similar
 
 
@@ -138,13 +149,14 @@ def test_shortest_path_provider_default_fill():
 
 
 def test_cosine_adjacency_hand_values():
-    assert cosine_adjacency_similarity(PATH_GRAPH, "A", "C") == pytest.approx(1.0)
-    assert cosine_adjacency_similarity(PATH_GRAPH, "A", "B") == pytest.approx(0.0)
+    provider = cosine_adjacency_provider(PATH_GRAPH)
+    assert score(provider, "A", "C") == pytest.approx(1.0)
+    assert score(provider, "A", "B") == pytest.approx(0.0)
 
 
 def test_cosine_adjacency_isolated_zero():
     g = make_graph([("A", "B", 2)], "full", False, extra_nodes=["L"])
-    assert cosine_adjacency_similarity(g, "L", "A") == 0.0
+    assert score(cosine_adjacency_provider(g), "L", "A") == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -152,19 +164,19 @@ def test_cosine_adjacency_isolated_zero():
 
 
 def test_ppmi_hand_value():
-    assert ppmi_similarity(PATH_GRAPH, "A", "B") == pytest.approx(math.log(2))
-    assert ppmi_similarity(PATH_GRAPH, "A", "C") == 0.0
+    provider = ppmi_provider(PATH_GRAPH)
+    assert score(provider, "A", "B") == pytest.approx(math.log(2))
+    assert score(provider, "A", "C") == 0.0
 
 
 def test_ppmi_symmetric_and_nonnegative():
     rng = random.Random(5)
     for _ in range(10):
         g = random_small_graph(rng)
-        nodes = g.sorted_nodes()
-        for a, b in itertools.combinations(nodes, 2):
-            v = ppmi_similarity(g, a, b)
-            assert v >= 0.0
-            assert v == pytest.approx(ppmi_similarity(g, b, a))
+        ppmi = scores_by_pair(ppmi_provider(g), g)
+        for a, b in itertools.combinations(g.sorted_nodes(), 2):
+            assert ppmi[a, b] >= 0.0
+            assert ppmi[a, b] == pytest.approx(ppmi[b, a])
 
 
 def test_ppmi_matches_dense_oracle():
@@ -175,6 +187,7 @@ def test_ppmi_matches_dense_oracle():
         mat = adjacency_matrix(g, order).values
         total = mat.sum()
         marginal = mat.sum(axis=1) / total
+        ppmi = scores_by_pair(ppmi_provider(g), g)
         for i, a in enumerate(order):
             for j, b in enumerate(order):
                 if i == j:
@@ -183,13 +196,13 @@ def test_ppmi_matches_dense_oracle():
                 expected = 0.0
                 if joint > 0:
                     expected = max(0.0, math.log(joint / (marginal[i] * marginal[j])))
-                assert ppmi_similarity(g, a, b) == pytest.approx(expected, abs=1e-9)
+                assert ppmi[a, b] == pytest.approx(expected, abs=1e-9)
 
 
 def test_ppmi_cosine_rows_mode():
     provider = ppmi_provider(PATH_GRAPH, mode="cosine_rows")
     # A and C have identical PPMI rows (sole neighbor B)
-    assert provider.score("A", "C") == pytest.approx(1.0)
+    assert score(provider, "A", "C") == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +216,12 @@ def test_random_walk_hand_profile():
     p = mat / rowsum
     profile = 0.5 * p + 0.25 * (p @ p)
     assert np.allclose(profile[0], [1 / 6, 1 / 2, 1 / 12])
-    assert random_walk_similarity(PATH_GRAPH, "A", "C", alpha=0.5, max_steps=2) == pytest.approx(1.0)
+    provider = random_walk_provider(PATH_GRAPH, alpha=0.5, max_steps=2)
+    assert score(provider, "A", "C") == pytest.approx(1.0)
 
 
 def test_random_walk_self_similarity():
-    assert random_walk_similarity(PATH_GRAPH, "B", "B") == pytest.approx(1.0)
+    assert score(random_walk_provider(PATH_GRAPH), "B", "B") == pytest.approx(1.0)
 
 
 def test_random_walk_single_step_equals_row_cosine():
@@ -216,11 +230,12 @@ def test_random_walk_single_step_equals_row_cosine():
     mat = adjacency_matrix(g, order).values
     rowsum = mat.sum(axis=1, keepdims=True)
     p = np.divide(mat, rowsum, out=np.zeros_like(mat), where=rowsum > 0)
+    walk = scores_by_pair(random_walk_provider(g, max_steps=1), g)
     for i, a in enumerate(order):
         for j, b in enumerate(order):
             ni, nj = np.linalg.norm(p[i]), np.linalg.norm(p[j])
             expected = 0.0 if ni == 0 or nj == 0 else float(p[i] @ p[j] / (ni * nj))
-            assert random_walk_similarity(g, a, b, max_steps=1) == pytest.approx(expected)
+            assert walk[a, b] == pytest.approx(expected)
 
 
 def test_random_walk_profiles_match_matrix_powers():
@@ -241,12 +256,12 @@ def test_random_walk_profiles_match_matrix_powers():
                     assert power[i].sum() == pytest.approx(1.0)
             expected += 0.5**k * power
         assert np.all(expected >= -1e-15)
-        provider = random_walk_provider(g)
+        walk = scores_by_pair(random_walk_provider(g), g)
         for i, a in enumerate(order):
             for j, b in enumerate(order):
                 ni, nj = np.linalg.norm(expected[i]), np.linalg.norm(expected[j])
                 want = 0.0 if ni == 0 or nj == 0 else float(expected[i] @ expected[j] / (ni * nj))
-                assert provider.score(a, b) == pytest.approx(want, abs=1e-9)
+                assert walk[a, b] == pytest.approx(want, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +279,17 @@ def test_all_providers_symmetric_on_undirected():
     nodes = g.sorted_nodes()
     for provider in providers:
         for a, b in itertools.combinations(nodes, 2):
-            assert provider.score(a, b) == pytest.approx(provider.score(b, a))
+            assert score(provider, a, b) == pytest.approx(score(provider, b, a))
 
 
 def test_embedding_provider_scores():
     es = EmbeddingSet(dim=2, vectors={"A": [1.0, 0.0], "B": [0.0, 1.0], "C": [2.0, 0.0]})
     provider = embedding_provider(es)
-    assert provider.score("A", "C") == pytest.approx(1.0)
-    assert provider.score("A", "B") == pytest.approx(0.0)
+    assert score(provider, "A", "C") == pytest.approx(1.0)
+    assert score(provider, "A", "B") == pytest.approx(0.0)
     assert provider.covered == frozenset({"A", "B", "C"})
-    with pytest.raises(KeyError):
-        provider.score("A", "Z")
+    with pytest.raises(KeyError, match="'Z'"):
+        score(provider, "A", "Z")
 
 
 def test_similarity_matrix_dump():
@@ -283,3 +298,84 @@ def test_similarity_matrix_dump():
     assert m.values.shape == (3, 3)
     assert m.values[0, 2] == pytest.approx(1.0)
     assert np.allclose(m.values, m.values.T)
+
+
+# ---------------------------------------------------------------------------
+# every provider against a dense oracle, on graphs with gaps
+
+
+def graph_with_gaps(rng):
+    """Small graph, directed or not, often with isolated nodes, several
+    components or no edges at all."""
+    directed = rng.random() < 0.3
+    nodes = [f"N{i}" for i in range(rng.randint(1, 9))]
+    pick = itertools.permutations if directed else itertools.combinations
+    possible = list(pick(nodes, 2))
+    rng.shuffle(possible)
+    edges = [(a, b, rng.randint(1, 9)) for a, b in possible[: rng.randint(0, len(possible))]]
+    return make_graph(edges, "affix" if directed else "full", directed, extra_nodes=nodes)
+
+
+def cosine_oracle(rows):
+    n = len(rows)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            ni, nj = np.linalg.norm(rows[i]), np.linalg.norm(rows[j])
+            if ni > 0 and nj > 0:
+                out[i, j] = rows[i] @ rows[j] / (ni * nj)
+    return out
+
+
+def ppmi_oracle(mat):
+    total = mat.sum()
+    out = np.zeros_like(mat)
+    for i, j in itertools.product(range(len(mat)), repeat=2):
+        if mat[i, j] > 0:
+            joint = mat[i, j] / total
+            marginal = mat[i].sum() * mat[j].sum() / total**2
+            out[i, j] = max(0.0, math.log(joint / marginal))
+    return out
+
+
+def shortest_path_oracle(g, mat):
+    inverse = np.divide(1.0, mat, out=np.zeros_like(mat), where=mat > 0)
+    dist = floyd_warshall(inverse, directed=g.directed)
+    finite = dist[np.isfinite(dist)]
+    fill = 2.0 * finite.max() if finite.size else 0.0
+    return np.where(np.isfinite(dist), dist, fill)
+
+
+def walk_oracle(mat, alpha, steps):
+    rowsum = mat.sum(axis=1, keepdims=True)
+    p = np.divide(mat, rowsum, out=np.zeros_like(mat), where=rowsum > 0)
+    profiles = sum(alpha**k * np.linalg.matrix_power(p, k) for k in range(1, steps + 1))
+    return cosine_oracle(profiles)
+
+
+def test_every_provider_matches_dense_oracle():
+    rng = random.Random(2024)
+    graphs = [
+        make_graph([], "full", False, extra_nodes=["A", "B", "C"]),
+        make_graph([("A", "B", 3), ("B", "C", 1), ("D", "E", 2)], "full", False,
+                   extra_nodes=["L"]),
+    ] + [graph_with_gaps(rng) for _ in range(40)]
+    for g in graphs:
+        order = g.sorted_nodes()
+        mat = adjacency_matrix(g, order).values
+        cases = [
+            (shortest_path_provider(g), shortest_path_oracle(g, mat)),
+            (cosine_adjacency_provider(g), cosine_oracle(mat)),
+            (random_walk_provider(g), walk_oracle(mat, 0.5, 5)),
+            (random_walk_provider(g, alpha=0.2, max_steps=1), walk_oracle(mat, 0.2, 1)),
+            (random_walk_provider(g, alpha=0.9, max_steps=3), walk_oracle(mat, 0.9, 3)),
+        ]
+        if not g.directed:  # PPMI marginals are defined for symmetric mass only
+            cases += [
+                (ppmi_provider(g), ppmi_oracle(mat)),
+                (ppmi_provider(g, mode="cosine_rows"), cosine_oracle(ppmi_oracle(mat))),
+            ]
+        for provider, oracle in cases:
+            got = similarity_matrix(provider, order).values
+            np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12,
+                                       err_msg=f"{provider.source} on {g}")

@@ -1,0 +1,76 @@
+"""The names the benchmark harness in perfbench/ imports and wraps.
+
+perfbench/probes.py wraps the provider factories and similarity_matrix at
+their colexvec.cli attributes, swaps each built provider's score through
+dataclasses.replace and reads its source; perfbench/run.py records
+runtime.worker_count(). Removing or bypassing any of these crashes every
+benchmark run, or silently stops it from timing the baselines.
+"""
+
+import dataclasses
+
+import numpy as np
+
+import colexvec.cli as cli
+from colexvec.baselines import PROVIDER_SOURCES
+from colexvec.embeddings import EmbeddingSet
+from colexvec.graph import make_graph
+from colexvec.runtime import worker_count
+
+PROVIDERS = (
+    "shortest_path_provider",
+    "cosine_adjacency_provider",
+    "ppmi_provider",
+    "random_walk_provider",
+    "embedding_provider",
+)
+TOY_GRAPH = make_graph([("A", "B", 2), ("B", "C", 1)], "full", False, extra_nodes=["D"])
+TOY_EMBEDDING = EmbeddingSet(dim=2, vectors={"A": [1.0, 0.0], "B": [0.5, 0.5], "C": [0.0, 2.0]})
+
+
+def test_worker_count_is_available():
+    assert worker_count() >= 1
+
+
+def test_cli_reaches_providers_through_its_module_attributes(tmp_path, monkeypatch):
+    graph = tmp_path / "g.tsv"
+    cli.save_graph(TOY_GRAPH, graph)
+    emb = tmp_path / "e.emb"
+    cli.save_embedding(TOY_EMBEDDING, emb)
+    pairs = tmp_path / "rated.tsv"
+    pairs.write_text("CONCEPT_A\tCONCEPT_B\tRATING\nA\tB\t3\nA\tC\t1\nB\tC\t2\n", encoding="utf-8")
+
+    calls = []
+    for name in PROVIDERS + ("similarity_matrix",):
+        original = getattr(cli, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+    for method in cli.BASELINE_METHODS:
+        assert cli.run(["baseline", "--graph", str(graph), "--method", method,
+                        "--out", str(tmp_path / f"{method}.tsv")]) == 0
+    assert cli.run(["eval-lsim", "--sim", str(emb), "--pairs", str(pairs),
+                    "--report", str(tmp_path / "r.json")]) == 0
+    assert set(calls) == set(PROVIDERS) | {"similarity_matrix"}
+
+
+def test_built_provider_score_can_be_swapped():
+    built = [getattr(cli, name)(TOY_GRAPH) for name in PROVIDERS[:-1]]
+    built.append(cli.embedding_provider(TOY_EMBEDDING))
+    for provider in built:
+        assert provider.source in PROVIDER_SOURCES
+        calls = []
+
+        def counted(*args, _score=provider.score, **kwargs):
+            calls.append(1)
+            return _score(*args, **kwargs)
+
+        swapped = dataclasses.replace(provider, score=counted)
+        assert swapped.source == provider.source
+        order = sorted(provider.covered)
+        assert np.array_equal(cli.similarity_matrix(swapped, order).values,
+                              cli.similarity_matrix(provider, order).values)
+        assert calls

@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +133,41 @@ def test_baseline_matrix_dump(tmp_path):
     assert len(lines) == g.n_nodes + 1
     header = lines[0].split("\t")
     assert header[0] == "CONCEPT" and len(header) == g.n_nodes + 1
+
+
+@pytest.mark.parametrize("method", ["shortest-path", "cosine", "ppmi", "random-walk"])
+def test_baseline_pair_scores_match_matrix_dump(tmp_path, method):
+    graph = toy_graph(tmp_path)
+    pairs, matrix = tmp_path / "pairs.tsv", tmp_path / "matrix.tsv"
+    assert run(["baseline", "--graph", str(graph), "--method", method,
+                "--pairs", data_path("toy_shift_pairs.tsv"), "--out", str(pairs)]) == 0
+    assert run(["baseline", "--graph", str(graph), "--method", method,
+                "--out", str(matrix)]) == 0
+    header, *rows = matrix.read_text(encoding="utf-8").splitlines()
+    columns = header.split("\t")[1:]
+    cells = {}
+    for row in rows:
+        concept, *values = row.split("\t")
+        cells.update({(concept, c): v for c, v in zip(columns, values)})
+    scored = pairs.read_text(encoding="utf-8").splitlines()[1:]
+    assert scored
+    for line in scored:
+        a, b, value = line.split("\t")
+        assert value == cells[a, b]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--alpha", "1.5", "alpha must be in (0, 1)"),
+    ("--alpha", "0", "alpha must be in (0, 1)"),
+    ("--max-steps", "0", "max_steps must be >= 1"),
+])
+def test_baseline_random_walk_rejects_bad_parameters(tmp_path, capsys, flag, value, message):
+    graph = toy_graph(tmp_path)
+    code = run(["baseline", "--graph", str(graph), "--method", "random-walk",
+                flag, value, "--out", str(tmp_path / "m.tsv")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m.tsv").exists()
 
 
 def test_eval_lsim_embedding_and_baseline_spec(tmp_path):
@@ -274,6 +310,50 @@ def test_pipeline_byte_identical_reruns(tmp_path):
     first = (tmp_path / "pipeline.json").read_bytes()
     assert run(["pipeline", "--config", str(config_path)]) == 0
     assert (tmp_path / "pipeline.json").read_bytes() == first
+
+
+def test_pipeline_keeps_every_metric_of_a_task(tmp_path):
+    config = pipeline_config(tmp_path)
+    config["steps"].append(
+        {"command": "eval-lsim",
+         "args": {"sim": f"shortest-path:{tmp_path / 'full.tsv'}",
+                  "pairs": data_path("toy_rated_pairs.tsv"),
+                  "report": str(tmp_path / "lsim_sp.json")}})
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run(["pipeline", "--config", str(config_path)]) == 0
+    lsim = json.loads((tmp_path / "pipeline.json").read_text(encoding="utf-8"))["metrics"]["lsim"]
+    assert set(lsim) == {str(tmp_path / "lsim.json"), str(tmp_path / "lsim_sp.json")}
+    for report, metric in lsim.items():
+        assert metric == json.loads(Path(report).read_text(encoding="utf-8"))["report"]["metric"]
+
+
+@pytest.mark.parametrize("config, message", [
+    ([], "top level must be a JSON object"),
+    ({"report": "r.json", "steps": "colexify"}, "needs a non-empty 'steps' list"),
+    ({"steps": [{"command": "colexify"}]}, "needs a 'report' output path"),
+    ({"report": "r.json", "steps": [None, "colexify"]}, "steps[1]: must be an object"),
+    ({"report": "r.json", "steps": [None, {"args": {}}]}, "steps[1]: needs a string 'command'"),
+    ({"report": "r.json", "steps": [None, {"command": "train"}]}, "steps[1]: unknown command 'train'"),
+    ({"report": "r.json", "steps": [None, {"command": "pipeline"}]}, "steps[1]: pipelines cannot nest"),
+    ({"report": "r.json", "steps": [None, {"command": "colexify", "args": ["--type"]}]},
+     "steps[1]: 'args' must be an object"),
+    ({"report": "r.json", "steps": [None, {"command": "eval-lsim", "args": {"sim": [1]}}]},
+     "steps[1]: args.sim must be a string or a number"),
+])
+def test_pipeline_rejects_malformed_config_before_any_step(tmp_path, capsys, config, message):
+    graph = tmp_path / "full.tsv"
+    if isinstance(config, dict) and isinstance(config["steps"], list):
+        # a valid first step that must not run
+        config["steps"][0] = {"command": "colexify",
+                              "args": {"wordlist": data_path("toy_wordlist.tsv"),
+                                       "type": "full", "out": str(graph)}}
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run(["pipeline", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config_path}: ") and message in err
+    assert not graph.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,13 @@ def stable_unit(a, b):
 
 
 def make_provider(score, covered, higher=True, source="embedding"):
+    """A provider over `covered` that scores each pair with score(a, b)."""
+    order = sorted(covered)
     return SimilarityProvider(
-        source=source, score=score, higher_is_more_similar=higher,
-        covered=frozenset(covered),
+        source=source,
+        score=np.vectorize(lambda i, j: score(order[i], order[j]), otypes=[float]),
+        higher_is_more_similar=higher,
+        index={concept: i for i, concept in enumerate(order)},
     )
 
 
@@ -166,6 +170,16 @@ def test_eval_binary_monotone_transform_invariance():
     ]
     assert 0.6 < reports[0].metric < 1.0  # non-degenerate fixture
     assert reports[0].metric == reports[1].metric == reports[2].metric
+
+
+def test_logistic_accuracy_can_fall_short_of_best_threshold():
+    rng = np.random.default_rng(0)
+    x = np.concatenate([rng.normal(1.0, 1.0, 50), rng.normal(0.0, 1.0, 50)])
+    labels = np.array([1] * 50 + [0] * 50)
+    x = (x - x.mean()) / x.std()
+    accuracy = fit_logistic_1d(x, labels).accuracy(x, labels)
+    best = max(np.mean((x >= t) == labels) for t in np.append(x, np.inf))
+    assert accuracy < best
 
 
 def test_eval_binary_negatives_shared_across_providers():

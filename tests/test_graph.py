@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,23 @@ def test_load_graph_reads_sidecar(tmp_path):
     g = load_graph(path)
     assert g.directed and g.colex_type == "affix"
     assert g.n_edges == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("directed", "false"),
+    ("directed", 0),
+    ("colex_type", "partial"),
+    ("colex_type", ["full"]),
+    ("weight_semantics", "counts"),
+    ("isolated_nodes", "LEAF"),
+])
+def test_load_graph_rejects_bad_sidecar_field(tmp_path, field, value):
+    meta = {"colex_type": "full", "directed": False, "weight_semantics": "family_count"}
+    meta[field] = value
+    path = write_edge_file(tmp_path, "A\tB\t1\n", meta=json.dumps(meta, indent=2))
+    with pytest.raises(ParseError, match=field) as exc:
+        load_graph(path)
+    assert exc.value.path == str(path) + ".json"
 
 
 def test_graph_invariants_rejected():
