@@ -462,7 +462,11 @@ def run(argv) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (ColexvecError, KeyError, ValueError) as exc:
+    except KeyError as exc:
+        # str() of a KeyError is the repr of its argument, quotes included
+        print("error:", *exc.args, file=sys.stderr)
+        return 1
+    except (ColexvecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

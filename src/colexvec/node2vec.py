@@ -10,6 +10,7 @@ independent RNG per start node so corpus generation is order-independent.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,9 @@ class WalkConfig:
     def __post_init__(self):
         if self.walks_per_node < 1 or self.walk_length < 1:
             raise ValidationError("walk counts must be >= 1")
+        for name in ("p", "q"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if self.p <= 0 or self.q <= 0:
             raise ValidationError("p and q must be positive")
 
@@ -52,6 +56,8 @@ class SkipGramConfig:
             raise ValidationError("dim must be >= 1")
         if self.window < 1:
             raise ValidationError("window must be >= 1")
+        if not math.isfinite(self.learning_rate):
+            raise ValidationError("learning_rate must be finite")
         if not (0.0 <= self.validation_split < 1.0):
             raise ValidationError("validation_split must be in [0, 1)")
         if self.batch_size < 1 or self.epochs < 1:

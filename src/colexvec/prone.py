@@ -34,6 +34,9 @@ class ProneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("mu", "theta", "shift"):  # the exponent range check rejects nan and inf
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if self.dim < 1:
             raise ValidationError("dim must be >= 1")
         if self.step < 1:

@@ -9,6 +9,7 @@ colexification at least once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -78,7 +79,6 @@ class ColexParams:
 
     min_form_len: int = 3
     min_overlap_len: int = 4
-    require_proper: bool = True
 
     def __post_init__(self):
         if self.min_form_len < 1:
@@ -105,7 +105,6 @@ def load_wordlist(path) -> Wordlist:
     """Read a LANGUAGE/FAMILY/CONCEPT/FORM TSV, collapsing duplicate rows."""
     path = Path(path)
     entries = []
-    seen = set()
     with path.open(encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != WORDLIST_HEADER:
@@ -125,10 +124,6 @@ def load_wordlist(path) -> Wordlist:
             form = tuple(form_str.split())
             if not form:
                 raise ParseError(path, line_no, "empty form")
-            key = (language, concept, form)
-            if key in seen:
-                continue
-            seen.add(key)
             entries.append(WordlistEntry(language, family, concept, form))
     try:
         return Wordlist(entries=tuple(entries))
@@ -166,8 +161,7 @@ def classify_pair(a: Sequence, b: Sequence, params: ColexParams = ColexParams())
         return ColexMatch(kind="full")
 
     shorter, longer = (a, b) if len(a) <= len(b) else (b, a)
-    length_ok = len(shorter) < len(longer) or not params.require_proper
-    if length_ok and len(shorter) >= params.min_form_len:
+    if len(shorter) >= params.min_form_len:
         if longer[: len(shorter)] == shorter or longer[-len(shorter):] == shorter:
             direction = "b_derived_from_a" if len(a) < len(b) else "a_derived_from_b"
             return ColexMatch(kind="affix", direction=direction)
@@ -175,6 +169,66 @@ def classify_pair(a: Sequence, b: Sequence, params: ColexParams = ColexParams())
     if _longest_common_block(a, b) >= params.min_overlap_len:
         return ColexMatch(kind="overlap")
     return ColexMatch(kind="none")
+
+
+def _candidate_form_pairs(forms, params: ColexParams) -> set:
+    """Sorted pairs of one language's forms that can classify as anything but
+    none: equal forms, a form and each proper prefix or suffix of length >=
+    min_form_len, and forms sharing a k-gram (k = min_overlap_len), which is
+    exactly when they share a block of length >= k.
+    """
+    pairs = {(f, f) for f in forms}
+    for f in forms:
+        for n in range(params.min_form_len, len(f)):
+            for stem in (f[:n], f[-n:]):
+                if stem in forms:
+                    pairs.add((min(stem, f), max(stem, f)))
+    k = params.min_overlap_len
+    grams = {}
+    for f in sorted(forms):  # so every bucket, and each pair from it, is sorted
+        for gram in {f[s: s + k] for s in range(len(f) - k + 1)}:
+            grams.setdefault(gram, []).append(f)
+    for bucket in grams.values():
+        pairs.update(combinations(bucket, 2))
+    return pairs
+
+
+def _attestations(wordlist: Wordlist, params: ColexParams) -> dict:
+    """Attesting families per edge key for every network type, in one pass.
+
+    Keys are (derived, stem) concepts in "affix" and sorted concept pairs in
+    "full", "overlap" and "affix_undirected".
+    """
+    concepts_by_form = {}  # language -> form -> concepts with that form
+    for entry in wordlist.entries:
+        forms = concepts_by_form.setdefault(entry.language, {})
+        forms.setdefault(entry.form, []).append(entry.concept)
+
+    families = wordlist.families
+    tables = {kind: {} for kind in ("full", "affix", "affix_undirected", "overlap")}
+    for language, forms in concepts_by_form.items():
+        family = families[language]
+        for fa, fb in _candidate_form_pairs(forms, params):
+            match = classify_pair(fa, fb, params)
+            if match.kind == "none":
+                continue
+            for ca, cb in product(forms[fa], forms[fb]):
+                if ca == cb:
+                    continue
+                pair = (min(ca, cb), max(ca, cb))
+                if match.kind == "affix":
+                    derived = (ca, cb) if match.direction == "a_derived_from_b" else (cb, ca)
+                    tables["affix"].setdefault(derived, set()).add(family)
+                    tables["affix_undirected"].setdefault(pair, set()).add(family)
+                else:
+                    tables[match.kind].setdefault(pair, set()).add(family)
+    return tables
+
+
+def _family_count_graph(wordlist: Wordlist, attesting: dict, kind: str, directed: bool) -> ColexGraph:
+    edges = [(src, dst, len(fams)) for (src, dst), fams in sorted(attesting.items())]
+    concepts = {e.concept for e in wordlist.entries}
+    return make_graph(edges, kind, directed, "family_count", extra_nodes=concepts)
 
 
 def infer_network(
@@ -187,44 +241,13 @@ def infer_network(
     families with at least one attestation. Affix networks are directed
     (derived-form concept -> stem concept); full and overlap networks are
     undirected. All wordlist concepts stay in the node set, so concepts
-    without edges remain as isolated nodes.
+    without edges remain as isolated nodes. Only form pairs that an index
+    of forms, affixes and k-grams finds are classified, each once.
     """
     if kind not in ("full", "affix", "overlap"):
         raise ValidationError(f"unknown colexification type {kind!r}")
-
-    by_language = {}
-    for entry in wordlist.entries:
-        by_language.setdefault(entry.language, []).append(entry)
-
-    families = wordlist.families
-    attesting = {}  # edge key -> set of families
-    for language, entries in by_language.items():
-        family = families[language]
-        for i, ea in enumerate(entries):
-            for eb in entries[i + 1:]:
-                if ea.concept == eb.concept:
-                    continue
-                match = classify_pair(ea.form, eb.form, params)
-                if match.kind != kind:
-                    continue
-                if kind == "affix":
-                    if match.direction == "a_derived_from_b":
-                        key = (ea.concept, eb.concept)
-                    else:
-                        key = (eb.concept, ea.concept)
-                else:
-                    key = (min(ea.concept, eb.concept), max(ea.concept, eb.concept))
-                attesting.setdefault(key, set()).add(family)
-
-    edges = [(src, dst, float(len(fams))) for (src, dst), fams in sorted(attesting.items())]
-    concepts = {e.concept for e in wordlist.entries}
-    return make_graph(
-        edges,
-        colex_type=kind,
-        directed=(kind == "affix"),
-        weight_semantics="family_count",
-        extra_nodes=concepts,
-    )
+    attesting = _attestations(wordlist, params)[kind]
+    return _family_count_graph(wordlist, attesting, kind, directed=(kind == "affix"))
 
 
 def infer_undirected_network(
@@ -237,31 +260,7 @@ def infer_undirected_network(
     2, where max-merging the directed graph after the fact would give 1.
     For full and overlap networks it equals infer_network.
     """
-    directed = infer_network(wordlist, kind, params)
     if kind != "affix":
-        return directed
-
-    families = wordlist.families
-    by_language = {}
-    for entry in wordlist.entries:
-        by_language.setdefault(entry.language, []).append(entry)
-
-    attesting = {}
-    for language, entries in by_language.items():
-        family = families[language]
-        for i, ea in enumerate(entries):
-            for eb in entries[i + 1:]:
-                if ea.concept == eb.concept:
-                    continue
-                if classify_pair(ea.form, eb.form, params).kind == "affix":
-                    key = (min(ea.concept, eb.concept), max(ea.concept, eb.concept))
-                    attesting.setdefault(key, set()).add(family)
-
-    edges = [(a, b, float(len(fams))) for (a, b), fams in sorted(attesting.items())]
-    return make_graph(
-        edges,
-        colex_type="affix",
-        directed=False,
-        weight_semantics="family_count",
-        extra_nodes=directed.nodes,
-    )
+        return infer_network(wordlist, kind, params)
+    attesting = _attestations(wordlist, params)["affix_undirected"]
+    return _family_count_graph(wordlist, attesting, "affix", directed=False)

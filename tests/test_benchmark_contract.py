@@ -1,8 +1,10 @@
 """The names the benchmark harness in perfbench/ imports and wraps.
 
-perfbench/probes.py wraps the provider factories and similarity_matrix at
-their colexvec.cli attributes, swaps each built provider's score through
-dataclasses.replace and reads its source; perfbench/run.py records
+perfbench/probes.py wraps load_wordlist, infer_network, the provider
+factories and similarity_matrix at their colexvec.cli attributes, swaps each
+built provider's score through dataclasses.replace and reads its source;
+perfbench/checks.py re-derives colexify edges with
+wordlist.classify_pair(a, b, ColexParams()); perfbench/run.py records
 runtime.worker_count(). Removing or bypassing any of these crashes every
 benchmark run, or silently stops it from timing the baselines.
 """
@@ -16,6 +18,7 @@ from colexvec.baselines import PROVIDER_SOURCES
 from colexvec.embeddings import EmbeddingSet
 from colexvec.graph import make_graph
 from colexvec.runtime import worker_count
+from colexvec.wordlist import ColexParams, classify_pair
 
 PROVIDERS = (
     "shortest_path_provider",
@@ -26,6 +29,28 @@ PROVIDERS = (
 )
 TOY_GRAPH = make_graph([("A", "B", 2), ("B", "C", 1)], "full", False, extra_nodes=["D"])
 TOY_EMBEDDING = EmbeddingSet(dim=2, vectors={"A": [1.0, 0.0], "B": [0.5, 0.5], "C": [0.0, 2.0]})
+
+
+def test_classify_pair_takes_default_params():
+    assert classify_pair(("t", "u", "m"), ("t", "u", "m", "a"), ColexParams()).kind == "affix"
+
+
+def test_colexify_reaches_wordlist_through_cli_attributes(tmp_path, monkeypatch):
+    wordlist = tmp_path / "w.tsv"
+    wordlist.write_text("LANGUAGE\tFAMILY\tCONCEPT\tFORM\nL\tF\tTREE\ta b\nL\tF\tWOOD\ta b\n",
+                        encoding="utf-8")
+    calls = []
+    for name in ("load_wordlist", "infer_network"):
+        original = getattr(cli, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+    assert cli.run(["colexify", "--wordlist", str(wordlist), "--type", "full",
+                    "--out", str(tmp_path / "g.tsv")]) == 0
+    assert calls == ["load_wordlist", "infer_network"]
 
 
 def test_worker_count_is_available():

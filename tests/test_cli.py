@@ -388,6 +388,27 @@ def test_unknown_subcommand_exit_1(capsys):
     assert "usage" in capsys.readouterr().err.lower()
 
 
+def test_baseline_unknown_pair_concept_message_is_unquoted(tmp_path, capsys):
+    graph = toy_graph(tmp_path)
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("CONCEPT_A\tCONCEPT_B\nTREE\tZZZ\n", encoding="utf-8")
+    code = run(["baseline", "--graph", str(graph), "--method", "cosine",
+                "--pairs", str(pairs), "--out", str(tmp_path / "s.tsv")])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: concept 'ZZZ' not covered")
+    assert not err.startswith('error: "')
+
+
+def test_embed_prone_rejects_non_finite_parameter(tmp_path, capsys):
+    graph = toy_graph(tmp_path)
+    code = run(["embed", "--graph", str(graph), "--method", "prone", "--seed", "1",
+                "--mu", "nan", "--out", str(tmp_path / "e.txt")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: mu must be finite")
+    assert not (tmp_path / "e.txt").exists()
+
+
 def test_unknown_flag_exit_1(capsys):
     assert run(["colexify", "--nope"]) == 1
 

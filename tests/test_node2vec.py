@@ -90,6 +90,12 @@ def test_high_return_parameter_avoids_backtracking():
             assert walk[2] == "C"  # returning to A has probability ~0
 
 
+@pytest.mark.parametrize("field, value", [("p", np.nan), ("q", np.inf)])
+def test_walk_config_rejects_non_finite(field, value):
+    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+        WalkConfig(**{field: value})
+
+
 def test_sample_walks_rejects_directed():
     g = make_graph([("A", "B", 1)], "affix", True)
     with pytest.raises(ValidationError):
@@ -186,6 +192,11 @@ def test_skipgram_deterministic_per_seed():
     b = train_skipgram(pairs, sorted(STAR.nodes), cfg)
     for concept in a.vectors:
         assert np.array_equal(a.vectors[concept], b.vectors[concept])
+
+
+def test_skipgram_config_rejects_non_finite_learning_rate():
+    with pytest.raises(ValidationError, match="^learning_rate must be finite"):
+        SkipGramConfig(learning_rate=np.nan)
 
 
 def test_skipgram_empty_pairs_rejected():

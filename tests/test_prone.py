@@ -19,6 +19,14 @@ from colexvec.prone import (
 PATH_GRAPH = make_graph([("A", "B", 2), ("B", "C", 1)], "full", False)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("mu", math.nan), ("theta", math.inf), ("shift", math.nan),
+])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+        ProneConfig(**{field: value})
+
+
 def random_graph(rng, n, extra_edges):
     nodes = [f"N{i:02d}" for i in range(n)]
     edges = {}

@@ -26,8 +26,7 @@ def oracle_classify(a, b, params):
     if a == b:
         return "full", None
     shorter, longer = (a, b) if len(a) <= len(b) else (b, a)
-    proper_ok = len(shorter) < len(longer) or not params.require_proper
-    if len(shorter) >= params.min_form_len and proper_ok:
+    if len(shorter) >= params.min_form_len:
         if tuple(longer[: len(shorter)]) == shorter or tuple(longer[len(longer) - len(shorter):]) == shorter:
             return "affix", ("b_derived_from_a" if len(a) < len(b) else "a_derived_from_b")
     k = params.min_overlap_len
@@ -38,7 +37,8 @@ def oracle_classify(a, b, params):
     return "none", None
 
 
-def oracle_network_weights(wordlist, kind, params):
+def oracle_network_weights(wordlist, kind, params, undirected=False):
+    """Family counts per edge; affix keys are (derived, stem) unless undirected."""
     families = {}
     for ea in wordlist.entries:
         for eb in wordlist.entries:
@@ -47,7 +47,7 @@ def oracle_network_weights(wordlist, kind, params):
             label, direction = oracle_classify(ea.form, eb.form, params)
             if label != kind:
                 continue
-            if kind == "affix":
+            if kind == "affix" and not undirected:
                 key = (ea.concept, eb.concept) if direction == "a_derived_from_b" else (eb.concept, ea.concept)
             else:
                 key = (ea.concept, eb.concept)
@@ -167,6 +167,16 @@ def test_load_wordlist_conflicting_family(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(ValidationError):
+        load_wordlist(path)
+
+
+def test_load_wordlist_duplicate_row_under_other_family(tmp_path):
+    path = tmp_path / "w.tsv"
+    path.write_text(
+        "LANGUAGE\tFAMILY\tCONCEPT\tFORM\nX\tF1\tTREE\ta\nX\tF2\tTREE\ta\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValidationError, match="families 'F1' and 'F2'"):
         load_wordlist(path)
 
 
@@ -291,7 +301,7 @@ def test_undirected_network_equals_directed_for_symmetric_kinds():
 
 @pytest.mark.parametrize("kind", ["full", "affix", "overlap"])
 def test_infer_matches_brute_force_oracle(kind):
-    rng = random.Random(int(hash(kind)) % 1000)
+    rng = random.Random({"full": 1, "affix": 2, "overlap": 3}[kind])
     params = ColexParams(min_form_len=2, min_overlap_len=2)
     for _ in range(60):
         wl = random_wordlist(rng)
@@ -300,3 +310,61 @@ def test_infer_matches_brute_force_oracle(kind):
         if kind != "affix":  # oracle keys are unordered for full/overlap
             got = {(min(s, t), max(s, t)): w for (s, t), w in got.items()}
         assert got == {k: float(v) for k, v in oracle_network_weights(wl, kind, params).items()}
+
+
+def network_weights(g):
+    """Edge weights keyed like oracle_network_weights: sorted pairs if undirected."""
+    if g.directed:
+        return {(s, t): w for s, t, w in g.edges}
+    return {(min(s, t), max(s, t)): w for s, t, w in g.edges}
+
+
+def assert_networks_match_oracle(wl, params):
+    for kind in ("full", "affix", "overlap"):
+        expected = oracle_network_weights(wl, kind, params)
+        assert network_weights(infer_network(wl, kind, params)) == {k: float(v) for k, v in expected.items()}
+    expected = oracle_network_weights(wl, "affix", params, undirected=True)
+    got = network_weights(infer_undirected_network(wl, "affix", params))
+    assert got == {k: float(v) for k, v in expected.items()}
+
+
+@st.composite
+def wordlists_and_params(draw):
+    alphabet = draw(st.lists(st.sampled_from(["a", "b", "c", "ŋ", "tʰ"]), min_size=1, max_size=3, unique=True))
+    params = ColexParams(min_form_len=draw(st.integers(1, 4)), min_overlap_len=draw(st.integers(1, 4)))
+    family_of = draw(st.lists(st.sampled_from(["fam0", "fam1"]), min_size=3, max_size=3))
+    rows = draw(st.lists(
+        st.tuples(
+            st.integers(0, 2),
+            st.sampled_from(["TREE", "FOREST", "BARK", "SKIN", "MOON"]),
+            st.lists(st.sampled_from(alphabet), min_size=1, max_size=7).map(tuple),
+        ),
+        max_size=24,
+    ))
+    entries = tuple(WordlistEntry(f"lang{li}", family_of[li], concept, form) for li, concept, form in rows)
+    return Wordlist(entries=entries), params
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(wordlists_and_params())
+def test_indexed_networks_match_oracle_for_any_thresholds(case):
+    # covers min_form_len > min_overlap_len and min_overlap_len = 1
+    assert_networks_match_oracle(*case)
+
+
+def test_indexed_networks_match_oracle_on_skewed_segments():
+    # Zipf-distributed segments put most forms into a few large k-gram buckets
+    rng = random.Random(5)
+    segments = ["a", "e", "i", "k", "t", "n", "s", "ŋ"]
+    zipf = [1.0 / rank for rank in range(1, len(segments) + 1)]
+    concepts = [f"C{i:03d}" for i in range(150)]
+    entries = []
+    for language, family in (("L1", "fam0"), ("L2", "fam1"), ("L3", "fam0")):
+        for _ in range(300):
+            form = tuple(rng.choices(segments, weights=zipf, k=rng.randint(1, 6)))
+            entries.append(WordlistEntry(language, family, rng.choice(concepts), form))
+    wl = Wordlist(entries=tuple(entries))
+    # with the defaults, stems of 3 segments pair up through the affix index
+    # alone, since they share no 4-gram with their derived forms
+    for params in (ColexParams(min_form_len=2, min_overlap_len=2), ColexParams()):
+        assert_networks_match_oracle(wl, params)
