@@ -93,8 +93,7 @@ def _ppmi_matrix(mat: np.ndarray) -> np.ndarray:
     if total == 0:
         return np.zeros_like(mat)
     p_joint = mat / total
-    p_node = mat.sum(axis=1) / total
-    expected = np.outer(p_node, p_node)
+    expected = np.outer(mat.sum(axis=1) / total, mat.sum(axis=0) / total)
     with np.errstate(divide="ignore", invalid="ignore"):
         pmi = np.log(p_joint / expected)
     pmi[~np.isfinite(pmi)] = 0.0
@@ -144,7 +143,9 @@ def cosine_adjacency_provider(g: ColexGraph) -> SimilarityProvider:
 def ppmi_provider(g: ColexGraph, mode: str = "pairwise") -> SimilarityProvider:
     """Positive pointwise mutual information under adjacency mass.
 
-    `mode` picks the pairwise PPMI value or the cosine between PPMI rows.
+    On a directed graph a pair's source marginal is its out-weight and its
+    target marginal its in-weight. `mode` picks the pairwise PPMI value or
+    the cosine between PPMI rows.
     """
     if g.weight_semantics != "family_count":
         raise ValidationError("ppmi_provider needs family_count weights")

@@ -3,7 +3,8 @@
 The file format is word2vec-style text: a `<count> <dim>` header line, then
 one `<concept> <v1> ... <vdim>` line per concept with 8 significant digits.
 Concept ids may contain spaces; the trailing `dim` fields of a line are the
-vector, everything before them is the id.
+vector, everything before them is the id. Trailing whitespace on a line
+(word2vec and fastText write a space before the newline) is ignored.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def load_embedding(path) -> EmbeddingSet:
             raise ParseError(path, 1, "expected integer count and dim") from None
         vectors = {}
         for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
+            # word2vec and fastText end lines with a space, some files with \r\n
+            line = line.rstrip()
             if not line:
                 continue
             fields = line.split(" ")

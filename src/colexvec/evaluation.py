@@ -223,9 +223,10 @@ def eval_binary(
     pick the accuracy-maximising threshold, so the result can fall short
     of best-threshold separability on the same scores.
 
-    Features are standardized before the fit: affine changes of the score
-    scale then leave the fitted predictions (and the accuracy) exactly
-    unchanged instead of merely re-conditioning the gradient descent.
+    Features are standardized before the fit (a constant feature is
+    passed as is): affine changes of the score scale then give the same
+    features up to rounding, so the fit and the accuracy stay unchanged,
+    and the fit's gradient tolerance means the same for every provider.
     """
     positives = list(positives)
     if not positives:

@@ -179,7 +179,8 @@ def train_skipgram(pairs, vocab, cfg: SkipGramConfig) -> EmbeddingSet:
 
     A validation_split fraction of the pairs is held out purely for loss
     monitoring; it never gates training. Per-epoch losses end up in the
-    result's provenance.
+    result's provenance. A train loss that is not finite at the end of an
+    epoch raises ValidationError naming that epoch (counted from 1).
     """
     if not pairs:
         raise ValidationError("empty pair list")
@@ -223,6 +224,11 @@ def train_skipgram(pairs, vocab, cfg: SkipGramConfig) -> EmbeddingSet:
             w_in -= cfg.learning_rate * grad_in
             w_out -= cfg.learning_rate * grad_out
         train_losses.append(total / len(shuffled))
+        if not np.isfinite(train_losses[-1]):
+            raise ValidationError(
+                f"skip-gram train loss is {train_losses[-1]} at epoch {epoch + 1} of "
+                f"{cfg.epochs}; lower the learning rate ({cfg.learning_rate})"
+            )
         if n_val:
             val_losses.append(_mean_loss(w_in, w_out, centers[val_idx], contexts[val_idx]))
             logger.debug(

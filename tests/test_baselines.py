@@ -199,6 +199,17 @@ def test_ppmi_matches_dense_oracle():
                 assert ppmi[a, b] == pytest.approx(expected, abs=1e-9)
 
 
+def test_ppmi_directed_uses_column_sums_for_the_target():
+    # N0 has no out-edges: with row sums on both ends N2 -> N0 scored 0
+    g = make_graph([("N1", "N2", 1), ("N2", "N0", 4)], "affix", True)
+    provider = ppmi_provider(g)
+    # p(N2, N0) = 4/5, p_out(N2) = 4/5, p_in(N0) = 4/5
+    assert score(provider, "N2", "N0") == pytest.approx(math.log(5 / 4))
+    # p(N1, N2) = 1/5, p_out(N1) = 1/5, p_in(N2) = 1/5
+    assert score(provider, "N1", "N2") == pytest.approx(math.log(5))
+    assert score(provider, "N0", "N2") == 0.0
+
+
 def test_ppmi_cosine_rows_mode():
     provider = ppmi_provider(PATH_GRAPH, mode="cosine_rows")
     # A and C have identical PPMI rows (sole neighbor B)
@@ -333,7 +344,7 @@ def ppmi_oracle(mat):
     for i, j in itertools.product(range(len(mat)), repeat=2):
         if mat[i, j] > 0:
             joint = mat[i, j] / total
-            marginal = mat[i].sum() * mat[j].sum() / total**2
+            marginal = mat[i, :].sum() * mat[:, j].sum() / total**2
             out[i, j] = max(0.0, math.log(joint / marginal))
     return out
 
@@ -369,12 +380,9 @@ def test_every_provider_matches_dense_oracle():
             (random_walk_provider(g), walk_oracle(mat, 0.5, 5)),
             (random_walk_provider(g, alpha=0.2, max_steps=1), walk_oracle(mat, 0.2, 1)),
             (random_walk_provider(g, alpha=0.9, max_steps=3), walk_oracle(mat, 0.9, 3)),
+            (ppmi_provider(g), ppmi_oracle(mat)),
+            (ppmi_provider(g, mode="cosine_rows"), cosine_oracle(ppmi_oracle(mat))),
         ]
-        if not g.directed:  # PPMI marginals are defined for symmetric mass only
-            cases += [
-                (ppmi_provider(g), ppmi_oracle(mat)),
-                (ppmi_provider(g, mode="cosine_rows"), cosine_oracle(ppmi_oracle(mat))),
-            ]
         for provider, oracle in cases:
             got = similarity_matrix(provider, order).values
             np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12,

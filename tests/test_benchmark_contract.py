@@ -2,18 +2,25 @@
 
 perfbench/probes.py wraps load_wordlist, infer_network, the provider
 factories and similarity_matrix at their colexvec.cli attributes, swaps each
-built provider's score through dataclasses.replace and reads its source;
+built provider's score through dataclasses.replace and reads its source; it
+times fit_logistic_1d at its colexvec.evaluation attribute, counts the fit's
+iterations as calls of numerics.logistic_gradient and flags a fit as capped
+from the default of its max_iter keyword;
 perfbench/checks.py re-derives colexify edges with
 wordlist.classify_pair(a, b, ColexParams()); perfbench/run.py records
 runtime.worker_count(). Removing or bypassing any of these crashes every
-benchmark run, or silently stops it from timing the baselines.
+benchmark run, or silently stops it from timing the baselines or counting
+the fit iterations.
 """
 
 import dataclasses
+import inspect
 
 import numpy as np
 
 import colexvec.cli as cli
+import colexvec.evaluation as evaluation
+import colexvec.numerics as numerics
 from colexvec.baselines import PROVIDER_SOURCES
 from colexvec.embeddings import EmbeddingSet
 from colexvec.graph import make_graph
@@ -99,3 +106,46 @@ def test_built_provider_score_can_be_swapped():
         assert np.array_equal(cli.similarity_matrix(swapped, order).values,
                               cli.similarity_matrix(provider, order).values)
         assert calls
+
+
+def counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call; returns the record."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_fit_logistic_has_a_max_iter_default():
+    default = inspect.signature(numerics.fit_logistic_1d).parameters["max_iter"].default
+    assert isinstance(default, int) and default >= 1
+
+
+def test_fit_logistic_calls_module_gradient_once_per_iteration(monkeypatch):
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.normal(1.0, 1.0, 60), rng.normal(0.0, 1.0, 60)])
+    y = np.array([1] * 60 + [0] * 60)
+    calls = counted(monkeypatch, numerics, "logistic_gradient")
+    for cap in (1, 2, 3):
+        calls.clear()
+        numerics.fit_logistic_1d(x, y, max_iter=cap)
+        assert len(calls) == cap
+    calls.clear()
+    numerics.fit_logistic_1d(x, y)
+    default = inspect.signature(numerics.fit_logistic_1d).parameters["max_iter"].default
+    assert 3 < len(calls) < default  # converged before the cap
+
+
+def test_eval_binary_fits_through_evaluation_attribute(monkeypatch):
+    fits = counted(monkeypatch, evaluation, "fit_logistic_1d")
+    gradients = counted(monkeypatch, numerics, "logistic_gradient")
+    provider = cli.embedding_provider(TOY_EMBEDDING)
+    positives = [evaluation.ConceptPair("A", "B")]
+    evaluation.eval_binary(provider, positives, runs=3, seed=0)
+    assert len(fits) == 3
+    assert gradients

@@ -409,6 +409,19 @@ def test_embed_prone_rejects_non_finite_parameter(tmp_path, capsys):
     assert not (tmp_path / "e.txt").exists()
 
 
+def test_embed_node2vec_diverging_learning_rate_exits_1(tmp_path, capsys):
+    graph = toy_graph(tmp_path)
+    with np.errstate(all="ignore"):
+        code = run(["embed", "--graph", str(graph), "--method", "node2vec", "--seed", "1",
+                    "--dim", "4", "--epochs", "20", "--learning-rate", "1e9",
+                    "--out", str(tmp_path / "e.txt")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: skip-gram train loss is ")
+    assert " at epoch 1 of 20;" in err
+    assert not (tmp_path / "e.txt").exists()
+
+
 def test_unknown_flag_exit_1(capsys):
     assert run(["colexify", "--nope"]) == 1
 

@@ -75,3 +75,19 @@ def test_matrix_ordering():
     assert np.allclose(m.values[0], es.vectors["TREE"])
     with pytest.raises(ValidationError):
         es.matrix(["TREE", "MISSING"])
+
+
+@pytest.mark.parametrize("ending", [" \n", " \r\n", "\r\n", "\t \n"])
+def test_load_ignores_trailing_whitespace(tmp_path, ending):
+    # word2vec and fastText text output ends each vector line with a space
+    text = "2 2" + ending + "A 1 2" + ending + "OLDER BROTHER 3 -4.5" + ending
+    (tmp_path / "e.txt").write_bytes(text.encode("utf-8"))
+    loaded = load_embedding(tmp_path / "e.txt")
+    assert set(loaded.vectors) == {"A", "OLDER BROTHER"}
+    assert np.array_equal(loaded.vectors["A"], [1.0, 2.0])
+    assert np.array_equal(loaded.vectors["OLDER BROTHER"], [3.0, -4.5])
+
+
+def test_load_keeps_inner_spaces_of_concept_ids(tmp_path):
+    (tmp_path / "e.txt").write_text("1 2\nTHE  OLD ONE 1 2 \n", encoding="utf-8")
+    assert set(load_embedding(tmp_path / "e.txt").vectors) == {"THE  OLD ONE"}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import colexvec.node2vec as n2v
 from colexvec.errors import ValidationError
 from colexvec.graph import make_graph
 from colexvec.node2vec import (
@@ -197,6 +198,30 @@ def test_skipgram_deterministic_per_seed():
 def test_skipgram_config_rejects_non_finite_learning_rate():
     with pytest.raises(ValidationError, match="^learning_rate must be finite"):
         SkipGramConfig(learning_rate=np.nan)
+
+
+def test_skipgram_fails_at_first_non_finite_epoch(monkeypatch):
+    cfg = SkipGramConfig(dim=3, epochs=50, validation_split=0.0, batch_size=16, seed=3)
+    pairs = star_pairs()
+    batches_per_epoch = -(-len(pairs) // cfg.batch_size)
+    original = n2v.batch_loss_and_grads
+    calls = []
+
+    def nan_from_epoch_3(*args):
+        calls.append(1)
+        loss, grad_in, grad_out = original(*args)
+        return (np.nan if len(calls) > 2 * batches_per_epoch else loss), grad_in, grad_out
+
+    monkeypatch.setattr(n2v, "batch_loss_and_grads", nan_from_epoch_3)
+    with pytest.raises(ValidationError, match=r"loss is nan at epoch 3 of 50"):
+        train_skipgram(pairs, sorted(STAR.nodes), cfg)
+    assert len(calls) == 3 * batches_per_epoch  # stopped after epoch 3, not 50
+
+
+def test_skipgram_diverging_learning_rate_fails_fast():
+    cfg = SkipGramConfig(dim=3, epochs=50, learning_rate=1e9, batch_size=16, seed=3)
+    with np.errstate(all="ignore"), pytest.raises(ValidationError, match=r"at epoch 1 of 50"):
+        train_skipgram(star_pairs(), sorted(STAR.nodes), cfg)
 
 
 def test_skipgram_empty_pairs_rejected():

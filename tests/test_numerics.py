@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse as sp
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import colexvec.numerics as numerics
 from colexvec.errors import ValidationError
 from colexvec.graph import DenseMatrix
 from colexvec.numerics import (
@@ -240,6 +242,133 @@ def test_logistic_loss_non_increasing_under_descent():
         b -= 0.1 * gb
         losses.append(logistic_log_loss(w, b, features, labels))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+def gradient_trace(monkeypatch):
+    """Wrap numerics.logistic_gradient; the list collects each call's (w, b)."""
+    points = []
+    original = numerics.logistic_gradient
+
+    def recorded(w, b, x, y):
+        points.append((w, b))
+        return original(w, b, x, y)
+
+    monkeypatch.setattr(numerics, "logistic_gradient", recorded)
+    return points
+
+
+def overlapping_classes(seed):
+    rng = np.random.default_rng(seed)
+    n1, n0 = rng.integers(5, 300, size=2)
+    x = np.concatenate([rng.normal(rng.normal(), 1.0, n1), rng.normal(rng.normal(), 1.0, n0)])
+    x = x * rng.uniform(0.1, 5.0) + 3.0 * rng.normal()
+    return x, np.array([1] * n1 + [0] * n0)
+
+
+def test_logistic_fit_matches_independent_optimum(monkeypatch):
+    # the reference solves gradient = 0 with MINPACK's hybrid method; a
+    # minimiser of the loss itself stops near sqrt(eps) (about 1e-8) in the
+    # parameters, where loss differences drown in rounding
+    points = gradient_trace(monkeypatch)
+    for seed in range(40):
+        x, y = overlapping_classes(seed)
+        ref = scipy.optimize.root(
+            lambda p: np.array(logistic_gradient(p[0], p[1], x, y)), [0.0, 0.0], tol=1e-14
+        )
+        assert math.hypot(*logistic_gradient(*ref.x, x, y)) < 1e-13
+        points.clear()
+        model = fit_logistic_1d(x, y, grad_tol=1e-12)
+        assert len(points) < 50  # reached grad_tol rather than stalling at the cap
+        assert abs(model.weight - ref.x[0]) < 1e-8
+        assert abs(model.bias - ref.x[1]) < 1e-8
+
+
+def test_logistic_fit_default_tolerance_within_newton_bound():
+    # at the stop |g| < 1e-6, so the parameters are within about |H^-1| 1e-6
+    for seed in range(12):
+        x, y = overlapping_classes(seed)
+        exact = fit_logistic_1d(x, y, grad_tol=1e-12)
+        model = fit_logistic_1d(x, y)
+        z = exact.weight * x + exact.bias
+        s = np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))) ** 2
+        hessian = np.array([[np.mean(s * x * x), np.mean(s * x)], [np.mean(s * x), np.mean(s)]])
+        bound = 1.1e-6 * np.linalg.norm(np.linalg.inv(hessian), 2)
+        assert math.hypot(model.weight - exact.weight, model.bias - exact.bias) < bound
+
+
+def test_logistic_fit_loss_never_increases(monkeypatch):
+    points = gradient_trace(monkeypatch)
+    inputs = [overlapping_classes(seed) for seed in range(6)]
+    inputs.append(([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1]))
+    inputs.append(([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 30.0], [0, 0, 0, 1, 1, 1, 1]))
+    for x, y in inputs:
+        points.clear()
+        fit_logistic_1d(x, y)
+        losses = [logistic_log_loss(w, b, x, y) for w, b in points]
+        assert len(losses) > 2
+        assert all(later <= earlier for earlier, later in zip(losses, losses[1:]))
+
+
+def test_logistic_fit_halves_a_step_that_raises_the_loss(monkeypatch):
+    # Newton steps from (0, 0) are accepted whole on ordinary data; make the
+    # first trial of the first step look worse so that the halving runs
+    original = numerics.logistic_log_loss
+    calls = []
+
+    def first_trial_worse(w, b, x, y):
+        calls.append((w, b))
+        loss = original(w, b, x, y)
+        return loss + 1.0 if len(calls) == 2 else loss
+
+    points = gradient_trace(monkeypatch)
+    monkeypatch.setattr(numerics, "logistic_log_loss", first_trial_worse)
+    x, y = overlapping_classes(0)
+    model = fit_logistic_1d(x, y)
+    start, full_step, half_step = calls[:3]
+    assert start == (0.0, 0.0)
+    assert half_step == pytest.approx((full_step[0] / 2, full_step[1] / 2), rel=1e-15)
+    assert points[1] == half_step
+    assert math.hypot(*logistic_gradient(model.weight, model.bias, x, y)) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "features, labels",
+    [
+        ([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1]),
+        ([0.9, 0.8, 0.2, 0.1], [0, 0, 1, 1]),
+        ([-100.0, -1.0, 1.0, 100.0], [0, 0, 1, 1]),
+        (np.concatenate([np.linspace(-3, -0.5, 40), np.linspace(0.5, 4, 60)]), [0] * 40 + [1] * 60),
+    ],
+)
+def test_logistic_separable_stops_finite_before_cap(monkeypatch, features, labels):
+    points = gradient_trace(monkeypatch)
+    model = fit_logistic_1d(features, labels)
+    assert model.accuracy(features, labels) == 1.0
+    assert np.isfinite(model.weight) and np.isfinite(model.bias)
+    assert len(points) < 50  # converged: the last call found |g| < grad_tol
+    assert math.hypot(*logistic_gradient(model.weight, model.bias, features, labels)) < 1e-6
+
+
+@pytest.mark.parametrize("value", [0.0, 3.7, -2e5])
+def test_logistic_constant_feature(monkeypatch, value):
+    points = gradient_trace(monkeypatch)
+    balanced = fit_logistic_1d(np.full(10, value), [0, 1] * 5)
+    assert np.isfinite(balanced.weight) and np.isfinite(balanced.bias)
+    assert balanced.accuracy(np.full(10, value), [0, 1] * 5) == 0.5
+    assert len(points) < 50
+    # unbalanced: w*x + b reaches logit(0.8), so every point is predicted 1
+    points.clear()
+    labels = [1, 1, 1, 1, 0] * 2
+    model = fit_logistic_1d(np.full(10, value), labels)
+    assert len(points) < 50
+    assert model.predict_proba([value])[0] == pytest.approx(0.8, abs=1e-6)
+    assert model.accuracy(np.full(10, value), labels) == 0.8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_logistic_non_finite_feature_rejected(bad):
+    with pytest.raises(ValidationError, match="features must be finite"):
+        fit_logistic_1d([bad, 1.0, 2.0], [0, 1, 1])
 
 
 def test_logistic_single_class_rejected():
