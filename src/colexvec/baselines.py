@@ -31,23 +31,21 @@ class SimilarityProvider:
 
     `index` maps every concept the provider can score to its row.
     `score(ia, ib)` takes two broadcastable arrays of such rows and returns
-    the array of scores of the paired concepts. `higher_is_more_similar`
-    is False only for shortest-path distances.
+    the array of scores of the paired concepts.
     """
 
     source: str
     score: Callable
-    higher_is_more_similar: bool
     index: Mapping
 
     def __post_init__(self):
         if self.source not in PROVIDER_SOURCES:
             raise ValidationError(f"unknown provider source {self.source!r}")
-        expected = self.source != "shortest_path"
-        if self.higher_is_more_similar != expected:
-            raise ValidationError(
-                f"{self.source} provider must have higher_is_more_similar={expected}"
-            )
+
+    @property
+    def higher_is_more_similar(self) -> bool:
+        """False only for shortest-path distances."""
+        return self.source != "shortest_path"
 
     @property
     def covered(self) -> frozenset:
@@ -72,7 +70,6 @@ def _table_provider(source: str, order: list, table: np.ndarray) -> SimilarityPr
     return SimilarityProvider(
         source=source,
         score=lambda ia, ib: table[ia, ib],
-        higher_is_more_similar=source != "shortest_path",
         index={node: i for i, node in enumerate(order)},
     )
 
@@ -187,7 +184,6 @@ def embedding_provider(es: EmbeddingSet) -> SimilarityProvider:
     return SimilarityProvider(
         source="embedding",
         score=pair_cosine,
-        higher_is_more_similar=True,
         index={concept: i for i, concept in enumerate(order)},
     )
 

@@ -38,6 +38,7 @@ from .graph import load_graph, save_graph, to_undirected
 from .node2vec import SkipGramConfig, WalkConfig, node2vec_embed
 from .prone import ProneConfig, prone_embed
 from .runtime import config_digest, file_sha256
+from .tsv import format_floats, write_json, write_lines
 from .viz import export_scatter, tsne_project
 from .wordlist import ColexParams, infer_network, load_wordlist
 
@@ -170,9 +171,7 @@ def _write_report(path, command: str, config: dict, inputs: list, report: dict) 
         "inputs": {str(p): file_sha256(p) for p in inputs},
         "report": report,
     }
-    Path(path).write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(path, doc)
     return doc
 
 
@@ -262,18 +261,14 @@ def cmd_baseline(args) -> dict:
     if args.pairs:
         pairs = load_concept_pairs(args.pairs)
         scores = provider.score_pairs([p.a for p in pairs], [p.b for p in pairs])
-        lines = ["CONCEPT_A\tCONCEPT_B\tSCORE"]
-        for pair, score in zip(pairs, scores):
-            lines.append(f"{pair.a}\t{pair.b}\t{score:.8g}")
-        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines = (f"{pair.a}\t{pair.b}\t{score:.8g}" for pair, score in zip(pairs, scores))
+        write_lines(out, "CONCEPT_A\tCONCEPT_B\tSCORE", lines)
         print(f"wrote {out}: {len(pairs)} scored pairs ({args.method})")
         return {"out": args.out, "pairs": len(pairs)}
     order = g.sorted_nodes()
     matrix = similarity_matrix(provider, order)
-    lines = ["CONCEPT\t" + "\t".join(order)]
-    for node, row in zip(order, matrix.values):
-        lines.append(node + "\t" + "\t".join(format(v, ".8g") for v in row))
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = (node + "\t" + format_floats(row, "\t") for node, row in zip(order, matrix.values))
+    write_lines(out, "CONCEPT\t" + "\t".join(order), lines)
     print(f"wrote {out}: {len(order)}x{len(order)} similarity matrix ({args.method})")
     return {"out": args.out, "nodes": len(order)}
 
@@ -429,9 +424,7 @@ def cmd_pipeline(args) -> dict:
         "steps": summaries,
         "metrics": metrics,
     }
-    Path(report_path).write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(report_path, doc)
     print(f"wrote {report_path}: {len(steps)} steps, metrics {metrics}")
     return doc
 

@@ -8,15 +8,15 @@ reduces back to the target dimension with PCA.
 from __future__ import annotations
 
 import logging
-from pathlib import Path
 
 import numpy as np
 
 from .embeddings import EmbeddingSet, load_embedding
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .graph import DenseMatrix
 from .numerics import pca_reduce
 from .runtime import config_digest
+from .tsv import number, read_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -73,32 +73,18 @@ def combine(sets, d: int) -> EmbeddingSet:
     return EmbeddingSet(dim=d, vectors=vectors, provenance=provenance)
 
 
+def _concept_word(concept, word, frequency) -> tuple:
+    if not concept or not word:
+        raise ValidationError("empty concept or word")
+    freq = number(frequency, "frequency")
+    if freq < 0:
+        raise ValidationError(f"negative frequency {frequency}")
+    return concept, word, freq
+
+
 def load_concept_map(path) -> list:
     """Read CONCEPT/WORD/FREQUENCY rows mapping concepts to weighted words."""
-    path = Path(path)
-    rows = []
-    with path.open(encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != CONCEPT_MAP_HEADER:
-            raise ParseError(path, 1, f"expected header {CONCEPT_MAP_HEADER!r}, got {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != 3:
-                raise ParseError(path, line_no, f"expected 3 columns, got {len(cells)}")
-            concept, word, freq_str = cells
-            if not concept or not word:
-                raise ParseError(path, line_no, "empty concept or word")
-            try:
-                freq = float(freq_str)
-            except ValueError:
-                raise ParseError(path, line_no, f"bad frequency {freq_str!r}") from None
-            if freq < 0:
-                raise ParseError(path, line_no, f"negative frequency {freq_str}")
-            rows.append((concept, word, freq))
-    return rows
+    return read_tsv(path, (CONCEPT_MAP_HEADER,), _concept_word)
 
 
 def aggregate_concept_vectors(words: EmbeddingSet, concept_map) -> tuple:

@@ -9,6 +9,7 @@ vector, everything before them is the id. Trailing whitespace on a line
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -17,6 +18,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .graph import DenseMatrix
+from .tsv import format_floats, write_lines
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,13 +66,9 @@ class EmbeddingSet:
 
 
 def save_embedding(es: EmbeddingSet, path) -> None:
-    path = Path(path)
     concepts = es.sorted_concepts()
-    lines = [f"{len(concepts)} {es.dim}"]
-    for concept in concepts:
-        coords = " ".join(format(v, ".8g") for v in es.vectors[concept])
-        lines.append(f"{concept} {coords}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = (f"{c} " + format_floats(es.vectors[c], " ") for c in concepts)
+    write_lines(path, f"{len(concepts)} {es.dim}", lines)
 
 
 def load_embedding(path) -> EmbeddingSet:
@@ -83,6 +81,8 @@ def load_embedding(path) -> EmbeddingSet:
             count, dim = int(header[0]), int(header[1])
         except ValueError:
             raise ParseError(path, 1, "expected integer count and dim") from None
+        if dim < 1:
+            raise ParseError(path, 1, f"dim must be >= 1, got {dim}")
         vectors = {}
         for line_no, line in enumerate(fh, start=2):
             # word2vec and fastText end lines with a space, some files with \r\n
@@ -99,6 +99,8 @@ def load_embedding(path) -> EmbeddingSet:
                 vec = [float(v) for v in fields[len(fields) - dim:]]
             except ValueError:
                 raise ParseError(path, line_no, "bad vector value") from None
+            if not all(map(math.isfinite, vec)):
+                raise ParseError(path, line_no, f"non-finite value in vector for {concept!r}")
             if concept in vectors:
                 raise ParseError(path, line_no, f"duplicate concept {concept!r}")
             vectors[concept] = vec

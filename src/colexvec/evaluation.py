@@ -12,14 +12,14 @@ models by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .baselines import SimilarityProvider
-from .errors import InsufficientDataError, ParseError, SamplingError, ValidationError
+from .errors import InsufficientDataError, SamplingError, ValidationError
 from .numerics import fit_logistic_1d, spearman_rho
+from .tsv import number, read_tsv
 
 RATED_HEADER = "CONCEPT_A\tCONCEPT_B\tRATING"
 PAIR_HEADER = "CONCEPT_A\tCONCEPT_B"
@@ -93,59 +93,22 @@ class EvalReport:
         return "\n".join(lines)
 
 
+def _rated_pair(a, b, rating) -> RatedPair:
+    return RatedPair(a, b, number(rating, "rating"))
+
+
 def load_rated_pairs(path) -> list:
     """Read CONCEPT_A/CONCEPT_B/RATING rows."""
-    path = Path(path)
-    pairs = []
-    with path.open(encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != RATED_HEADER:
-            raise ParseError(path, 1, f"expected header {RATED_HEADER!r}, got {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != 3:
-                raise ParseError(path, line_no, f"expected 3 columns, got {len(cells)}")
-            a, b, rating_str = cells
-            try:
-                rating = float(rating_str)
-            except ValueError:
-                raise ParseError(path, line_no, f"bad rating {rating_str!r}") from None
-            try:
-                pairs.append(RatedPair(a, b, rating))
-            except ValidationError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-    return pairs
+    return read_tsv(path, (RATED_HEADER,), _rated_pair)
+
+
+def _concept_pair(a, b, weight=None) -> ConceptPair:
+    return ConceptPair(a, b, None if weight is None else number(weight, "weight", int))
 
 
 def load_concept_pairs(path) -> list:
     """Read CONCEPT_A/CONCEPT_B[/WEIGHT] rows."""
-    path = Path(path)
-    pairs = []
-    with path.open(encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header not in (PAIR_HEADER, PAIR_HEADER + "\tWEIGHT"):
-            raise ParseError(path, 1, f"expected pair header, got {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) not in (2, 3):
-                raise ParseError(path, line_no, f"expected 2 or 3 columns, got {len(cells)}")
-            weight = None
-            if len(cells) == 3:
-                try:
-                    weight = int(cells[2])
-                except ValueError:
-                    raise ParseError(path, line_no, f"bad weight {cells[2]!r}") from None
-            try:
-                pairs.append(ConceptPair(cells[0], cells[1], weight))
-            except ValidationError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-    return pairs
+    return read_tsv(path, (PAIR_HEADER, PAIR_HEADER + "\tWEIGHT"), _concept_pair)
 
 
 def eval_lsim(sim: SimilarityProvider, pairs) -> EvalReport:

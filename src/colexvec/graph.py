@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .tsv import number, read_tsv, write_json, write_lines
 
 ConceptId = str
 
@@ -157,11 +158,8 @@ def sidecar_path(path) -> Path:
 
 def save_graph(g: ColexGraph, path) -> None:
     """Write the edge-list TSV and its metadata sidecar (<path>.json)."""
-    path = Path(path)
-    lines = [EDGE_HEADER]
-    for src, dst, w in g.edges:
-        lines.append(f"{src}\t{dst}\t{format_weight(w)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    edges = (f"{src}\t{dst}\t{format_weight(w)}" for src, dst, w in g.edges)
+    write_lines(path, EDGE_HEADER, edges)
     meta = {
         "colex_type": g.colex_type,
         "directed": g.directed,
@@ -171,9 +169,7 @@ def save_graph(g: ColexGraph, path) -> None:
     if isolated:
         # keeps disconnected concepts across a save/load round trip
         meta["isolated_nodes"] = isolated
-    sidecar_path(path).write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(sidecar_path(path), meta)
 
 
 def _load_sidecar(sidecar: Path) -> dict:
@@ -203,6 +199,17 @@ def _load_sidecar(sidecar: Path) -> dict:
     return meta
 
 
+def _edge(src, dst, weight) -> tuple:
+    if not src or not dst:
+        raise ValidationError("empty concept id")
+    if src == dst:
+        raise ValidationError(f"self-loop on {src!r}")
+    w = number(weight, "weight")
+    if not (w > 0):
+        raise ValidationError(f"non-positive weight {weight}")
+    return src, dst, w
+
+
 def load_graph(path) -> ColexGraph:
     """Read an edge-list TSV plus sidecar metadata into a validated graph.
 
@@ -219,31 +226,7 @@ def load_graph(path) -> ColexGraph:
     if sidecar.exists():
         meta.update(_load_sidecar(sidecar))
 
-    edges = []
-    with path.open(encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != EDGE_HEADER:
-            raise ParseError(path, 1, f"expected header {EDGE_HEADER!r}, got {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != 3:
-                raise ParseError(path, line_no, f"expected 3 columns, got {len(cells)}")
-            src, dst, weight_str = cells
-            if not src or not dst:
-                raise ParseError(path, line_no, "empty concept id")
-            if src == dst:
-                raise ParseError(path, line_no, f"self-loop on {src!r}")
-            try:
-                w = float(weight_str)
-            except ValueError:
-                raise ParseError(path, line_no, f"bad weight {weight_str!r}") from None
-            if not (w > 0):
-                raise ParseError(path, line_no, f"non-positive weight {weight_str}")
-            edges.append((src, dst, w))
-
+    edges = read_tsv(path, (EDGE_HEADER,), _edge)
     try:
         return make_graph(
             edges,

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import DenseMatrix
+from .tsv import write_lines
 
 EXAGGERATION = 12.0
 EXAGGERATION_ITERS = 250
@@ -148,11 +149,8 @@ def export_scatter(coords: DenseMatrix, labels, out) -> tuple:
     tsv_path = out.with_name(out.name + ".tsv")
     svg_path = out.with_name(out.name + ".svg")
 
-    lines = ["CONCEPT\tX\tY"]
-    for label, (px, py) in zip(labels, coords.values):
-        lines.append(f"{label}\t{px:.6f}\t{py:.6f}")
-    tsv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+    lines = (f"{label}\t{px:.6f}\t{py:.6f}" for label, (px, py) in zip(labels, coords.values))
+    write_lines(tsv_path, "CONCEPT\tX\tY", lines)
     svg_path.write_text(_scatter_svg(coords.values, labels), encoding="utf-8")
     return tsv_path, svg_path
 

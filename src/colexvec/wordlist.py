@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .graph import ColexGraph, make_graph
+from .tsv import read_tsv
 
 WORDLIST_HEADER = "LANGUAGE\tFAMILY\tCONCEPT\tFORM"
 
@@ -101,30 +101,20 @@ class ColexMatch:
             raise ValidationError(f"unknown direction {self.direction!r}")
 
 
+def _entry(language, family, concept, form) -> WordlistEntry:
+    if not language or not family:
+        raise ValidationError("empty language or family id")
+    if not concept:
+        raise ValidationError("empty concept id")
+    tokens = tuple(form.split())
+    if not tokens:
+        raise ValidationError("empty form")
+    return WordlistEntry(language, family, concept, tokens)
+
+
 def load_wordlist(path) -> Wordlist:
     """Read a LANGUAGE/FAMILY/CONCEPT/FORM TSV, collapsing duplicate rows."""
-    path = Path(path)
-    entries = []
-    with path.open(encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != WORDLIST_HEADER:
-            raise ParseError(path, 1, f"expected header {WORDLIST_HEADER!r}, got {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != 4:
-                raise ParseError(path, line_no, f"expected 4 columns, got {len(cells)}")
-            language, family, concept, form_str = cells
-            if not language or not family:
-                raise ParseError(path, line_no, "empty language or family id")
-            if not concept:
-                raise ParseError(path, line_no, "empty concept id")
-            form = tuple(form_str.split())
-            if not form:
-                raise ParseError(path, line_no, "empty form")
-            entries.append(WordlistEntry(language, family, concept, form))
+    entries = read_tsv(path, (WORDLIST_HEADER,), _entry)
     try:
         return Wordlist(entries=tuple(entries))
     except ValidationError as exc:

@@ -422,6 +422,49 @@ def test_embed_node2vec_diverging_learning_rate_exits_1(tmp_path, capsys):
     assert not (tmp_path / "e.txt").exists()
 
 
+MALFORMED_INPUTS = [
+    pytest.param("baseline", "--graph", "SOURCE\tTARGET\tWEIGHT\nTREE\tBARK\tinf\n", 2,
+                 id="graph-inf-weight"),
+    pytest.param("baseline", "--graph", "SOURCE\tTARGET\tWEIGHT\nTREE\tBARK\t1e400\n", 2,
+                 id="graph-overflowing-weight"),
+    pytest.param("eval-lsim", "--pairs",
+                 "CONCEPT_A\tCONCEPT_B\tRATING\nTREE\tFOREST\t1\nMOON\tSKIN\tnan\n", 3,
+                 id="rated-nan-rating"),
+    pytest.param("eval-lsim", "--sim", "2 0\nTREE\nFOREST\n", 1, id="embedding-zero-dim"),
+    pytest.param("eval-lsim", "--sim", "2 2\nTREE 1 0\nFOREST nan 1\n", 3,
+                 id="embedding-nan-value"),
+    pytest.param("eval-shift", "--pairs", "CONCEPT_A\tCONCEPT_B\nTREE\tFOREST\t4\n", 2,
+                 id="pairs-extra-weight-cell"),
+    pytest.param("eval-links", "--pairs", "CONCEPT_A\tCONCEPT_B\tWEIGHT\nTREE\tFOREST\n", 2,
+                 id="pairs-missing-weight-cell"),
+    pytest.param("map-external", "--concept-map",
+                 "CONCEPT\tWORD\tFREQUENCY\nCAR\tmashina\tinf\n", 2,
+                 id="concept-map-inf-frequency"),
+]
+
+
+@pytest.mark.parametrize("command, flag, text, line_no", MALFORMED_INPUTS)
+def test_malformed_input_exits_1_naming_path_and_line(tmp_path, capsys, command, flag, text,
+                                                      line_no):
+    emb, out = str(separable_embedding(tmp_path)), str(tmp_path / "out")
+    evaluate = ["--sim", emb, "--report", out, "--seed", "1", "--runs", "2"]
+    argv = {
+        "baseline": ["--graph", str(toy_graph(tmp_path)), "--method", "cosine", "--out", out],
+        "eval-lsim": ["--sim", emb, "--pairs", data_path("toy_rated_pairs.tsv"), "--report", out],
+        "eval-shift": ["--pairs", data_path("toy_shift_pairs.tsv")] + evaluate,
+        "eval-links": ["--pairs", data_path("toy_association_pairs.tsv")] + evaluate,
+        "map-external": ["--vectors", emb, "--concept-map", "-", "--out", out, "--dim", "2"],
+    }[command]
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    argv[argv.index(flag) + 1] = str(bad)
+    assert run([command] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:{line_no}: ")
+    assert "Traceback" not in err
+    assert not Path(out).exists()
+
+
 def test_unknown_flag_exit_1(capsys):
     assert run(["colexify", "--nope"]) == 1
 

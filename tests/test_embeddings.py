@@ -59,6 +59,21 @@ def test_load_duplicate_concept(tmp_path):
         load_embedding(tmp_path / "e.txt")
 
 
+def test_load_zero_dim_header_names_line_1(tmp_path):
+    (tmp_path / "e.txt").write_text("2 0\nA\nB\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="dim must be >= 1, got 0") as exc:
+        load_embedding(tmp_path / "e.txt")
+    assert exc.value.line_no == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_load_non_finite_value_names_line(tmp_path, value):
+    (tmp_path / "e.txt").write_text(f"2 2\nA 1 2\nB 3 {value}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="non-finite value in vector for 'B'") as exc:
+        load_embedding(tmp_path / "e.txt")
+    assert exc.value.line_no == 3
+
+
 def test_embedding_set_validation():
     with pytest.raises(ValidationError):
         EmbeddingSet(dim=2, vectors={"A": [1.0]})

@@ -32,13 +32,12 @@ def stable_unit(a, b):
     return int.from_bytes(hashlib.md5(key).digest()[:8], "big") / 2**64
 
 
-def make_provider(score, covered, higher=True, source="embedding"):
+def make_provider(score, covered, source="embedding"):
     """A provider over `covered` that scores each pair with score(a, b)."""
     order = sorted(covered)
     return SimilarityProvider(
         source=source,
         score=np.vectorize(lambda i, j: score(order[i], order[j]), otypes=[float]),
-        higher_is_more_similar=higher,
         index={concept: i for i, concept in enumerate(order)},
     )
 
@@ -231,7 +230,7 @@ def test_eval_binary_distance_provider_negation():
     positives = [ConceptPair(a, b) for a, b in sorted(positive_keys)]
     provider = make_provider(
         lambda a, b: 1.0 if tuple(sorted((a, b))) in positive_keys else 5.0,
-        concepts, higher=False, source="shortest_path",
+        concepts, source="shortest_path",
     )
     report = eval_binary(provider, positives, runs=3, seed=2)
     assert report.metric == 1.0  # small distance on positives wins after negation
