@@ -26,7 +26,7 @@ from .baselines import (
 )
 from .combine import combine, map_external_vectors
 from .embeddings import load_embedding, save_embedding
-from .errors import ColexvecError
+from .errors import ColexvecError, ParseError
 from .evaluation import (
     eval_binary,
     eval_lsim,
@@ -377,7 +377,10 @@ def _check_pipeline_config(path, config) -> None:
 
 def cmd_pipeline(args) -> dict:
     config_path = Path(args.config)
-    config = json.loads(config_path.read_text(encoding="utf-8"))
+    try:
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(args.config, exc.lineno, exc.msg) from None
     _check_pipeline_config(args.config, config)
     steps = config["steps"]
     report_path = config["report"]

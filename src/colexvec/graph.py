@@ -9,6 +9,7 @@ instance. Edge weights either count attesting language families
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -62,6 +63,8 @@ class ColexGraph:
             if key in seen:
                 raise ValidationError(f"duplicate edge {src}->{dst}")
             seen.add(key)
+            if not math.isfinite(w):
+                raise ValidationError(f"non-finite weight on {src}->{dst}: {w}")
             if not (w > 0):
                 raise ValidationError(f"non-positive weight on {src}->{dst}")
             if self.weight_semantics == "family_count" and not _is_integral(w):

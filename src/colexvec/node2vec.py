@@ -3,7 +3,8 @@
 The trainer optimizes the exact softmax cross-entropy over the whole
 vocabulary (no negative sampling, no hierarchical softmax), which is
 affordable at colexification-network scale (~1,300 nodes). Training is
-single-threaded mini-batch SGD for determinism; walk sampling derives an
+sequential mini-batch SGD, one batch after another, for determinism; only
+its matrix products run on every BLAS thread. Walk sampling derives an
 independent RNG per start node so corpus generation is order-independent.
 """
 
@@ -85,12 +86,11 @@ def sample_walks(g: ColexGraph, cfg: WalkConfig) -> list:
         neighbors[node].sort()
     neighbor_sets = {node: {nbr for nbr, _ in nbrs} for node, nbrs in neighbors.items()}
     first_order = cfg.p == 1.0 and cfg.q == 1.0
-
-    probs = {}
-    for node, nbrs in neighbors.items():
-        if nbrs:
-            w = np.array([weight for _, weight in nbrs])
-            probs[node] = w / w.sum()
+    cdfs = {
+        node: _choice_cdf(np.array([weight for _, weight in nbrs]))
+        for node, nbrs in neighbors.items()
+        if nbrs
+    }
 
     walks = []
     for index, start in enumerate(order):
@@ -100,27 +100,35 @@ def sample_walks(g: ColexGraph, cfg: WalkConfig) -> list:
         for _ in range(cfg.walks_per_node):
             walk = [start]
             while len(walk) < cfg.walk_length:
+                # every node after the start has at least the edge back
                 cur = walk[-1]
                 nbrs = neighbors[cur]
-                if not nbrs:
-                    break
                 if first_order or len(walk) == 1:
-                    step_probs = probs[cur]
+                    cdf = cdfs[cur]
                 else:
                     prev = walk[-2]
                     prev_nbrs = neighbor_sets[prev]
-                    biased = np.array(
+                    cdf = _choice_cdf(np.array(
                         [
                             w / cfg.p if nbr == prev
                             else (w if nbr in prev_nbrs else w / cfg.q)
                             for nbr, w in nbrs
                         ]
-                    )
-                    step_probs = biased / biased.sum()
-                choice = rng.choice(len(nbrs), p=step_probs)
-                walk.append(nbrs[choice][0])
+                    ))
+                walk.append(nbrs[int(cdf.searchsorted(rng.random(), side="right"))][0])
             walks.append(walk)
     return walks
+
+
+def _choice_cdf(weights: np.ndarray) -> np.ndarray:
+    """The CDF that `Generator.choice(n, p=weights / weights.sum())` samples from.
+
+    `int(cdf.searchsorted(rng.random(), side="right"))` consumes the same
+    RNG stream and returns the same index as that `choice` call.
+    """
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    return cdf
 
 
 def extract_pairs(walks, window: int) -> list:
@@ -138,45 +146,61 @@ def extract_pairs(walks, window: int) -> list:
     return pairs
 
 
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=1, keepdims=True)
+def softmax_rows(logits: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """Row-wise softmax; `out=logits` overwrites the logits with it."""
+    # in place after the first step: fresh batch-sized temporaries cost more than the exp
+    proba = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    np.exp(proba, out=proba)
+    proba /= proba.sum(axis=1, keepdims=True)
+    return proba
+
+
+def batch_loss_and_row_grads(w_in, w_out, centers, contexts):
+    """Mean softmax cross-entropy over a pair batch and its row-sparse gradients.
+
+    The softmax is computed once per distinct center and weighted by how
+    often that center occurs in the batch, which gives the same sums as one
+    softmax per pair. Returns (loss, rows, grad_rows, grad_w_out): `rows` are
+    the distinct centers in ascending order, grad_rows[k] is the gradient of
+    w_in[rows[k]], and every other row of w_in has a zero gradient.
+    """
+    batch = len(centers)
+    rows, inv, counts = np.unique(centers, return_inverse=True, return_counts=True)
+    h = w_in[rows]
+    dlogits = h @ w_out.T
+    softmax_rows(dlogits, out=dlogits)
+    loss = float(-np.mean(np.log(dlogits[inv, contexts])))
+    dlogits *= (counts / batch)[:, None]
+    np.subtract.at(dlogits, (inv, contexts), 1.0 / batch)
+    return loss, rows, dlogits @ w_out, dlogits.T @ h
 
 
 def batch_loss_and_grads(w_in, w_out, centers, contexts):
-    """Mean softmax cross-entropy over a pair batch and its parameter gradients.
+    """Dense view of `batch_loss_and_row_grads`: (loss, grad_w_in, grad_w_out).
 
-    Returns (loss, grad_w_in, grad_w_out); grad_w_in is dense over the
-    vocabulary (zero rows for absent centers).
+    The softmax is still computed once per distinct center; grad_w_in is
+    dense over the vocabulary, with zero rows for absent centers.
     """
-    batch = len(centers)
-    h = w_in[centers]
-    proba = softmax_rows(h @ w_out.T)
-    loss = float(-np.mean(np.log(proba[np.arange(batch), contexts])))
-    dlogits = proba
-    dlogits[np.arange(batch), contexts] -= 1.0
-    dlogits /= batch
-    grad_w_out = dlogits.T @ h
-    grad_h = dlogits @ w_out
+    loss, rows, grad_rows, grad_w_out = batch_loss_and_row_grads(w_in, w_out, centers, contexts)
     grad_w_in = np.zeros_like(w_in)
-    np.add.at(grad_w_in, centers, grad_h)
+    grad_w_in[rows] = grad_rows
     return loss, grad_w_in, grad_w_out
 
 
-def _mean_loss(w_in, w_out, centers, contexts, chunk: int = 4096) -> float:
-    total = 0.0
-    for start in range(0, len(centers), chunk):
-        c = centers[start: start + chunk]
-        t = contexts[start: start + chunk]
-        proba = softmax_rows(w_in[c] @ w_out.T)
-        total += float(-np.sum(np.log(proba[np.arange(len(c)), t])))
-    return total / len(centers)
+def _mean_loss(w_in, w_out, centers, contexts) -> float:
+    """Mean softmax cross-entropy of the pairs, one logsumexp per distinct center."""
+    rows, inv = np.unique(centers, return_inverse=True)
+    logits = w_in[rows] @ w_out.T
+    peak = logits.max(axis=1)
+    logsumexp = peak + np.log(np.exp(logits - peak[:, None]).sum(axis=1))
+    return float(np.mean(logsumexp[inv] - logits[inv, contexts]))
 
 
 def train_skipgram(pairs, vocab, cfg: SkipGramConfig) -> EmbeddingSet:
     """Train input-side vectors with full-softmax SGD over shuffled mini-batches.
 
+    Each batch computes one softmax per distinct center (weighted by its count)
+    and updates only the w_in rows of those centers; w_out gets a full update.
     A validation_split fraction of the pairs is held out purely for loss
     monitoring; it never gates training. Per-epoch losses end up in the
     result's provenance. A train loss that is not finite at the end of an
@@ -217,11 +241,11 @@ def train_skipgram(pairs, vocab, cfg: SkipGramConfig) -> EmbeddingSet:
         total = 0.0
         for start in range(0, len(shuffled), cfg.batch_size):
             sel = shuffled[start: start + cfg.batch_size]
-            loss, grad_in, grad_out = batch_loss_and_grads(
+            loss, rows, grad_rows, grad_out = batch_loss_and_row_grads(
                 w_in, w_out, centers[sel], contexts[sel]
             )
             total += loss * len(sel)
-            w_in -= cfg.learning_rate * grad_in
+            w_in[rows] -= cfg.learning_rate * grad_rows
             w_out -= cfg.learning_rate * grad_out
         train_losses.append(total / len(shuffled))
         if not np.isfinite(train_losses[-1]):

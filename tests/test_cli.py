@@ -356,6 +356,13 @@ def test_pipeline_rejects_malformed_config_before_any_step(tmp_path, capsys, con
     assert not graph.exists()
 
 
+def test_pipeline_malformed_json_names_config_and_line(tmp_path, capsys):
+    config_path = tmp_path / "bad.json"
+    config_path.write_text('{"steps": [', encoding="utf-8")
+    assert run(["pipeline", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: {config_path}:1: Expecting value\n"
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

@@ -97,6 +97,29 @@ def test_graph_invariants_rejected():
     make_graph([("A", "B", 1.5)], "full", False, weight_semantics="inverse_distance")
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_non_finite_weight_rejected_naming_the_edge(bad):
+    message = rf"^non-finite weight on A->B: {bad}$"
+    with pytest.raises(ValidationError, match=message):
+        make_graph([("A", "B", bad)], "full", False)
+    # an edge overwritten past the constructor's check is caught by the next transform
+    g = make_graph([("A", "B", 1)], "affix", True)
+    object.__setattr__(g, "edges", (("A", "B", bad),))
+    with pytest.raises(ValidationError, match=message):
+        to_undirected(g)
+
+
+def test_invert_weights_rejects_non_finite_results():
+    # 1 / 5e-324 overflows to inf
+    g = make_graph([("A", "B", 5e-324)], "full", False, weight_semantics="inverse_distance")
+    with pytest.raises(ValidationError, match=r"^non-finite weight on A->B: inf$"):
+        invert_weights(g)
+    g = make_graph([("A", "B", 1)], "full", False)
+    object.__setattr__(g, "edges", (("A", "B", float("nan")),))
+    with pytest.raises(ValidationError, match=r"^non-finite weight on A->B: nan$"):
+        invert_weights(g)
+
+
 def test_to_undirected_max_merge():
     g = make_graph([("A", "B", 3), ("B", "A", 5)], "affix", True)
     u = to_undirected(g)

@@ -8,6 +8,7 @@ from colexvec.node2vec import (
     SkipGramConfig,
     WalkConfig,
     batch_loss_and_grads,
+    batch_loss_and_row_grads,
     extract_pairs,
     node2vec_embed,
     sample_walks,
@@ -91,6 +92,48 @@ def test_high_return_parameter_avoids_backtracking():
             assert walk[2] == "C"  # returning to A has probability ~0
 
 
+def choice_reference_walks(g, cfg):
+    """Walks drawn step by step with `rng.choice(len(nbrs), p=...)`."""
+    neighbors = {node: [] for node in g.sorted_nodes()}
+    for src, dst, w in g.edges:
+        neighbors[src].append((dst, w))
+        neighbors[dst].append((src, w))
+    walks = []
+    for index, start in enumerate(sorted(neighbors)):
+        if not neighbors[start]:
+            continue
+        rng = np.random.default_rng([cfg.seed, index])
+        for _ in range(cfg.walks_per_node):
+            walk = [start]
+            while len(walk) < cfg.walk_length:
+                nbrs = sorted(neighbors[walk[-1]])
+                weights = [w for _, w in nbrs]
+                if len(walk) > 1:
+                    prev = walk[-2]
+                    prev_nbrs = {nbr for nbr, _ in neighbors[prev]}
+                    weights = [
+                        w / cfg.p if nbr == prev else (w if nbr in prev_nbrs else w / cfg.q)
+                        for nbr, w in nbrs
+                    ]
+                weights = np.array(weights, dtype=float)
+                walk.append(nbrs[rng.choice(len(nbrs), p=weights / weights.sum())][0])
+            walks.append(walk)
+    return walks
+
+
+@pytest.mark.parametrize("p, q", [(1.0, 1.0), (0.5, 2.0)])
+def test_walks_equal_choice_reference(p, q):
+    g = make_graph(
+        [("A", "B", 3), ("A", "C", 1), ("A", "D", 7), ("B", "C", 2), ("C", "D", 5),
+         ("D", "E", 1), ("E", "F", 4), ("B", "F", 2)],
+        "full", False, extra_nodes=["LONER"],
+    )
+    cfg = WalkConfig(walks_per_node=30, walk_length=12, p=p, q=q, seed=9)
+    walks = sample_walks(g, cfg)
+    assert len(walks) == 6 * 30
+    assert walks == choice_reference_walks(g, cfg)
+
+
 @pytest.mark.parametrize("field, value", [("p", np.nan), ("q", np.inf)])
 def test_walk_config_rejects_non_finite(field, value):
     with pytest.raises(ValidationError, match=f"^{field} must be finite"):
@@ -134,6 +177,109 @@ def test_softmax_rows_sum_to_one():
     logits = rng.standard_normal((64, 17)) * 10
     sums = softmax_rows(logits).sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) < 1e-9
+
+
+def per_pair_reference(w_in, w_out, centers, contexts):
+    """(loss, grad_w_in, grad_w_out) from one softmax per pair, the oracle for the kernel."""
+    batch = len(centers)
+    h = w_in[centers]
+    proba = softmax_rows(h @ w_out.T)
+    loss = float(-np.mean(np.log(proba[np.arange(batch), contexts])))
+    dlogits = proba.copy()
+    dlogits[np.arange(batch), contexts] -= 1.0
+    dlogits /= batch
+    grad_w_in = np.zeros_like(w_in)
+    np.add.at(grad_w_in, centers, dlogits @ w_out)
+    return loss, grad_w_in, dlogits.T @ h
+
+
+def per_pair_mean_loss(w_in, w_out, centers, contexts):
+    proba = softmax_rows(w_in[centers] @ w_out.T)
+    return float(-np.mean(np.log(proba[np.arange(len(centers)), contexts])))
+
+
+KERNEL_CASES = ["random-7", "random-40", "random-200", "one-center", "one-pair", "repeated"]
+
+
+def kernel_instance(name):
+    rng = np.random.default_rng(KERNEL_CASES.index(name))
+    n_vocab, dim = 9, 5
+    w_in = rng.standard_normal((n_vocab, dim))
+    w_out = rng.standard_normal((n_vocab, dim))
+    if name.startswith("random"):
+        size = int(name.split("-")[1])
+        centers = rng.integers(0, n_vocab, size)
+        contexts = rng.integers(0, n_vocab, size)
+    elif name == "one-center":
+        centers = np.full(12, 6)
+        contexts = rng.integers(0, n_vocab, 12)
+    elif name == "one-pair":
+        centers, contexts = np.array([3]), np.array([7])
+    else:  # repeated (center, context) pairs
+        centers = np.array([2, 2, 2, 5, 5, 2, 0, 5])
+        contexts = np.array([4, 4, 1, 4, 4, 4, 8, 4])
+    return w_in, w_out, centers, contexts
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_row_kernel_matches_per_pair_reference(name):
+    w_in, w_out, centers, contexts = kernel_instance(name)
+    ref_loss, ref_grad_in, ref_grad_out = per_pair_reference(w_in, w_out, centers, contexts)
+    loss, rows, grad_rows, grad_out = batch_loss_and_row_grads(w_in, w_out, centers, contexts)
+    assert abs(loss - ref_loss) < 1e-12
+    assert np.array_equal(rows, np.unique(centers))
+    assert np.max(np.abs(grad_rows - ref_grad_in[rows])) < 1e-12
+    assert not np.any(np.delete(ref_grad_in, rows, axis=0))
+    assert np.max(np.abs(grad_out - ref_grad_out)) < 1e-12
+    dense_loss, dense_grad_in, dense_grad_out = batch_loss_and_grads(w_in, w_out, centers, contexts)
+    assert dense_loss == loss and np.array_equal(dense_grad_out, grad_out)
+    assert np.max(np.abs(dense_grad_in - ref_grad_in)) < 1e-12
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_mean_loss_matches_per_pair_reference(name):
+    w_in, w_out, centers, contexts = kernel_instance(name)
+    expected = per_pair_mean_loss(w_in, w_out, centers, contexts)
+    assert abs(n2v._mean_loss(w_in, w_out, centers, contexts) - expected) < 1e-12
+
+
+def per_pair_training(pairs, vocab, cfg):
+    """train_skipgram's random draws and batches with dense per-pair updates."""
+    index = {concept: i for i, concept in enumerate(vocab)}
+    centers = np.array([index[c] for c, _ in pairs])
+    contexts = np.array([index[t] for _, t in pairs])
+    rng = np.random.default_rng(cfg.seed)
+    w_in = (rng.random((len(vocab), cfg.dim)) - 0.5) / cfg.dim
+    w_out = (rng.random((len(vocab), cfg.dim)) - 0.5) / cfg.dim
+    perm = rng.permutation(len(pairs))
+    n_val = int(round(cfg.validation_split * len(pairs)))
+    val_idx, train_idx = perm[:n_val], perm[n_val:]
+    train_losses, val_losses = [], []
+    for _ in range(cfg.epochs):
+        shuffled = train_idx[rng.permutation(len(train_idx))]
+        total = 0.0
+        for start in range(0, len(shuffled), cfg.batch_size):
+            sel = shuffled[start: start + cfg.batch_size]
+            loss, grad_in, grad_out = per_pair_reference(w_in, w_out, centers[sel], contexts[sel])
+            total += loss * len(sel)
+            w_in -= cfg.learning_rate * grad_in
+            w_out -= cfg.learning_rate * grad_out
+        train_losses.append(total / len(shuffled))
+        val_losses.append(per_pair_mean_loss(w_in, w_out, centers[val_idx], contexts[val_idx]))
+    return w_in, train_losses, val_losses
+
+
+def test_training_matches_per_pair_reference():
+    cfg = SkipGramConfig(dim=4, window=2, learning_rate=0.5, epochs=5,
+                         validation_split=0.2, batch_size=16, seed=8)
+    pairs, vocab = star_pairs(), sorted(STAR.nodes)
+    trained = train_skipgram(pairs, vocab, cfg)
+    w_in, train_losses, val_losses = per_pair_training(pairs, vocab, cfg)
+    assert np.max(np.abs(np.subtract(trained.provenance["train_loss"], train_losses))) < 1e-12
+    assert np.max(np.abs(np.subtract(trained.provenance["validation_loss"], val_losses))) < 1e-12
+    assert np.max(np.abs(trained.matrix(vocab).values - w_in)) < 1e-12
+    # the weights moved, so the comparison is not between two initialisations
+    assert train_losses[-1] < train_losses[0]
 
 
 def test_skipgram_gradients_match_finite_differences():
@@ -204,15 +350,15 @@ def test_skipgram_fails_at_first_non_finite_epoch(monkeypatch):
     cfg = SkipGramConfig(dim=3, epochs=50, validation_split=0.0, batch_size=16, seed=3)
     pairs = star_pairs()
     batches_per_epoch = -(-len(pairs) // cfg.batch_size)
-    original = n2v.batch_loss_and_grads
+    original = n2v.batch_loss_and_row_grads
     calls = []
 
     def nan_from_epoch_3(*args):
         calls.append(1)
-        loss, grad_in, grad_out = original(*args)
-        return (np.nan if len(calls) > 2 * batches_per_epoch else loss), grad_in, grad_out
+        loss, *grads = original(*args)
+        return (np.nan if len(calls) > 2 * batches_per_epoch else loss), *grads
 
-    monkeypatch.setattr(n2v, "batch_loss_and_grads", nan_from_epoch_3)
+    monkeypatch.setattr(n2v, "batch_loss_and_row_grads", nan_from_epoch_3)
     with pytest.raises(ValidationError, match=r"loss is nan at epoch 3 of 50"):
         train_skipgram(pairs, sorted(STAR.nodes), cfg)
     assert len(calls) == 3 * batches_per_epoch  # stopped after epoch 3, not 50
