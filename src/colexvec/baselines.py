@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-import scipy.sparse
 
 from .embeddings import EmbeddingSet
 from .errors import ValidationError
-from .graph import ColexGraph, DenseMatrix, adjacency_matrix, invert_weights
+from .graph import ColexGraph, DenseMatrix, adjacency
 from .numerics import cosine_similarity
 
 PROVIDER_SOURCES = frozenset(
@@ -119,22 +118,20 @@ def shortest_path_provider(g: ColexGraph) -> SimilarityProvider:
     # command not scoring shortest paths would otherwise pay at import
     from scipy.sparse.csgraph import dijkstra
 
+    lengths = adjacency(g)
     if g.weight_semantics == "family_count":
-        g = invert_weights(g)
-    order = g.sorted_nodes()
-    weights = scipy.sparse.csr_matrix(adjacency_matrix(g, order).values)
-    dist = dijkstra(weights, directed=True)
+        lengths.data = 1.0 / lengths.data
+    dist = dijkstra(lengths, directed=True)
     finite = np.isfinite(dist)
     fill = 2.0 * dist[finite].max() if finite.any() else 0.0
     dist[~finite] = fill
-    return _table_provider("shortest_path", order, dist)
+    return _table_provider("shortest_path", g.sorted_nodes(), dist)
 
 
 def cosine_adjacency_provider(g: ColexGraph) -> SimilarityProvider:
     """Cosine of the concepts' adjacency-matrix rows; isolated rows score 0."""
-    order = g.sorted_nodes()
-    mat = adjacency_matrix(g, order).values
-    return _table_provider("cosine_adjacency", order, _row_cosines(mat))
+    mat = adjacency(g).toarray()
+    return _table_provider("cosine_adjacency", g.sorted_nodes(), _row_cosines(mat))
 
 
 def ppmi_provider(g: ColexGraph, mode: str = "pairwise") -> SimilarityProvider:
@@ -148,10 +145,9 @@ def ppmi_provider(g: ColexGraph, mode: str = "pairwise") -> SimilarityProvider:
         raise ValidationError("ppmi_provider needs family_count weights")
     if mode not in ("pairwise", "cosine_rows"):
         raise ValidationError(f"unknown ppmi mode {mode!r}")
-    order = g.sorted_nodes()
-    ppmi = _ppmi_matrix(adjacency_matrix(g, order).values)
+    ppmi = _ppmi_matrix(adjacency(g).toarray())
     table = _row_cosines(ppmi) if mode == "cosine_rows" else ppmi
-    return _table_provider("ppmi", order, table)
+    return _table_provider("ppmi", g.sorted_nodes(), table)
 
 
 def random_walk_provider(
@@ -164,9 +160,8 @@ def random_walk_provider(
         raise ValidationError(f"max_steps must be >= 1, got {max_steps}")
     if g.weight_semantics != "family_count":
         raise ValidationError("random_walk_provider needs family_count weights")
-    order = g.sorted_nodes()
-    profiles = _walk_profiles(adjacency_matrix(g, order).values, alpha, max_steps)
-    return _table_provider("random_walk", order, _row_cosines(profiles))
+    profiles = _walk_profiles(adjacency(g).toarray(), alpha, max_steps)
+    return _table_provider("random_walk", g.sorted_nodes(), _row_cosines(profiles))
 
 
 def embedding_provider(es: EmbeddingSet) -> SimilarityProvider:

@@ -10,6 +10,7 @@ hashes, so a report is reproducible from its own contents.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -38,7 +39,7 @@ from .graph import load_graph, save_graph, to_undirected
 from .node2vec import SkipGramConfig, WalkConfig, node2vec_embed
 from .prone import ProneConfig, prone_embed
 from .runtime import config_digest, file_sha256
-from .tsv import format_floats, write_json, write_lines
+from .tsv import format_floats, open_text, write_json, write_lines
 from .viz import export_scatter, tsne_project
 from .wordlist import ColexParams, infer_network, load_wordlist
 
@@ -46,27 +47,31 @@ BASELINE_METHODS = ("shortest-path", "cosine", "ppmi", "random-walk")
 
 
 class UsageError(Exception):
-    pass
+    """args: argparse's message, then the text to print (prog, message, usage)."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
+        raise UsageError(message, f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def build_parser() -> _Parser:
+def build_parser(add_help: bool = True) -> _Parser:
+    """The parser; pipeline steps are parsed without -h/--help (add_help=False)."""
     parser = _Parser(prog="colexvec", description=__doc__)
     parser.add_argument("--version", action="version", version=f"colexvec {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser("colexify", help="infer a colexification network")
+    def add_command(name, help):
+        return sub.add_parser(name, help=help, add_help=add_help)
+
+    p = add_command("colexify", "infer a colexification network")
     p.add_argument("--wordlist", required=True)
     p.add_argument("--type", required=True, choices=("full", "affix", "overlap"))
     p.add_argument("--out", required=True)
     p.add_argument("--min-form-len", type=int, default=3)
     p.add_argument("--min-overlap-len", type=int, default=4)
 
-    p = sub.add_parser("embed", help="train a concept embedding on a graph")
+    p = add_command("embed", "train a concept embedding on a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--method", required=True, choices=("node2vec", "prone"))
     p.add_argument("--out", required=True)
@@ -87,18 +92,18 @@ def build_parser() -> _Parser:
     p.add_argument("--exponent", type=float, default=0.75)
     p.add_argument("--shift", type=float, default=1.0)
 
-    p = sub.add_parser("combine", help="fuse embeddings via concatenation + PCA")
+    p = add_command("combine", "fuse embeddings via concatenation + PCA")
     p.add_argument("--inputs", required=True, help="comma-separated embedding files")
     p.add_argument("--out", required=True)
     p.add_argument("--dim", type=int, required=True)
 
-    p = sub.add_parser("map-external", help="map pretrained word vectors onto concepts")
+    p = add_command("map-external", "map pretrained word vectors onto concepts")
     p.add_argument("--vectors", required=True)
     p.add_argument("--concept-map", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--dim", type=int, required=True)
 
-    p = sub.add_parser("baseline", help="score pairs straight from graph topology")
+    p = add_command("baseline", "score pairs straight from graph topology")
     p.add_argument("--graph", required=True)
     p.add_argument("--method", required=True, choices=BASELINE_METHODS)
     p.add_argument("--out", required=True)
@@ -107,13 +112,13 @@ def build_parser() -> _Parser:
     p.add_argument("--max-steps", type=int, default=5)
     p.add_argument("--ppmi-mode", choices=("pairwise", "cosine_rows"), default="pairwise")
 
-    p = sub.add_parser("eval-lsim", help="rank correlation against similarity ratings")
+    p = add_command("eval-lsim", "rank correlation against similarity ratings")
     p.add_argument("--sim", required=True, help="embedding file or '<method>:<graph.tsv>'")
     p.add_argument("--pairs", required=True)
     p.add_argument("--report", required=True)
 
     for name in ("eval-shift", "eval-links"):
-        p = sub.add_parser(name, help="binary prediction with negative sampling")
+        p = add_command(name, "binary prediction with negative sampling")
         p.add_argument("--sim", required=True)
         p.add_argument("--pairs", required=True)
         p.add_argument("--report", required=True)
@@ -122,7 +127,7 @@ def build_parser() -> _Parser:
         if name == "eval-links":
             p.add_argument("--min-weight", type=int, default=5)
 
-    p = sub.add_parser("viz", help="t-SNE projection and scatter export")
+    p = add_command("viz", "t-SNE projection and scatter export")
     p.add_argument("--embedding", required=True)
     p.add_argument("--concepts", help="file with one concept per line to plot")
     p.add_argument("--out", required=True)
@@ -130,7 +135,7 @@ def build_parser() -> _Parser:
     p.add_argument("--iterations", type=int, default=1000)
     p.add_argument("--seed", type=int, required=True)
 
-    p = sub.add_parser("pipeline", help="run a declared step sequence from JSON")
+    p = add_command("pipeline", "run a declared step sequence from JSON")
     p.add_argument("--config", required=True)
 
     return parser
@@ -186,37 +191,17 @@ def cmd_colexify(args) -> dict:
     return {"out": args.out, "nodes": g.n_nodes, "edges": g.n_edges}
 
 
+def _config(cls, args):
+    """A `cls` config whose every field takes the parsed option of the same name."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
+
+
 def cmd_embed(args) -> dict:
     g = to_undirected(load_graph(args.graph))
     if args.method == "node2vec":
-        walk_cfg = WalkConfig(
-            walks_per_node=args.walks_per_node,
-            walk_length=args.walk_length,
-            p=args.p,
-            q=args.q,
-            seed=args.seed,
-        )
-        sg_cfg = SkipGramConfig(
-            dim=args.dim,
-            window=args.window,
-            learning_rate=args.learning_rate,
-            epochs=args.epochs,
-            validation_split=args.validation_split,
-            batch_size=args.batch_size,
-            seed=args.seed,
-        )
-        es = node2vec_embed(g, walk_cfg, sg_cfg)
+        es = node2vec_embed(g, _config(WalkConfig, args), _config(SkipGramConfig, args))
     else:
-        cfg = ProneConfig(
-            dim=args.dim,
-            step=args.step,
-            mu=args.mu,
-            theta=args.theta,
-            exponent=args.exponent,
-            shift=args.shift,
-            seed=args.seed,
-        )
-        es = prone_embed(g, cfg)
+        es = prone_embed(g, _config(ProneConfig, args))
     save_embedding(es, args.out)
     uncovered = es.provenance.get("uncovered", ())
     print(
@@ -318,11 +303,8 @@ def _pair_stats(pairs) -> str:
 def cmd_viz(args) -> dict:
     es = load_embedding(args.embedding)
     if args.concepts:
-        wanted = [
-            line.strip()
-            for line in Path(args.concepts).read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
+        with open_text(args.concepts) as fh:
+            wanted = [line.strip() for line in fh.read().splitlines() if line.strip()]
         order = [c for c in wanted if c in es.vectors]
         missing = len(wanted) - len(order)
         if missing:
@@ -338,16 +320,12 @@ def cmd_viz(args) -> dict:
     return {"tsv": str(tsv_path), "svg": str(svg_path), "concepts": len(order)}
 
 
-def _step_argv(command: str, step_args: dict) -> list:
-    argv = [command]
-    for key, value in step_args.items():
-        argv.append("--" + str(key).replace("_", "-"))
-        argv.append(str(value))
-    return argv
+def _check_pipeline_config(path, config) -> list:
+    """The parsed arguments of every step of a well-formed config.
 
-
-def _check_pipeline_config(path, config) -> None:
-    """Reject a malformed config with a field-level message before any step runs."""
+    A malformed config, or a step whose arguments its command rejects,
+    fails with a field-level message before any step runs.
+    """
     if not isinstance(config, dict):
         raise ColexvecError(f"{path}: top level must be a JSON object")
     steps = config.get("steps")
@@ -356,6 +334,8 @@ def _check_pipeline_config(path, config) -> None:
     report = config.get("report")
     if not isinstance(report, str) or not report:
         raise ColexvecError(f"{path}: needs a 'report' output path")
+    parser = build_parser(add_help=False)
+    parsed = []
     for i, step in enumerate(steps):
         where = f"{path}: steps[{i}]"
         if not isinstance(step, dict):
@@ -370,35 +350,38 @@ def _check_pipeline_config(path, config) -> None:
         step_args = step.get("args", {})
         if not isinstance(step_args, dict):
             raise ColexvecError(f"{where}: 'args' must be an object")
+        argv = [command]
         for key, value in step_args.items():
             if not isinstance(value, (str, int, float)):
                 raise ColexvecError(f"{where}: args.{key} must be a string or a number")
+            argv += ["--" + str(key).replace("_", "-"), str(value)]
+        try:
+            parsed.append(parser.parse_args(argv))
+        except UsageError as exc:
+            raise ColexvecError(f"{where}: {exc.args[0]}") from None
+    return parsed
 
 
 def cmd_pipeline(args) -> dict:
     config_path = Path(args.config)
     try:
-        config = json.loads(config_path.read_text(encoding="utf-8"))
+        with open_text(config_path) as fh:
+            config = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(args.config, exc.lineno, exc.msg) from None
-    _check_pipeline_config(args.config, config)
+    parsed = _check_pipeline_config(args.config, config)
     steps = config["steps"]
     report_path = config["report"]
 
-    input_keys = {"wordlist", "graph", "pairs", "embedding", "vectors",
-                  "concept_map", "concepts", "sim", "inputs"}
-    produced = set()
-    for step in steps:
-        for key in ("out", "report"):
-            value = step.get("args", {}).get(key)
-            if value:
-                produced.add(str(value))
+    input_keys = ("wordlist", "graph", "pairs", "embedding", "vectors",
+                  "concept_map", "concepts", "sim", "inputs")
+    produced = {getattr(ns, key, None) for ns in parsed for key in ("out", "report")}
     external = {}
-    for step in steps:
-        for key, value in step.get("args", {}).items():
-            if key not in input_keys:
+    for ns in parsed:
+        for key in input_keys:
+            value = getattr(ns, key, None)
+            if not value:
                 continue
-            value = str(value)
             candidates = value.split(",") if key == "inputs" else _sim_input_paths(value) if key == "sim" else [value]
             for cand in candidates:
                 # hash true externals only; files another step writes are
@@ -406,18 +389,15 @@ def cmd_pipeline(args) -> dict:
                 if cand not in produced and Path(cand).exists():
                     external[cand] = file_sha256(cand)
 
-    parser = build_parser()
     summaries = []
     metrics = {}
-    for step in steps:
-        command, step_args = step["command"], step.get("args", {})
-        ns = parser.parse_args(_step_argv(command, step_args))
-        summary = HANDLERS[command](ns)
-        summaries.append({"command": command, "args": step_args, "summary": summary})
+    for step, ns in zip(steps, parsed):
+        summary = HANDLERS[ns.command](ns)
+        summaries.append({"command": ns.command, "args": step.get("args", {}), "summary": summary})
         inner = summary.get("report")
         if isinstance(inner, dict) and "task" in inner:
             # one entry per evaluation step, so two steps of a task never collide
-            metrics.setdefault(inner["task"], {})[str(step_args["report"])] = inner["metric"]
+            metrics.setdefault(inner["task"], {})[ns.report] = inner["metric"]
 
     doc = {
         "name": config.get("name", config_path.stem),
@@ -456,7 +436,7 @@ def run(argv) -> int:
         HANDLERS[args.command](args)
         return 0
     except UsageError as exc:
-        print(str(exc), file=sys.stderr)
+        print(exc.args[1], file=sys.stderr)
         return 1
     except KeyError as exc:
         # str() of a KeyError is the repr of its argument, quotes included

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .graph import DenseMatrix
-from .tsv import format_floats, write_lines
+from .tsv import format_floats, open_text, write_lines
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +73,7 @@ def save_embedding(es: EmbeddingSet, path) -> None:
 
 def load_embedding(path) -> EmbeddingSet:
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise ParseError(path, 1, "expected '<count> <dim>' header")

@@ -15,9 +15,10 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ParseError, ValidationError
-from .tsv import number, read_tsv, write_json, write_lines
+from .tsv import number, open_text, read_tsv, write_json, write_lines
 
 ConceptId = str
 
@@ -30,8 +31,9 @@ EDGE_HEADER = "SOURCE\tTARGET\tWEIGHT"
 _INT_TOL = 1e-9
 
 
-def _is_integral(w: float) -> bool:
-    return abs(w - round(w)) <= _INT_TOL * max(1.0, abs(w))
+def _is_count(w: float) -> bool:
+    """Whether w is a whole number >= 1 within the slack; 1e-10 is not."""
+    return round(w) >= 1 and abs(w - round(w)) <= _INT_TOL * max(1.0, abs(w))
 
 
 @dataclass(frozen=True)
@@ -67,9 +69,9 @@ class ColexGraph:
                 raise ValidationError(f"non-finite weight on {src}->{dst}: {w}")
             if not (w > 0):
                 raise ValidationError(f"non-positive weight on {src}->{dst}")
-            if self.weight_semantics == "family_count" and not _is_integral(w):
+            if self.weight_semantics == "family_count" and not _is_count(w):
                 raise ValidationError(
-                    f"family_count weight on {src}->{dst} is not an integer: {w}"
+                    f"family_count weight on {src}->{dst} is not a whole number >= 1: {w}"
                 )
         for node in self.nodes:
             if not node:
@@ -149,8 +151,8 @@ def make_graph(
 
 
 def format_weight(w: float) -> str:
-    """Decimal serialization: integers bare, else up to 12 significant digits."""
-    if _is_integral(w):
+    """Decimal serialization: counts bare, else up to 12 significant digits."""
+    if _is_count(w):
         return str(int(round(w)))
     return format(w, ".12g")
 
@@ -177,7 +179,8 @@ def save_graph(g: ColexGraph, path) -> None:
 
 def _load_sidecar(sidecar: Path) -> dict:
     """Read and type-check a graph sidecar; errors name the offending field."""
-    text = sidecar.read_text(encoding="utf-8")
+    with open_text(sidecar) as fh:
+        text = fh.read()
     try:
         meta = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -251,12 +254,12 @@ def to_undirected(g: ColexGraph) -> ColexGraph:
     """
     if not g.directed:
         return g
-    merged = {}
-    for src, dst, w in g.edges:
-        key = (min(src, dst), max(src, dst))
-        prev = merged.get(key)
-        merged[key] = w if prev is None else max(prev, w)
-    edges = tuple((a, b, w) for (a, b), w in sorted(merged.items()))
+    adj = adjacency(g)
+    # the upper triangle in row-major order lists each pair once, sorted by name
+    merged = sp.triu(adj.maximum(adj.T), k=1, format="csr").tocoo()
+    names = g.sorted_nodes()
+    edges = tuple((names[i], names[j], w) for i, j, w in
+                  zip(merged.row.tolist(), merged.col.tolist(), merged.data.tolist()))
     return ColexGraph(
         nodes=g.nodes,
         edges=edges,
@@ -283,16 +286,27 @@ def invert_weights(g: ColexGraph) -> ColexGraph:
     )
 
 
+def adjacency(g: ColexGraph) -> sp.csr_array:
+    """Weighted adjacency over `g.sorted_nodes()` in CSR form.
+
+    An undirected edge fills both (i, j) and (j, i), a directed one only
+    (i, j). Column indices are sorted within each row, and an isolated
+    node has an empty row.
+    """
+    index = {node: i for i, node in enumerate(g.sorted_nodes())}
+    src, dst, weights = zip(*g.edges) if g.edges else ((), (), ())
+    rows = np.fromiter(map(index.__getitem__, src), dtype=np.intp, count=len(src))
+    cols = np.fromiter(map(index.__getitem__, dst), dtype=np.intp, count=len(dst))
+    # the COO to CSR conversion and the sum of CSR arrays sort every row's indices
+    adj = sp.csr_array((np.array(weights, dtype=float), (rows, cols)), shape=(len(index),) * 2)
+    return adj if g.directed else adj + adj.T
+
+
 def adjacency_matrix(g: ColexGraph, order: Sequence) -> DenseMatrix:
-    """Dense adjacency in the given node order; undirected edges fill both sides."""
+    """Dense `adjacency(g)` with rows and columns in the given node order."""
     order = list(order)
     if len(order) != len(set(order)) or set(order) != set(g.nodes):
         raise ValidationError("order must be a permutation of the graph's nodes")
-    index = {node: i for i, node in enumerate(order)}
-    mat = np.zeros((len(order), len(order)))
-    for src, dst, w in g.edges:
-        i, j = index[src], index[dst]
-        mat[i, j] = w
-        if not g.directed:
-            mat[j, i] = w
-    return DenseMatrix(values=mat, row_labels=tuple(order))
+    index = {node: i for i, node in enumerate(g.sorted_nodes())}
+    perm = [index[node] for node in order]
+    return DenseMatrix(values=adjacency(g).toarray()[np.ix_(perm, perm)], row_labels=tuple(order))

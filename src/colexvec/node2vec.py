@@ -18,7 +18,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet
 from .errors import ValidationError
-from .graph import ColexGraph
+from .graph import ColexGraph, adjacency
 from .runtime import config_digest
 
 logger = logging.getLogger(__name__)
@@ -68,9 +68,13 @@ class SkipGramConfig:
 def sample_walks(g: ColexGraph, cfg: WalkConfig) -> list:
     """Weighted second-order random walks, `walks_per_node` per non-isolated node.
 
-    With p = q = 1 the next step is plain weight-proportional; otherwise the
-    previous node reweights candidates by 1/p (return), 1 (common neighbor),
-    or 1/q (outward). Identical seeds give an identical corpus.
+    Each step draws from the current node's row of `adjacency(g)`, its
+    neighbours in sorted order. With p = q = 1 the draw is plain
+    weight-proportional; otherwise the previous node reweights each
+    candidate by 1/p (the previous node itself), 1 (a neighbour of the
+    previous node) or 1/q (any other node). Start node i draws from its own
+    generator `default_rng([seed, i])` in the RNG stream of
+    `Generator.choice`, so identical seeds give an identical corpus.
     """
     if g.directed:
         raise ValidationError("sample_walks needs an undirected graph")
@@ -78,45 +82,35 @@ def sample_walks(g: ColexGraph, cfg: WalkConfig) -> list:
         raise ValidationError("sample_walks needs family_count weights")
 
     order = g.sorted_nodes()
-    neighbors = {node: [] for node in order}
-    for src, dst, w in g.edges:
-        neighbors[src].append((dst, w))
-        neighbors[dst].append((src, w))
-    for node in neighbors:
-        neighbors[node].sort()
-    neighbor_sets = {node: {nbr for nbr, _ in nbrs} for node, nbrs in neighbors.items()}
+    adj = adjacency(g)
+    indptr, indices, weights = adj.indptr, adj.indices, adj.data
+    # row i's CDF is cdf[indptr[i]:indptr[i + 1]], aligned with its neighbours
+    cdf = weights.copy()
+    for lo, hi in zip(indptr[:-1], indptr[1:]):
+        if hi > lo:
+            cdf[lo:hi] = _choice_cdf(weights[lo:hi])
     first_order = cfg.p == 1.0 and cfg.q == 1.0
-    cdfs = {
-        node: _choice_cdf(np.array([weight for _, weight in nbrs]))
-        for node, nbrs in neighbors.items()
-        if nbrs
-    }
+    if not first_order:
+        # divisor[prev, x] of x's weight: p for prev itself, 1 for its neighbours, else q
+        divisor = np.where(adj.toarray() > 0, 1.0, cfg.q)
+        np.fill_diagonal(divisor, cfg.p)
 
     walks = []
-    for index, start in enumerate(order):
-        if not neighbors[start]:
+    for start in range(len(order)):
+        if indptr[start] == indptr[start + 1]:
             continue
-        rng = np.random.default_rng([cfg.seed, index])
+        rng = np.random.default_rng([cfg.seed, start])
         for _ in range(cfg.walks_per_node):
             walk = [start]
             while len(walk) < cfg.walk_length:
                 # every node after the start has at least the edge back
-                cur = walk[-1]
-                nbrs = neighbors[cur]
+                lo, hi = indptr[walk[-1]], indptr[walk[-1] + 1]
                 if first_order or len(walk) == 1:
-                    cdf = cdfs[cur]
+                    row_cdf = cdf[lo:hi]
                 else:
-                    prev = walk[-2]
-                    prev_nbrs = neighbor_sets[prev]
-                    cdf = _choice_cdf(np.array(
-                        [
-                            w / cfg.p if nbr == prev
-                            else (w if nbr in prev_nbrs else w / cfg.q)
-                            for nbr, w in nbrs
-                        ]
-                    ))
-                walk.append(nbrs[int(cdf.searchsorted(rng.random(), side="right"))][0])
-            walks.append(walk)
+                    row_cdf = _choice_cdf(weights[lo:hi] / divisor[walk[-2], indices[lo:hi]])
+                walk.append(int(indices[lo + int(row_cdf.searchsorted(rng.random(), side="right"))]))
+            walks.append([order[i] for i in walk])
     return walks
 
 

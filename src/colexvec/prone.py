@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from .embeddings import EmbeddingSet
 from .errors import ValidationError
-from .graph import ColexGraph, DenseMatrix
+from .graph import ColexGraph, DenseMatrix, adjacency
 from .numerics import randomized_tsvd
 from .runtime import config_digest
 
@@ -64,18 +64,6 @@ def bessel_i(k: int, x: float, terms: int = _BESSEL_TERMS) -> float:
     return total
 
 
-def _sorted_adjacency(g: ColexGraph, order) -> sp.csr_array:
-    index = {node: i for i, node in enumerate(order)}
-    rows, cols, data = [], [], []
-    for src, dst, w in g.edges:
-        i, j = index[src], index[dst]
-        rows.extend((i, j))
-        cols.extend((j, i))
-        data.extend((w, w))
-    n = len(order)
-    return sp.csr_array((data, (rows, cols)), shape=(n, n))
-
-
 def build_shifted_matrix(g: ColexGraph, cfg: ProneConfig) -> sp.csr_array:
     """Sparse matrix M_ij = ln(P_ij) - ln(shift * q_j) on the adjacency pattern.
 
@@ -88,14 +76,12 @@ def build_shifted_matrix(g: ColexGraph, cfg: ProneConfig) -> sp.csr_array:
         raise ValidationError("build_shifted_matrix needs an undirected graph")
     if g.weight_semantics != "family_count":
         raise ValidationError("build_shifted_matrix needs family_count weights")
-    order = g.sorted_nodes()
-    adj = _sorted_adjacency(g, order).tocoo()
+    adj = adjacency(g).tocoo()
 
-    n = len(order)
+    n = g.n_nodes
     degree = np.zeros(n)
     np.add.at(degree, adj.row, adj.data)
-    powered = np.where(degree > 0, degree, 1.0) ** cfg.exponent
-    powered[degree == 0] = 0.0
+    powered = degree**cfg.exponent  # the exponent is positive, so 0 stays 0
     q = powered / powered.sum()
 
     row_sum = degree[adj.row]
@@ -122,20 +108,26 @@ def spectral_propagate(g: ColexGraph, base: DenseMatrix, cfg: ProneConfig) -> Em
     X_{k+1} = M(M X_k) - 2 X_k - X_{k-1}; the accumulated filter weights
     term k by (-1)^k c_k with c_0 = I_0(theta) and c_k = 2 I_k(theta).
     The output is the row-wise L2 normalization of DA (base - filter);
-    step = 1 short-circuits to the normalized base.
+    step = 1 short-circuits to the normalized base. The base rows may come
+    in any order of the graph's nodes; unlabeled rows are in sorted order.
     """
-    order = list(base.row_labels) if base.row_labels else g.sorted_nodes()
-    if set(order) != set(g.nodes) or len(order) != len(g.nodes):
+    if g.directed:
+        raise ValidationError("spectral_propagate needs an undirected graph")
+    order = g.sorted_nodes()
+    labels = list(base.row_labels) if base.row_labels else order
+    if set(labels) != g.nodes or len(labels) != len(order):
         raise ValidationError("base rows must align with the graph's node set")
     if base.cols != cfg.dim:
         raise ValidationError(f"base has {base.cols} columns, config dim is {cfg.dim}")
 
-    x0 = base.values
+    # work in sorted node order, the order of adjacency(g)
+    row = {node: i for i, node in enumerate(labels)}
+    x0 = base.values[[row[node] for node in order]]
     if cfg.step == 1:
         out = _l2_normalize_rows(x0)
     else:
         n = len(order)
-        a_hat = _sorted_adjacency(g, order) + sp.eye_array(n, format="csr")
+        a_hat = adjacency(g) + sp.eye_array(n, format="csr")
         inv_rows = 1.0 / np.asarray(a_hat.sum(axis=1)).ravel()
         da = sp.diags_array(inv_rows) @ a_hat
         m = sp.eye_array(n, format="csr") * (1.0 - cfg.mu) - da
@@ -166,8 +158,5 @@ def spectral_propagate(g: ColexGraph, base: DenseMatrix, cfg: ProneConfig) -> Em
 
 def prone_embed(g: ColexGraph, cfg: ProneConfig) -> EmbeddingSet:
     """Full ProNE pipeline: shifted matrix, factorization, propagation."""
-    order = g.sorted_nodes()
     shifted = build_shifted_matrix(g, cfg)
-    base = factorize(shifted, cfg)
-    labeled = DenseMatrix(values=base.values, row_labels=tuple(order))
-    return spectral_propagate(g, labeled, cfg)
+    return spectral_propagate(g, factorize(shifted, cfg), cfg)

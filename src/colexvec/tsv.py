@@ -3,17 +3,40 @@
 A table is UTF-8 text: one header line, then one row per line with exactly
 as many tab-separated cells as the header. Blank lines are skipped, numbers
 must be finite, and every failure is a ParseError naming `path:line`.
+Every text input of the package, table or not, is read through `open_text`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
+
+
+@contextmanager
+def open_text(path):
+    """`path` opened as `open` reads UTF-8 text, with universal newlines.
+
+    A byte that is not UTF-8 is a ParseError at its line, "not UTF-8 text".
+    """
+    try:
+        with Path(path).open(encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        # the decoder's offset is within the chunk it decoded, so find the
+        # first bad byte in the whole file; \r\n, \r and \n end a line
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            data = data[: exc.start]
+        line_no = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n") + 1
+        raise ParseError(path, line_no, "not UTF-8 text") from None
 
 
 def read_tsv(path, headers, row) -> list:
@@ -24,7 +47,7 @@ def read_tsv(path, headers, row) -> list:
     by `row` becomes a ParseError at the row's line.
     """
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().rstrip("\n")
         if header not in headers:
             expected = " or ".join(repr(h) for h in headers)

@@ -340,6 +340,19 @@ def test_pipeline_keeps_every_metric_of_a_task(tmp_path):
      "steps[1]: 'args' must be an object"),
     ({"report": "r.json", "steps": [None, {"command": "eval-lsim", "args": {"sim": [1]}}]},
      "steps[1]: args.sim must be a string or a number"),
+    ({"report": "r.json", "steps": [None, {"command": "embed", "args": {"graph": "g.tsv"}}]},
+     "steps[1]: the following arguments are required: --method, --out, --seed"),
+    ({"report": "r.json", "steps": [None, {"command": "colexify", "args": {
+        "wordlist": "w.tsv", "type": "full", "out": "g.tsv", "bogus": 3}}]},
+     "steps[1]: unrecognized arguments: --bogus 3"),
+    ({"report": "r.json", "steps": [None, {"command": "colexify", "args": {
+        "wordlist": "w.tsv", "type": "full", "out": "g.tsv", "min_form_len": "x"}}]},
+     "steps[1]: argument --min-form-len: invalid int value: 'x'"),
+    ({"report": "r.json", "steps": [None, {"command": "colexify", "args": {"help": 1}}]},
+     "steps[1]: the following arguments are required: --wordlist, --type, --out"),
+    ({"report": "r.json", "steps": [None, {"command": "colexify", "args": {
+        "wordlist": "w.tsv", "type": "full", "out": "g.tsv", "help": 1}}]},
+     "steps[1]: unrecognized arguments: --help 1"),
 ])
 def test_pipeline_rejects_malformed_config_before_any_step(tmp_path, capsys, config, message):
     graph = tmp_path / "full.tsv"
@@ -351,9 +364,56 @@ def test_pipeline_rejects_malformed_config_before_any_step(tmp_path, capsys, con
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
     assert run(["pipeline", "--config", str(config_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {config_path}: ") and message in err
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {config_path}: {message}\n"
+    assert captured.out == ""
     assert not graph.exists()
+
+
+@pytest.mark.parametrize("weight", ["1e-10", "5e-324"])
+def test_family_count_below_one_exits_1_naming_the_graph(tmp_path, capsys, weight):
+    graph = tmp_path / "g.tsv"
+    graph.write_text(f"SOURCE\tTARGET\tWEIGHT\nA\tB\t{weight}\nB\tC\t2\n", encoding="utf-8")
+    out = tmp_path / "m.tsv"
+    assert run(["baseline", "--graph", str(graph), "--method", "shortest-path",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {graph}: family_count weight on A->B is not a whole number")
+    assert not out.exists()
+
+
+NOT_UTF8 = [
+    pytest.param("colexify", "--wordlist",
+                 b"LANGUAGE\tFAMILY\tCONCEPT\tFORM\nL\tF\tTREE\ta b\nL\tF\tWOOD\ta \xff\n", 3,
+                 id="wordlist"),
+    pytest.param("viz", "--embedding", b"2 2\nTREE 1 0\nFOREST\xff 0 1\n", 3, id="embedding"),
+    pytest.param("viz", "--concepts", b"TREE\r\nFOREST\rMOON\nSKIN\xff\n", 4, id="concepts"),
+    pytest.param("baseline", "--graph", b'{\n  "colex_type": "full\xff"\n}\n', 2,
+                 id="graph-sidecar"),
+    pytest.param("pipeline", "--config", b'{\n"report": "r.json",\n\n"name": "\xfe"}\n', 4,
+                 id="pipeline-config"),
+]
+
+
+@pytest.mark.parametrize("command, flag, data, line_no", NOT_UTF8)
+def test_non_utf8_input_exits_1_naming_path_and_line(tmp_path, capsys, command, flag, data,
+                                                     line_no):
+    emb, out = separable_embedding(tmp_path), str(tmp_path / "out")
+    argv = {
+        "colexify": ["--wordlist", "-", "--type", "full", "--out", out],
+        "viz": ["--embedding", str(emb), "--concepts", str(emb), "--out", out, "--seed", "1"],
+        "baseline": ["--graph", str(toy_graph(tmp_path)), "--method", "cosine", "--out", out],
+        "pipeline": ["--config", "-"],
+    }[command]
+    bad = tmp_path / "bad.txt"
+    if flag == "--graph":
+        bad = Path(argv[1] + ".json")  # the graph's sidecar
+    else:
+        argv[argv.index(flag) + 1] = str(bad)
+    bad.write_bytes(data)
+    assert run([command] + argv) == 1
+    assert capsys.readouterr().err == f"error: {bad}:{line_no}: not UTF-8 text\n"
+    assert not Path(out).exists()
 
 
 def test_pipeline_malformed_json_names_config_and_line(tmp_path, capsys):

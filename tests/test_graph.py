@@ -1,12 +1,15 @@
 import json
+import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colexvec.errors import ParseError, ValidationError
 from colexvec.graph import (
+    adjacency,
     adjacency_matrix,
     invert_weights,
     load_graph,
@@ -120,6 +123,21 @@ def test_invert_weights_rejects_non_finite_results():
         invert_weights(g)
 
 
+@pytest.mark.parametrize("weight", ["1e-10", "5e-324"])
+def test_family_count_below_one_rejected_naming_the_path(tmp_path, weight):
+    # both round to 0, within the whole-number slack
+    path = write_edge_file(tmp_path, f"A\tB\t{weight}\nB\tC\t2\n")
+    message = f"^{re.escape(str(path))}: family_count weight on A->B is not a whole number >= 1"
+    with pytest.raises(ValidationError, match=message):
+        load_graph(path)
+
+
+def test_small_inverse_distance_weight_round_trips(tmp_path):
+    g = make_graph([("A", "B", 1e-10)], "full", False, weight_semantics="inverse_distance")
+    save_graph(g, tmp_path / "g.tsv")
+    assert load_graph(tmp_path / "g.tsv") == g
+
+
 def test_to_undirected_max_merge():
     g = make_graph([("A", "B", 3), ("B", "A", 5)], "affix", True)
     u = to_undirected(g)
@@ -149,6 +167,21 @@ def test_invert_weights_involution():
     for (_, _, w0), (_, _, w1) in zip(g.edges, twice.edges):
         assert abs(w0 - w1) < 1e-12
     assert twice.weight_semantics == "family_count"
+
+
+def test_adjacency_hand_example():
+    # A's edges are listed C first, so its row is sorted by the conversion
+    g = make_graph([("A", "C", 1), ("B", "A", 2), ("D", "C", 4)], "full", False,
+                   extra_nodes=["Z"])
+    adj = adjacency(g)
+    assert isinstance(adj, sp.csr_array) and adj.shape == (5, 5)
+    assert adj.indptr.tolist() == [0, 2, 3, 5, 6, 6]  # Z's row is empty
+    assert adj.indices.tolist() == [1, 2, 0, 0, 3, 2]  # both sides of every edge
+    assert adj.data.tolist() == [2, 1, 2, 1, 4, 4]
+    d = adjacency(make_graph([("B", "A", 3), ("A", "C", 1)], "affix", True))
+    assert d.indptr.tolist() == [0, 1, 2, 2]  # one side only
+    assert d.indices.tolist() == [2, 0] and d.data.tolist() == [1, 3]
+    assert adjacency(make_graph([], "full", False)).shape == (0, 0)
 
 
 def test_adjacency_matrix_hand_example():
@@ -213,6 +246,30 @@ def test_to_undirected_symmetric_adjacency(g):
     m = adjacency_matrix(u, order).values
     assert np.array_equal(m, m.T)
     assert to_undirected(u) == u
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_digraphs())
+def test_to_undirected_equals_max_merge_reference(g):
+    merged = {}
+    for src, dst, w in g.edges:
+        key = (min(src, dst), max(src, dst))
+        merged[key] = max(merged.get(key, w), w)
+    assert to_undirected(g).edges == tuple((a, b, w) for (a, b), w in sorted(merged.items()))
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_digraphs())
+def test_adjacency_equals_per_edge_fill(g):
+    for graph in (g, to_undirected(g)):
+        index = {node: i for i, node in enumerate(graph.sorted_nodes())}
+        expected = np.zeros((len(index), len(index)))
+        for src, dst, w in graph.edges:
+            expected[index[src], index[dst]] = w
+            if not graph.directed:
+                expected[index[dst], index[src]] = w
+        adj = adjacency(graph)
+        assert adj.has_sorted_indices and np.array_equal(adj.toarray(), expected)
 
 
 @settings(max_examples=50, deadline=None)

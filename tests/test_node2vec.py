@@ -121,7 +121,7 @@ def choice_reference_walks(g, cfg):
     return walks
 
 
-@pytest.mark.parametrize("p, q", [(1.0, 1.0), (0.5, 2.0)])
+@pytest.mark.parametrize("p, q", [(1.0, 1.0), (0.5, 2.0), (4.0, 0.25)])
 def test_walks_equal_choice_reference(p, q):
     g = make_graph(
         [("A", "B", 3), ("A", "C", 1), ("A", "D", 7), ("B", "C", 2), ("C", "D", 5),

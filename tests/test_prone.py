@@ -204,6 +204,26 @@ def test_propagate_matches_transcription_oracle():
         assert np.max(np.abs(got - expected)) < 1e-8
 
 
+def test_propagate_takes_base_rows_in_any_order():
+    rng = np.random.default_rng(10)
+    g = random_graph(rng, 12, 9)
+    order = g.sorted_nodes()
+    values = rng.standard_normal((12, 4))
+    cfg = ProneConfig(dim=4, seed=0)
+    ordered = spectral_propagate(g, DenseMatrix(values=values, row_labels=tuple(order)), cfg)
+    reversed_rows = DenseMatrix(values=values[::-1], row_labels=tuple(order[::-1]))
+    reversed_es = spectral_propagate(g, reversed_rows, cfg)
+    for node in order:
+        assert np.array_equal(reversed_es.vectors[node], ordered.vectors[node])
+
+
+def test_propagate_rejects_directed():
+    g = make_graph([("A", "B", 1)], "affix", True)
+    base = DenseMatrix(values=np.ones((2, 2)), row_labels=("A", "B"))
+    with pytest.raises(ValidationError, match="undirected"):
+        spectral_propagate(g, base, ProneConfig(dim=2, seed=0))
+
+
 def test_propagate_dimension_mismatch():
     base = DenseMatrix(values=np.zeros((3, 2)), row_labels=("A", "B", "C"))
     with pytest.raises(ValidationError):

@@ -83,6 +83,25 @@ def test_read_tsv_turns_validation_errors_into_line_errors(tmp_path):
         read_tsv(path, ("A\tB",), row)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("blank_lines", [0, 9000])  # 9,000 lines pass the decoder's first chunk
+@pytest.mark.parametrize("loader, header, row", LOADERS)
+def test_non_utf8_fails_at_the_line_of_the_first_bad_byte(tmp_path, loader, header, row,
+                                                         blank_lines, newline):
+    lines = [line.encode("utf-8") for line in [header, row] + [""] * blank_lines + [row]]
+    path = tmp_path / "table.tsv"
+    path.write_bytes(newline.encode().join(lines + [b"\xff" + row.encode(), b"\xfe"]))
+    error = parse_error(loader, path)
+    assert str(error) == f"{path}:{blank_lines + 4}: not UTF-8 text"
+
+
+def test_read_tsv_splits_rows_at_newlines_only(tmp_path):
+    # str.splitlines would also split at these
+    cells = ["a\x0cb", "c\x1cd", "e\x85f", "g\u2028h"]
+    path = write_table(tmp_path, "A\tB", "\t".join(cells[:2]), "\t".join(cells[2:]))
+    assert read_tsv(path, ("A\tB",), lambda a, b: (a, b)) == [tuple(cells[:2]), tuple(cells[2:])]
+
+
 @pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-inf", "1e400", "-1e400", "", "x", "1,5"])
 def test_number_rejects_non_finite_and_non_numbers(text):
     with pytest.raises(ValidationError, match=f"^bad rating {text!r}$"):
