@@ -35,7 +35,6 @@ from .graph import (
     ColexGraph,
     DenseMatrix,
     adjacency_matrix,
-    invert_weights,
     load_graph,
     make_graph,
     save_graph,

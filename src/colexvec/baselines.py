@@ -109,18 +109,16 @@ def _walk_profiles(mat: np.ndarray, alpha: float, max_steps: int) -> np.ndarray:
 
 
 def shortest_path_provider(g: ColexGraph) -> SimilarityProvider:
-    """Dijkstra distances on inverse-distance weights; disconnected pairs get
-    2x the largest finite distance (0 when the graph has no edges).
-
-    Accepts a family-count graph and inverts the weights internally.
+    """Dijkstra distances with length 1/w on an edge of family count w;
+    disconnected pairs get 2x the largest finite distance (0 when the graph
+    has no edges).
     """
     # imported here: csgraph pulls in scipy.linalg, about 0.15 s that every
     # command not scoring shortest paths would otherwise pay at import
     from scipy.sparse.csgraph import dijkstra
 
     lengths = adjacency(g)
-    if g.weight_semantics == "family_count":
-        lengths.data = 1.0 / lengths.data
+    lengths.data = 1.0 / lengths.data
     dist = dijkstra(lengths, directed=True)
     finite = np.isfinite(dist)
     fill = 2.0 * dist[finite].max() if finite.any() else 0.0
@@ -141,8 +139,6 @@ def ppmi_provider(g: ColexGraph, mode: str = "pairwise") -> SimilarityProvider:
     target marginal its in-weight. `mode` picks the pairwise PPMI value or
     the cosine between PPMI rows.
     """
-    if g.weight_semantics != "family_count":
-        raise ValidationError("ppmi_provider needs family_count weights")
     if mode not in ("pairwise", "cosine_rows"):
         raise ValidationError(f"unknown ppmi mode {mode!r}")
     ppmi = _ppmi_matrix(adjacency(g).toarray())
@@ -158,8 +154,6 @@ def random_walk_provider(
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     if max_steps < 1:
         raise ValidationError(f"max_steps must be >= 1, got {max_steps}")
-    if g.weight_semantics != "family_count":
-        raise ValidationError("random_walk_provider needs family_count weights")
     profiles = _walk_profiles(adjacency(g).toarray(), alpha, max_steps)
     return _table_provider("random_walk", g.sorted_nodes(), _row_cosines(profiles))
 

@@ -153,19 +153,20 @@ def _baseline_provider(
     return random_walk_provider(g, alpha=alpha, max_steps=max_steps)
 
 
+def parse_sim(spec: str) -> tuple:
+    """(method, graph path) for '<method>:<graph.tsv>', else (None, embedding path)."""
+    method, sep, rest = spec.partition(":")
+    if sep and method in BASELINE_METHODS:
+        return method, rest
+    return None, spec
+
+
 def provider_from_spec(spec: str) -> SimilarityProvider:
-    """'<method>:<graph.tsv>' for a topology baseline, else an embedding file."""
-    method, sep, rest = spec.partition(":")
-    if sep and method in BASELINE_METHODS:
-        return _baseline_provider(method, to_undirected(load_graph(rest)))
-    return embedding_provider(load_embedding(spec))
-
-
-def _sim_input_paths(spec: str) -> list:
-    method, sep, rest = spec.partition(":")
-    if sep and method in BASELINE_METHODS:
-        return [rest]
-    return [spec]
+    """A topology baseline for '<method>:<graph.tsv>', else an embedding file's cosines."""
+    method, path = parse_sim(spec)
+    if method:
+        return _baseline_provider(method, to_undirected(load_graph(path)))
+    return embedding_provider(load_embedding(path))
 
 
 def _write_report(path, command: str, config: dict, inputs: list, report: dict) -> dict:
@@ -265,7 +266,7 @@ def cmd_eval_lsim(args) -> dict:
     config = {"sim": args.sim, "pairs": args.pairs}
     doc = _write_report(
         args.report, "eval-lsim", config,
-        _sim_input_paths(args.sim) + [args.pairs], report.to_dict(),
+        [parse_sim(args.sim)[1], args.pairs], report.to_dict(),
     )
     print(report.table())
     return doc
@@ -286,7 +287,7 @@ def _binary_eval(args, task: str) -> dict:
     )
     doc = _write_report(
         args.report, f"eval-{task}", config,
-        _sim_input_paths(args.sim) + [args.pairs], report.to_dict(),
+        [parse_sim(args.sim)[1], args.pairs], report.to_dict(),
     )
     print(report.table())
     return doc
@@ -304,7 +305,8 @@ def cmd_viz(args) -> dict:
     es = load_embedding(args.embedding)
     if args.concepts:
         with open_text(args.concepts) as fh:
-            wanted = [line.strip() for line in fh.read().splitlines() if line.strip()]
+            wanted = list(dict.fromkeys(
+                line.strip() for line in fh.read().splitlines() if line.strip()))
         order = [c for c in wanted if c in es.vectors]
         missing = len(wanted) - len(order)
         if missing:
@@ -382,7 +384,7 @@ def cmd_pipeline(args) -> dict:
             value = getattr(ns, key, None)
             if not value:
                 continue
-            candidates = value.split(",") if key == "inputs" else _sim_input_paths(value) if key == "sim" else [value]
+            candidates = value.split(",") if key == "inputs" else [parse_sim(value)[1] if key == "sim" else value]
             for cand in candidates:
                 # hash true externals only; files another step writes are
                 # intermediates even if a previous run left them behind

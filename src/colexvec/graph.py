@@ -2,8 +2,8 @@
 
 Concept identifiers are plain strings (Concepticon-style labels such as
 "TREE"). Graphs are immutable once built: every transform returns a new
-instance. Edge weights either count attesting language families
-(``family_count``) or are their reciprocals (``inverse_distance``).
+instance. An edge's weight counts the language families that attest the
+colexification, so every weight is a whole number >= 1.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .tsv import number, open_text, read_tsv, write_json, write_lines
 ConceptId = str
 
 COLEX_TYPES = frozenset({"full", "affix", "overlap"})
-WEIGHT_SEMANTICS = frozenset({"family_count", "inverse_distance"})
 
 EDGE_HEADER = "SOURCE\tTARGET\tWEIGHT"
 
@@ -31,9 +30,21 @@ EDGE_HEADER = "SOURCE\tTARGET\tWEIGHT"
 _INT_TOL = 1e-9
 
 
-def _is_count(w: float) -> bool:
-    """Whether w is a whole number >= 1 within the slack; 1e-10 is not."""
-    return round(w) >= 1 and abs(w - round(w)) <= _INT_TOL * max(1.0, abs(w))
+def _check_edge(src, dst, w: float) -> None:
+    """Reject an empty id, a self-loop, or a weight that is not a family count.
+
+    A count is a whole number >= 1 within the slack; 1e-10 is not.
+    """
+    if not src or not dst:
+        raise ValidationError("empty concept id in edge list")
+    if src == dst:
+        raise ValidationError(f"self-loop on {src!r}")
+    if not math.isfinite(w):
+        raise ValidationError(f"non-finite weight on {src}->{dst}: {w}")
+    if not (round(w) >= 1 and abs(w - round(w)) <= _INT_TOL * max(1.0, abs(w))):
+        raise ValidationError(
+            f"family_count weight on {src}->{dst} is not a whole number >= 1: {w}"
+        )
 
 
 @dataclass(frozen=True)
@@ -44,35 +55,19 @@ class ColexGraph:
     edges: tuple
     colex_type: str
     directed: bool
-    weight_semantics: str
 
     def __post_init__(self):
         if self.colex_type not in COLEX_TYPES:
             raise ValidationError(f"unknown colex_type {self.colex_type!r}")
-        if self.weight_semantics not in WEIGHT_SEMANTICS:
-            raise ValidationError(
-                f"unknown weight_semantics {self.weight_semantics!r}"
-            )
         seen = set()
         for src, dst, w in self.edges:
-            if not src or not dst:
-                raise ValidationError("empty concept id in edge list")
-            if src == dst:
-                raise ValidationError(f"self-loop on {src!r}")
+            _check_edge(src, dst, w)
             if src not in self.nodes or dst not in self.nodes:
                 raise ValidationError(f"edge endpoint missing from node set: {src}->{dst}")
             key = (src, dst) if self.directed else (min(src, dst), max(src, dst))
             if key in seen:
                 raise ValidationError(f"duplicate edge {src}->{dst}")
             seen.add(key)
-            if not math.isfinite(w):
-                raise ValidationError(f"non-finite weight on {src}->{dst}: {w}")
-            if not (w > 0):
-                raise ValidationError(f"non-positive weight on {src}->{dst}")
-            if self.weight_semantics == "family_count" and not _is_count(w):
-                raise ValidationError(
-                    f"family_count weight on {src}->{dst} is not a whole number >= 1: {w}"
-                )
         for node in self.nodes:
             if not node:
                 raise ValidationError("empty concept id in node set")
@@ -132,7 +127,6 @@ def make_graph(
     edges: Iterable,
     colex_type: str,
     directed: bool,
-    weight_semantics: str = "family_count",
     extra_nodes: Iterable = (),
 ) -> ColexGraph:
     """Build a validated graph; node set = edge endpoints plus extra_nodes."""
@@ -146,15 +140,7 @@ def make_graph(
         edges=edge_tuple,
         colex_type=colex_type,
         directed=directed,
-        weight_semantics=weight_semantics,
     )
-
-
-def format_weight(w: float) -> str:
-    """Decimal serialization: counts bare, else up to 12 significant digits."""
-    if _is_count(w):
-        return str(int(round(w)))
-    return format(w, ".12g")
 
 
 def sidecar_path(path) -> Path:
@@ -163,12 +149,13 @@ def sidecar_path(path) -> Path:
 
 def save_graph(g: ColexGraph, path) -> None:
     """Write the edge-list TSV and its metadata sidecar (<path>.json)."""
-    edges = (f"{src}\t{dst}\t{format_weight(w)}" for src, dst, w in g.edges)
+    # a family count is written as a bare integer
+    edges = (f"{src}\t{dst}\t{round(w)}" for src, dst, w in g.edges)
     write_lines(path, EDGE_HEADER, edges)
     meta = {
         "colex_type": g.colex_type,
         "directed": g.directed,
-        "weight_semantics": g.weight_semantics,
+        "weight_semantics": "family_count",
     }
     isolated = sorted(g.isolated_nodes())
     if isolated:
@@ -196,7 +183,7 @@ def _load_sidecar(sidecar: Path) -> dict:
 
     if "directed" in meta and not isinstance(meta["directed"], bool):
         reject("directed", "must be a JSON boolean")
-    for key, allowed in (("colex_type", COLEX_TYPES), ("weight_semantics", WEIGHT_SEMANTICS)):
+    for key, allowed in (("colex_type", COLEX_TYPES), ("weight_semantics", {"family_count"})):
         if key in meta and not (isinstance(meta[key], str) and meta[key] in allowed):
             reject(key, f"must be one of {sorted(allowed)}")
     isolated = meta.get("isolated_nodes", [])
@@ -206,13 +193,8 @@ def _load_sidecar(sidecar: Path) -> dict:
 
 
 def _edge(src, dst, weight) -> tuple:
-    if not src or not dst:
-        raise ValidationError("empty concept id")
-    if src == dst:
-        raise ValidationError(f"self-loop on {src!r}")
     w = number(weight, "weight")
-    if not (w > 0):
-        raise ValidationError(f"non-positive weight {weight}")
+    _check_edge(src, dst, w)
     return src, dst, w
 
 
@@ -223,11 +205,7 @@ def load_graph(path) -> ColexGraph:
     network with family-count weights.
     """
     path = Path(path)
-    meta = {
-        "colex_type": "full",
-        "directed": False,
-        "weight_semantics": "family_count",
-    }
+    meta = {"colex_type": "full", "directed": False}
     sidecar = sidecar_path(path)
     if sidecar.exists():
         meta.update(_load_sidecar(sidecar))
@@ -238,7 +216,6 @@ def load_graph(path) -> ColexGraph:
             edges,
             colex_type=meta["colex_type"],
             directed=meta["directed"],
-            weight_semantics=meta["weight_semantics"],
             extra_nodes=meta.get("isolated_nodes", ()),
         )
     except ValidationError as exc:
@@ -265,24 +242,6 @@ def to_undirected(g: ColexGraph) -> ColexGraph:
         edges=edges,
         colex_type=g.colex_type,
         directed=False,
-        weight_semantics=g.weight_semantics,
-    )
-
-
-def invert_weights(g: ColexGraph) -> ColexGraph:
-    """Map every weight w to 1/w, flipping the weight semantics."""
-    semantics = (
-        "inverse_distance"
-        if g.weight_semantics == "family_count"
-        else "family_count"
-    )
-    edges = tuple((src, dst, 1.0 / w) for src, dst, w in g.edges)
-    return ColexGraph(
-        nodes=g.nodes,
-        edges=edges,
-        colex_type=g.colex_type,
-        directed=g.directed,
-        weight_semantics=semantics,
     )
 
 

@@ -78,8 +78,6 @@ def sample_walks(g: ColexGraph, cfg: WalkConfig) -> list:
     """
     if g.directed:
         raise ValidationError("sample_walks needs an undirected graph")
-    if g.weight_semantics != "family_count":
-        raise ValidationError("sample_walks needs family_count weights")
 
     order = g.sorted_nodes()
     adj = adjacency(g)

@@ -74,8 +74,6 @@ def build_shifted_matrix(g: ColexGraph, cfg: ProneConfig) -> sp.csr_array:
     """
     if g.directed:
         raise ValidationError("build_shifted_matrix needs an undirected graph")
-    if g.weight_semantics != "family_count":
-        raise ValidationError("build_shifted_matrix needs family_count weights")
     adj = adjacency(g).tocoo()
 
     n = g.n_nodes

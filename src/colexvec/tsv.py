@@ -22,10 +22,11 @@ from .errors import ParseError, ValidationError
 def open_text(path):
     """`path` opened as `open` reads UTF-8 text, with universal newlines.
 
-    A byte that is not UTF-8 is a ParseError at its line, "not UTF-8 text".
+    A leading UTF-8 byte-order mark is dropped. A byte that is not UTF-8 is
+    a ParseError at its line, "not UTF-8 text".
     """
     try:
-        with Path(path).open(encoding="utf-8") as fh:
+        with Path(path).open(encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError:
         # the decoder's offset is within the chunk it decoded, so find the

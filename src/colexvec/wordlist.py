@@ -218,7 +218,7 @@ def _attestations(wordlist: Wordlist, params: ColexParams) -> dict:
 def _family_count_graph(wordlist: Wordlist, attesting: dict, kind: str, directed: bool) -> ColexGraph:
     edges = [(src, dst, len(fams)) for (src, dst), fams in sorted(attesting.items())]
     concepts = {e.concept for e in wordlist.entries}
-    return make_graph(edges, kind, directed, "family_count", extra_nodes=concepts)
+    return make_graph(edges, kind, directed, extra_nodes=concepts)
 
 
 def infer_network(

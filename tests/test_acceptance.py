@@ -41,7 +41,6 @@ from colexvec.evaluation import (
 from colexvec.graph import (
     DenseMatrix,
     adjacency_matrix,
-    invert_weights,
     load_graph,
     make_graph,
     sidecar_path,
@@ -105,10 +104,9 @@ def test_criterion_2_baseline_oracles():
     rng = random.Random(77)
     for _ in range(25):
         g = tb.random_small_graph(rng)
-        inv = invert_weights(g)
         nodes = g.sorted_nodes()
-        dist = tb.scores_by_pair(shortest_path_provider(inv), g)
-        oracle = {(a, b): tb.all_simple_paths_min(inv, a, b)
+        dist = tb.scores_by_pair(shortest_path_provider(g), g)
+        oracle = {(a, b): tb.all_simple_paths_min(g, a, b)
                   for a, b in itertools.combinations(nodes, 2)}
         fill = 2.0 * max((d for d in oracle.values() if not math.isinf(d)), default=0.0)
         for (a, b), got in oracle.items():

@@ -15,7 +15,7 @@ from colexvec.baselines import (
     similarity_matrix,
 )
 from colexvec.embeddings import EmbeddingSet
-from colexvec.graph import adjacency_matrix, invert_weights, make_graph
+from colexvec.graph import adjacency_matrix, make_graph
 
 PATH_GRAPH = make_graph([("A", "B", 2), ("B", "C", 1)], "full", False)
 
@@ -35,11 +35,11 @@ def scores_by_pair(provider, g) -> dict:
 
 
 def all_simple_paths_min(g, a, b):
-    """Exhaustive minimum over simple paths; independent of Dijkstra."""
+    """Exhaustive minimum over simple paths of the summed 1/w; independent of Dijkstra."""
     adj = {}
     for src, dst, w in g.edges:
-        adj.setdefault(src, []).append((dst, w))
-        adj.setdefault(dst, []).append((src, w))
+        adj.setdefault(src, []).append((dst, 1.0 / w))
+        adj.setdefault(dst, []).append((src, 1.0 / w))
     best = math.inf
 
     def walk(node, visited, total):
@@ -69,17 +69,9 @@ def random_small_graph(rng):
 
 
 def test_shortest_path_hand_value():
-    provider = shortest_path_provider(invert_weights(PATH_GRAPH))
-    assert score(provider, "A", "C") == pytest.approx(1.5)
+    provider = shortest_path_provider(PATH_GRAPH)
+    assert score(provider, "A", "C") == pytest.approx(1.5)  # 1/2 + 1/1
     assert score(provider, "A", "A") == 0.0
-
-
-def test_shortest_path_inverts_family_counts():
-    direct = similarity_matrix(shortest_path_provider(PATH_GRAPH), ["A", "B", "C"])
-    inverted = similarity_matrix(
-        shortest_path_provider(invert_weights(PATH_GRAPH)), ["A", "B", "C"]
-    )
-    assert np.array_equal(direct.values, inverted.values)
 
 
 def test_shortest_path_disconnected_marker():
@@ -93,17 +85,16 @@ def test_shortest_path_disconnected_marker():
 
 def test_shortest_path_absent_node():
     with pytest.raises(KeyError, match="'Z'"):
-        score(shortest_path_provider(invert_weights(PATH_GRAPH)), "A", "Z")
+        score(shortest_path_provider(PATH_GRAPH), "A", "Z")
 
 
 def test_shortest_path_matches_all_paths_oracle():
     rng = random.Random(42)
     for _ in range(30):
         g = random_small_graph(rng)
-        inv = invert_weights(g)
         nodes = g.sorted_nodes()
-        dist = scores_by_pair(shortest_path_provider(inv), g)
-        oracle = {(a, b): all_simple_paths_min(inv, a, b)
+        dist = scores_by_pair(shortest_path_provider(g), g)
+        oracle = {(a, b): all_simple_paths_min(g, a, b)
                   for a, b in itertools.combinations(nodes, 2)}
         finite = [d for d in oracle.values() if not math.isinf(d)]
         fill = 2.0 * max(finite, default=0.0)
@@ -114,7 +105,7 @@ def test_shortest_path_matches_all_paths_oracle():
 def test_shortest_path_triangle_inequality():
     rng = random.Random(3)
     for _ in range(10):
-        g = invert_weights(random_small_graph(rng))
+        g = random_small_graph(rng)
         # the disconnection fill (2x the largest distance) keeps the inequality
         dist = scores_by_pair(shortest_path_provider(g), g)
         for a, b, c in itertools.permutations(g.sorted_nodes(), 3):

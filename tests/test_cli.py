@@ -1,10 +1,12 @@
 import json
+import shlex
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import colexvec.cli as cli
 from colexvec.cli import run
 from colexvec.embeddings import EmbeddingSet, load_embedding, save_embedding
 from colexvec.graph import load_graph
@@ -259,6 +261,43 @@ def test_viz_byte_reproducible(tmp_path):
     assert (tmp_path / "p1.svg").read_bytes() == (tmp_path / "p2.svg").read_bytes()
 
 
+def test_viz_plots_a_repeated_concept_once(tmp_path):
+    emb = separable_embedding(tmp_path)
+    concepts = (DATA / "toy_concepts.txt").read_text(encoding="utf-8")
+    repeated = tmp_path / "repeated.txt"
+    repeated.write_text("TREE\n" + concepts + "MOON\nTREE\n", encoding="utf-8")
+    args = ["viz", "--embedding", str(emb), "--perplexity", "3", "--iterations", "100",
+            "--seed", "5"]
+    assert run(args + ["--concepts", data_path("toy_concepts.txt"),
+                       "--out", str(tmp_path / "once")]) == 0
+    assert run(args + ["--concepts", str(repeated), "--out", str(tmp_path / "twice")]) == 0
+    for suffix in (".tsv", ".svg"):
+        assert ((tmp_path / f"twice{suffix}").read_bytes()
+                == (tmp_path / f"once{suffix}").read_bytes())
+
+
+@pytest.mark.parametrize("spec, parsed", [
+    ("cosine:g.tsv", ("cosine", "g.tsv")),
+    ("shortest-path:runs/a:b.tsv", ("shortest-path", "runs/a:b.tsv")),
+    ("full.emb", (None, "full.emb")),
+    ("prone:full.emb", (None, "prone:full.emb")),  # not a baseline method
+])
+def test_parse_sim(spec, parsed):
+    assert cli.parse_sim(spec) == parsed
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    commands = [shlex.split(line.replace("$TOY", str(DATA)), comments=True)
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("colexvec ")]
+    assert len(commands) == 11
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run(argv[1:]) == 0, argv
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 
@@ -378,7 +417,35 @@ def test_family_count_below_one_exits_1_naming_the_graph(tmp_path, capsys, weigh
     assert run(["baseline", "--graph", str(graph), "--method", "shortest-path",
                 "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {graph}: family_count weight on A->B is not a whole number")
+    assert err.startswith(f"error: {graph}:2: family_count weight on A->B is not a whole number")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["baseline", "--method", "shortest-path"],
+    ["baseline", "--method", "cosine"],
+    ["baseline", "--method", "ppmi"],
+    ["baseline", "--method", "random-walk"],
+    ["embed", "--method", "prone", "--seed", "1", "--dim", "2"],
+    ["embed", "--method", "node2vec", "--seed", "1", "--dim", "2", "--epochs", "1"],
+    ["eval-lsim", "--sim", "cosine:{graph}", "--pairs", data_path("toy_rated_pairs.tsv")],
+], ids=["shortest-path", "cosine", "ppmi", "random-walk", "prone", "node2vec", "eval-lsim"])
+def test_inverse_distance_sidecar_exits_1_naming_the_field(tmp_path, capsys, argv):
+    graph = tmp_path / "g.tsv"
+    graph.write_text("SOURCE\tTARGET\tWEIGHT\nA\tB\t0.5\nB\tC\t1\n", encoding="utf-8")
+    sidecar = tmp_path / "g.tsv.json"
+    sidecar.write_text('{\n  "colex_type": "full",\n  "directed": false,\n'
+                       '  "weight_semantics": "inverse_distance"\n}\n', encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [a.format(graph=graph) for a in argv]
+    if argv[0] == "eval-lsim":
+        argv += ["--report", str(out)]
+    else:
+        argv += ["--graph", str(graph), "--out", str(out)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {sidecar}:4: field 'weight_semantics' must be one of ['family_count'], "
+        "got 'inverse_distance'\n")
     assert not out.exists()
 
 
@@ -414,6 +481,72 @@ def test_non_utf8_input_exits_1_naming_path_and_line(tmp_path, capsys, command, 
     assert run([command] + argv) == 1
     assert capsys.readouterr().err == f"error: {bad}:{line_no}: not UTF-8 text\n"
     assert not Path(out).exists()
+
+
+def clean_inputs(tmp_path) -> dict:
+    """One input file of every kind the commands read, keyed by kind."""
+    d = tmp_path / "in"
+    d.mkdir()
+    paths = {kind: d / name for kind, name in (
+        ("wordlist", "toy_wordlist.tsv"), ("rated", "toy_rated_pairs.tsv"),
+        ("pairs", "toy_shift_pairs.tsv"), ("concepts", "toy_concepts.txt"))}
+    for path in paths.values():
+        path.write_bytes((DATA / path.name).read_bytes())
+    paths["graph"] = toy_graph(d)
+    paths["sidecar"] = d / "full.tsv.json"
+    paths["embedding"] = separable_embedding(d)
+    paths["vectors"] = d / "words.txt"
+    save_embedding(EmbeddingSet(dim=3, vectors={"avtomobil": [1.0, 0, 0], "mashina": [0, 1.0, 0],
+                                                "derevo": [0, 0, 1.0]}), paths["vectors"])
+    paths["concept_map"] = d / "map.tsv"
+    paths["concept_map"].write_text("CONCEPT\tWORD\tFREQUENCY\nCAR\tavtomobil\t0.4\n"
+                                    "CAR\tmashina\t0.6\nTREE\tderevo\t1\n", encoding="utf-8")
+    paths["config"] = d / "run.json"
+    paths["config"].write_text(json.dumps({"report": "report.json", "steps": [
+        {"command": "baseline",
+         "args": {"graph": str(paths["graph"]), "method": "ppmi", "out": "m.tsv"}}]}),
+        encoding="utf-8")
+    return paths
+
+
+BOM_CASES = [  # the input given a BOM, and a command that reads it
+    ("wordlist", "colexify --wordlist {wordlist} --type affix --out g.tsv"),
+    ("graph", "baseline --graph {graph} --method cosine --out m.tsv"),
+    ("sidecar", "baseline --graph {graph} --method cosine --out m.tsv"),
+    ("embedding", "eval-lsim --sim {embedding} --pairs {rated} --report r.json"),
+    ("rated", "eval-lsim --sim {embedding} --pairs {rated} --report r.json"),
+    ("pairs", "eval-shift --sim {embedding} --pairs {pairs} --runs 3 --seed 1 --report r.json"),
+    ("concepts", "viz --embedding {embedding} --concepts {concepts} --out plot "
+                 "--perplexity 3 --iterations 100 --seed 5"),
+    ("vectors", "map-external --vectors {vectors} --concept-map {concept_map} --dim 2 --out c.emb"),
+    ("concept_map", "map-external --vectors {vectors} --concept-map {concept_map} --dim 2 "
+                    "--out c.emb"),
+    ("config", "pipeline --config {config}"),
+]
+
+
+def output_contents(path):
+    """A file's bytes; a JSON report without its input hashes, which a BOM changes."""
+    if path.suffix != ".json":
+        return path.read_bytes()
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc.pop("inputs", None)
+    return doc
+
+
+@pytest.mark.parametrize("kind, command", BOM_CASES, ids=[kind for kind, _ in BOM_CASES])
+def test_leading_bom_gives_the_clean_output(tmp_path, monkeypatch, kind, command):
+    paths = clean_inputs(tmp_path)
+    argv = command.format(**paths).split()
+    outputs = []
+    for name in ("clean", "bom"):
+        if name == "bom":
+            paths[kind].write_bytes(b"\xef\xbb\xbf" + paths[kind].read_bytes())
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert run(argv) == 0
+        outputs.append({f.name: output_contents(f) for f in sorted(Path().iterdir())})
+    assert outputs[0] and outputs[1] == outputs[0]
 
 
 def test_pipeline_malformed_json_names_config_and_line(tmp_path, capsys):

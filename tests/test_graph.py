@@ -11,7 +11,6 @@ from colexvec.errors import ParseError, ValidationError
 from colexvec.graph import (
     adjacency,
     adjacency_matrix,
-    invert_weights,
     load_graph,
     make_graph,
     save_graph,
@@ -77,6 +76,7 @@ def test_load_graph_reads_sidecar(tmp_path):
     ("colex_type", "partial"),
     ("colex_type", ["full"]),
     ("weight_semantics", "counts"),
+    ("weight_semantics", "inverse_distance"),
     ("isolated_nodes", "LEAF"),
 ])
 def test_load_graph_rejects_bad_sidecar_field(tmp_path, field, value):
@@ -97,7 +97,6 @@ def test_graph_invariants_rejected():
         make_graph([("A", "B", -1)], "full", False)
     with pytest.raises(ValidationError):
         make_graph([("A", "B", 1.5)], "full", False)  # family counts are integers
-    make_graph([("A", "B", 1.5)], "full", False, weight_semantics="inverse_distance")
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
@@ -112,30 +111,20 @@ def test_non_finite_weight_rejected_naming_the_edge(bad):
         to_undirected(g)
 
 
-def test_invert_weights_rejects_non_finite_results():
-    # 1 / 5e-324 overflows to inf
-    g = make_graph([("A", "B", 5e-324)], "full", False, weight_semantics="inverse_distance")
-    with pytest.raises(ValidationError, match=r"^non-finite weight on A->B: inf$"):
-        invert_weights(g)
-    g = make_graph([("A", "B", 1)], "full", False)
-    object.__setattr__(g, "edges", (("A", "B", float("nan")),))
-    with pytest.raises(ValidationError, match=r"^non-finite weight on A->B: nan$"):
-        invert_weights(g)
-
-
 @pytest.mark.parametrize("weight", ["1e-10", "5e-324"])
 def test_family_count_below_one_rejected_naming_the_path(tmp_path, weight):
     # both round to 0, within the whole-number slack
     path = write_edge_file(tmp_path, f"A\tB\t{weight}\nB\tC\t2\n")
-    message = f"^{re.escape(str(path))}: family_count weight on A->B is not a whole number >= 1"
-    with pytest.raises(ValidationError, match=message):
+    message = f"^{re.escape(str(path))}:2: family_count weight on A->B is not a whole number >= 1"
+    with pytest.raises(ParseError, match=message):
         load_graph(path)
 
 
-def test_small_inverse_distance_weight_round_trips(tmp_path):
-    g = make_graph([("A", "B", 1e-10)], "full", False, weight_semantics="inverse_distance")
-    save_graph(g, tmp_path / "g.tsv")
-    assert load_graph(tmp_path / "g.tsv") == g
+def test_fractional_family_count_rejected_at_its_line(tmp_path):
+    path = write_edge_file(tmp_path, "A\tB\t2\nB\tC\t2.5\n")
+    message = f"{path}:3: family_count weight on B->C is not a whole number >= 1: 2.5"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load_graph(path)
 
 
 def test_to_undirected_max_merge():
@@ -150,23 +139,6 @@ def test_to_undirected_idempotent_and_no_merge():
     u = to_undirected(g)
     assert sorted(u.edges) == [("A", "B", 2.0), ("B", "C", 1.0)]
     assert to_undirected(u) == u
-
-
-def test_invert_weights_values():
-    g = make_graph([("A", "B", 5), ("B", "C", 1)], "full", False)
-    inv = invert_weights(g)
-    weights = {(s, t): w for s, t, w in inv.edges}
-    assert weights[("A", "B")] == pytest.approx(0.2)
-    assert weights[("B", "C")] == pytest.approx(1.0)
-    assert inv.weight_semantics == "inverse_distance"
-
-
-def test_invert_weights_involution():
-    g = make_graph([("A", "B", 7), ("B", "C", 3), ("C", "D", 11)], "full", False)
-    twice = invert_weights(invert_weights(g))
-    for (_, _, w0), (_, _, w1) in zip(g.edges, twice.edges):
-        assert abs(w0 - w1) < 1e-12
-    assert twice.weight_semantics == "family_count"
 
 
 def test_adjacency_hand_example():
@@ -218,14 +190,6 @@ def test_round_trip_exact(tmp_path):
     loaded = load_graph(tmp_path / "g.tsv")
     assert loaded == g
     assert "LONER" in loaded.nodes  # isolated nodes survive the round trip
-
-
-def test_round_trip_inverse_weights_stable(tmp_path):
-    g = invert_weights(make_graph([("A", "B", 3), ("B", "C", 7)], "full", False))
-    save_graph(g, tmp_path / "a.tsv")
-    first = (tmp_path / "a.tsv").read_bytes()
-    save_graph(load_graph(tmp_path / "a.tsv"), tmp_path / "b.tsv")
-    assert (tmp_path / "b.tsv").read_bytes() == first
 
 
 @st.composite
