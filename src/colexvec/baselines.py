@@ -9,6 +9,7 @@ Embedding sets get a provider of the same shape.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -66,6 +67,14 @@ class SimilarityProvider:
 
 
 def _table_provider(source: str, order: list, table: np.ndarray) -> SimilarityProvider:
+    # The CLI keeps its last provider for later steps, so the table gets its
+    # own anonymous memory map: outside the malloc heap it pins no heap
+    # memory freed around it, and dropping it unmaps its pages at once.
+    # Read-only, because every later step that reuses it reads the same one.
+    kept = np.ndarray(table.shape, table.dtype, buffer=mmap.mmap(-1, max(table.nbytes, 1)))
+    kept[...] = table
+    kept.flags.writeable = False
+    table = kept
     return SimilarityProvider(
         source=source,
         score=lambda ia, ib: table[ia, ib],
@@ -77,11 +86,15 @@ def _row_cosines(rows: np.ndarray) -> np.ndarray:
     """Cosine of every pair of rows; a zero row scores 0 against everything.
 
     The rows are not normalised first: for integer-valued rows the Gram
-    entries are exact, so each cell equals the per-pair dot/(|u||v|).
+    entries are exact, so each cell equals the per-pair dot/(|u||v|). The
+    Gram matrix is divided in place, so no third n x n array is made.
     """
     norms = np.linalg.norm(rows, axis=1)
     denom = np.outer(norms, norms)
-    return np.divide(rows @ rows.T, denom, out=np.zeros_like(denom), where=denom > 0)
+    gram = rows @ rows.T
+    np.divide(gram, denom, out=gram, where=denom > 0)
+    gram[denom == 0] = 0.0
+    return gram
 
 
 def _ppmi_matrix(mat: np.ndarray) -> np.ndarray:
@@ -97,12 +110,15 @@ def _ppmi_matrix(mat: np.ndarray) -> np.ndarray:
 
 
 def _walk_profiles(mat: np.ndarray, alpha: float, max_steps: int) -> np.ndarray:
-    """sum_{k=1..K} alpha^k P^k with P the row-normalized adjacency."""
+    """sum_{k=1..K} alpha^k P^k with P the row-normalized adjacency.
+
+    `mat` is overwritten by P; an isolated node's row stays all zero.
+    """
     rowsum = mat.sum(axis=1, keepdims=True)
-    p = np.divide(mat, rowsum, out=np.zeros_like(mat), where=rowsum > 0)
-    power = np.eye(mat.shape[0])
-    acc = np.zeros_like(mat)
-    for k in range(1, max_steps + 1):
+    p = np.divide(mat, rowsum, out=mat, where=rowsum > 0)
+    power = p
+    acc = alpha * p
+    for k in range(2, max_steps + 1):
         power = power @ p
         acc += alpha**k * power
     return acc

@@ -35,7 +35,7 @@ from .evaluation import (
     load_concept_pairs,
     load_rated_pairs,
 )
-from .graph import load_graph, save_graph, to_undirected
+from .graph import load_graph, save_graph, sidecar_path, to_undirected
 from .node2vec import SkipGramConfig, WalkConfig, node2vec_embed
 from .prone import ProneConfig, prone_embed
 from .runtime import config_digest, file_sha256
@@ -141,18 +141,6 @@ def build_parser(add_help: bool = True) -> _Parser:
     return parser
 
 
-def _baseline_provider(
-    method: str, g, alpha: float = 0.5, max_steps: int = 5, ppmi_mode: str = "pairwise"
-) -> SimilarityProvider:
-    if method == "shortest-path":
-        return shortest_path_provider(g)
-    if method == "cosine":
-        return cosine_adjacency_provider(g)
-    if method == "ppmi":
-        return ppmi_provider(g, mode=ppmi_mode)
-    return random_walk_provider(g, alpha=alpha, max_steps=max_steps)
-
-
 def parse_sim(spec: str) -> tuple:
     """(method, graph path) for '<method>:<graph.tsv>', else (None, embedding path)."""
     method, sep, rest = spec.partition(":")
@@ -161,12 +149,64 @@ def parse_sim(spec: str) -> tuple:
     return None, spec
 
 
+# The provider the last similarity step built, under the key it was built for.
+_slot = {}
+
+
+def _memoised(key: tuple, build) -> SimilarityProvider:
+    """The stored provider if it was built under `key`, else `build()`'s.
+
+    One slot, because consecutive steps that score one source (eval-lsim,
+    eval-shift and eval-links in a row) are the repeats worth catching. A
+    miss drops the stored provider before building, so at most one n x n
+    table is ever alive.
+    """
+    if _slot.get("key") != key:
+        _slot.clear()
+        _slot.update(key=key, provider=build())
+    return _slot["provider"]
+
+
+def _input_key(path) -> tuple:
+    """The resolved path plus the SHA-256 of the file and of its sidecar, if any."""
+    sidecar = sidecar_path(path)
+    return (
+        str(Path(path).resolve()),
+        file_sha256(path),
+        file_sha256(sidecar) if sidecar.exists() else None,
+    )
+
+
+def _graph_provider(
+    method: str, path, alpha: float = 0.5, max_steps: int = 5, ppmi_mode: str = "pairwise"
+) -> SimilarityProvider:
+    """`method`'s provider on the undirected graph at `path`, built once per key."""
+
+    def build():
+        g = to_undirected(load_graph(path))
+        if method == "shortest-path":
+            return shortest_path_provider(g)
+        if method == "cosine":
+            return cosine_adjacency_provider(g)
+        if method == "ppmi":
+            return ppmi_provider(g, mode=ppmi_mode)
+        return random_walk_provider(g, alpha=alpha, max_steps=max_steps)
+
+    return _memoised((method, alpha, max_steps, ppmi_mode, *_input_key(path)), build)
+
+
 def provider_from_spec(spec: str) -> SimilarityProvider:
-    """A topology baseline for '<method>:<graph.tsv>', else an embedding file's cosines."""
+    """A topology baseline for '<method>:<graph.tsv>', else an embedding file's cosines.
+
+    Asking again for the source the last call built, with the same input
+    bytes, returns that provider without reading or building anything.
+    """
     method, path = parse_sim(spec)
     if method:
-        return _baseline_provider(method, to_undirected(load_graph(path)))
-    return embedding_provider(load_embedding(path))
+        return _graph_provider(method, path)
+    return _memoised(
+        ("embedding", *_input_key(path)), lambda: embedding_provider(load_embedding(path))
+    )
 
 
 def _write_report(path, command: str, config: dict, inputs: list, report: dict) -> dict:
@@ -239,9 +279,8 @@ def cmd_map_external(args) -> dict:
 
 
 def cmd_baseline(args) -> dict:
-    g = to_undirected(load_graph(args.graph))
-    provider = _baseline_provider(
-        args.method, g, alpha=args.alpha, max_steps=args.max_steps, ppmi_mode=args.ppmi_mode
+    provider = _graph_provider(
+        args.method, args.graph, args.alpha, args.max_steps, args.ppmi_mode
     )
     out = Path(args.out)
     if args.pairs:
@@ -251,7 +290,7 @@ def cmd_baseline(args) -> dict:
         write_lines(out, "CONCEPT_A\tCONCEPT_B\tSCORE", lines)
         print(f"wrote {out}: {len(pairs)} scored pairs ({args.method})")
         return {"out": args.out, "pairs": len(pairs)}
-    order = g.sorted_nodes()
+    order = sorted(provider.covered)
     matrix = similarity_matrix(provider, order)
     lines = (node + "\t" + format_floats(row, "\t") for node, row in zip(order, matrix.values))
     write_lines(out, "CONCEPT\t" + "\t".join(order), lines)

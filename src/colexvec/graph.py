@@ -47,6 +47,11 @@ def _check_edge(src, dst, w: float) -> None:
         )
 
 
+def _edge_key(src, dst, directed: bool) -> tuple:
+    """The pair a duplicate edge repeats: ordered if directed, else sorted."""
+    return (src, dst) if directed else (min(src, dst), max(src, dst))
+
+
 @dataclass(frozen=True)
 class ColexGraph:
     """Weighted concept graph for one colexification type."""
@@ -64,7 +69,7 @@ class ColexGraph:
             _check_edge(src, dst, w)
             if src not in self.nodes or dst not in self.nodes:
                 raise ValidationError(f"edge endpoint missing from node set: {src}->{dst}")
-            key = (src, dst) if self.directed else (min(src, dst), max(src, dst))
+            key = _edge_key(src, dst, self.directed)
             if key in seen:
                 raise ValidationError(f"duplicate edge {src}->{dst}")
             seen.add(key)
@@ -192,12 +197,6 @@ def _load_sidecar(sidecar: Path) -> dict:
     return meta
 
 
-def _edge(src, dst, weight) -> tuple:
-    w = number(weight, "weight")
-    _check_edge(src, dst, w)
-    return src, dst, w
-
-
 def load_graph(path) -> ColexGraph:
     """Read an edge-list TSV plus sidecar metadata into a validated graph.
 
@@ -210,7 +209,19 @@ def load_graph(path) -> ColexGraph:
     if sidecar.exists():
         meta.update(_load_sidecar(sidecar))
 
-    edges = read_tsv(path, (EDGE_HEADER,), _edge)
+    seen = set()
+
+    def edge(src, dst, weight) -> tuple:
+        # checked row by row, so a bad or duplicate edge names its line
+        w = number(weight, "weight")
+        _check_edge(src, dst, w)
+        key = _edge_key(src, dst, meta["directed"])
+        if key in seen:
+            raise ValidationError(f"duplicate edge {src}->{dst}")
+        seen.add(key)
+        return src, dst, w
+
+    edges = read_tsv(path, (EDGE_HEADER,), edge)
     try:
         return make_graph(
             edges,

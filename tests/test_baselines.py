@@ -7,6 +7,9 @@ import pytest
 from scipy.sparse.csgraph import floyd_warshall
 
 from colexvec.baselines import (
+    _ppmi_matrix,
+    _row_cosines,
+    _walk_profiles,
     cosine_adjacency_provider,
     embedding_provider,
     ppmi_provider,
@@ -378,3 +381,47 @@ def test_every_provider_matches_dense_oracle():
             got = similarity_matrix(provider, order).values
             np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12,
                                        err_msg=f"{provider.source} on {g}")
+
+
+# ---------------------------------------------------------------------------
+# the in-place tables against the out-of-place formulas they replaced
+
+
+def out_of_place_walk_profiles(mat, alpha, max_steps):
+    rowsum = mat.sum(axis=1, keepdims=True)
+    p = np.divide(mat, rowsum, out=np.zeros_like(mat), where=rowsum > 0)
+    power = np.eye(mat.shape[0])
+    acc = np.zeros_like(mat)
+    for k in range(1, max_steps + 1):
+        power = power @ p
+        acc += alpha**k * power
+    return acc
+
+
+def out_of_place_row_cosines(rows):
+    norms = np.linalg.norm(rows, axis=1)
+    denom = np.outer(norms, norms)
+    return np.divide(rows @ rows.T, denom, out=np.zeros_like(denom), where=denom > 0)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("n, directed", [(1, False), (7, False), (60, True), (200, False),
+                                         (333, True)])
+def test_in_place_tables_have_the_out_of_place_bits(n, directed):
+    rng = np.random.default_rng(n)
+    mat = rng.integers(1, 9, (n, n)) * (rng.random((n, n)) < 0.05)
+    mat = np.triu(mat, k=1) if not directed else mat * (1 - np.eye(n, dtype=int))
+    mat = (mat if directed else mat + mat.T).astype(float)
+    isolated = rng.choice(n, size=max(1, n // 5), replace=False)
+    mat[isolated, :] = 0.0
+    mat[:, isolated] = 0.0
+    for rows in (mat, _ppmi_matrix(mat)):
+        assert same_bits(_row_cosines(rows), out_of_place_row_cosines(rows))
+    for alpha, steps in ((0.5, 5), (0.2, 1), (0.9, 3)):
+        want = out_of_place_walk_profiles(mat, alpha, steps)
+        work = mat.copy()
+        assert same_bits(_walk_profiles(work, alpha, steps), want)
+        assert same_bits(_row_cosines(want), out_of_place_row_cosines(want))

@@ -1,5 +1,7 @@
+import gc
 import json
 import shlex
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -351,6 +353,21 @@ def test_pipeline_byte_identical_reruns(tmp_path):
     assert (tmp_path / "pipeline.json").read_bytes() == first
 
 
+def test_readme_pipeline_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Pipelines\n", 1)[1]
+    config = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    monkeypatch.chdir(tmp_path)
+    Path("run.json").write_text(json.dumps(config), encoding="utf-8")
+    Path("wl.tsv").write_bytes((DATA / "toy_wordlist.tsv").read_bytes())
+    Path("lsim_pairs.tsv").write_bytes((DATA / "toy_rated_pairs.tsv").read_bytes())
+    assert run(["pipeline", "--config", "run.json"]) == 0
+    first = Path(config["report"]).read_bytes()
+    # the second run's eval-lsim finds its provider already built
+    assert run(["pipeline", "--config", "run.json"]) == 0
+    assert Path(config["report"]).read_bytes() == first
+
+
 def test_pipeline_keeps_every_metric_of_a_task(tmp_path):
     config = pipeline_config(tmp_path)
     config["steps"].append(
@@ -418,6 +435,22 @@ def test_family_count_below_one_exits_1_naming_the_graph(tmp_path, capsys, weigh
                 "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {graph}:2: family_count weight on A->B is not a whole number")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sidecar, rows, line_no, edge", [
+    (None, "A\tB\t1\nC\tD\t2\nB\tA\t3\n", 4, "B->A"),
+    ('{"directed": true}', "A\tB\t1\nB\tA\t2\nA\tB\t3\n", 4, "A->B"),
+], ids=["undirected", "directed"])
+def test_duplicate_edge_exits_1_naming_its_line(tmp_path, capsys, sidecar, rows, line_no, edge):
+    graph = tmp_path / "g.tsv"
+    graph.write_text("SOURCE\tTARGET\tWEIGHT\n" + rows, encoding="utf-8")
+    if sidecar:
+        (tmp_path / "g.tsv.json").write_text(sidecar, encoding="utf-8")
+    out = tmp_path / "m.tsv"
+    assert run(["baseline", "--graph", str(graph), "--method", "cosine",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {graph}:{line_no}: duplicate edge {edge}\n"
     assert not out.exists()
 
 
@@ -555,6 +588,136 @@ def test_pipeline_malformed_json_names_config_and_line(tmp_path, capsys):
     assert run(["pipeline", "--config", str(config_path)]) == 1
     assert capsys.readouterr().err == f"error: {config_path}:1: Expecting value\n"
 
+
+
+# ---------------------------------------------------------------------------
+# provider memo
+
+FACTORIES = ("shortest_path_provider", "cosine_adjacency_provider", "ppmi_provider",
+             "random_walk_provider", "embedding_provider")
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Weak references to every provider a cli factory builds, in build order.
+
+    Starts from an empty memo slot, so the first request of each test misses.
+    """
+    monkeypatch.setattr(cli, "_slot", {})
+    refs = []
+    for name in FACTORIES:
+        original = getattr(cli, name)
+
+        def wrapper(*args, _original=original, **kwargs):
+            provider = _original(*args, **kwargs)
+            refs.append(weakref.ref(provider))
+            return provider
+
+        monkeypatch.setattr(cli, name, wrapper)
+    return refs
+
+
+def lsim(sim, report) -> bytes:
+    assert run(["eval-lsim", "--sim", str(sim), "--pairs", data_path("toy_rated_pairs.tsv"),
+                "--report", str(report)]) == 0
+    return Path(report).read_bytes()
+
+
+def cold_lsim(sim, report) -> bytes:
+    cli._slot.clear()
+    return lsim(sim, report)
+
+
+def test_memo_rewritten_graph_misses(tmp_path, built):
+    graph = tmp_path / "g.tsv"
+    graph.write_text("SOURCE\tTARGET\tWEIGHT\nTREE\tFOREST\t2\nBARK\tSKIN\t1\n"
+                     "MOON\tMONTH\t1\nTREE\tBARK\t1\n", encoding="utf-8")
+    first = lsim(f"shortest-path:{graph}", tmp_path / "r.json")
+    assert lsim(f"shortest-path:{graph}", tmp_path / "r.json") == first
+    assert len(built) == 1
+    graph.write_text("SOURCE\tTARGET\tWEIGHT\nTREE\tFOREST\t1\nBARK\tSKIN\t3\n"
+                     "MOON\tMONTH\t2\nTREE\tBARK\t1\n", encoding="utf-8")
+    rewritten = lsim(f"shortest-path:{graph}", tmp_path / "r.json")
+    assert len(built) == 2
+    assert rewritten != first
+    assert rewritten == cold_lsim(f"shortest-path:{graph}", tmp_path / "r.json")
+
+
+@pytest.mark.parametrize("sidecar", [
+    '{"directed": true}',
+    '{"isolated_nodes": ["FIRE", "WATER"]}',
+], ids=["directed", "isolated_nodes"])
+def test_memo_rewritten_sidecar_misses(tmp_path, built, sidecar):
+    graph = tmp_path / "g.tsv"
+    graph.write_text("SOURCE\tTARGET\tWEIGHT\nTREE\tFOREST\t2\nBARK\tSKIN\t1\n"
+                     "FIRE\tSUN\t1\n", encoding="utf-8")
+    lsim(f"ppmi:{graph}", tmp_path / "r.json")
+    (tmp_path / "g.tsv.json").write_text(sidecar, encoding="utf-8")
+    rewritten = lsim(f"ppmi:{graph}", tmp_path / "r.json")
+    assert len(built) == 2
+    assert rewritten == cold_lsim(f"ppmi:{graph}", tmp_path / "r.json")
+
+
+def test_memo_keys_on_parameters(tmp_path, built):
+    graph = toy_graph(tmp_path, "affix")
+    lsim(f"random-walk:{graph}", tmp_path / "r.json")
+    assert run(["baseline", "--graph", str(graph), "--method", "random-walk",
+                "--out", str(tmp_path / "default.tsv")]) == 0
+    assert len(built) == 1  # --sim builds with the default parameters
+    assert run(["baseline", "--graph", str(graph), "--method", "random-walk",
+                "--alpha", "0.3", "--out", str(tmp_path / "alpha.tsv")]) == 0
+    assert len(built) == 2
+    assert (tmp_path / "alpha.tsv").read_bytes() != (tmp_path / "default.tsv").read_bytes()
+
+
+def test_memo_holds_one_provider(tmp_path, built, monkeypatch):
+    graph = toy_graph(tmp_path, "affix")
+    emb = separable_embedding(tmp_path)
+    alive_at_build = []
+    original = cli.ppmi_provider
+
+    def ppmi_provider(*args, **kwargs):
+        gc.collect()
+        alive_at_build.append([ref() is not None for ref in built])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ppmi_provider", ppmi_provider)
+    lsim(emb, tmp_path / "e.json")
+    lsim(f"ppmi:{graph}", tmp_path / "p.json")
+    gc.collect()
+    # the embedding provider was dropped before the table was built
+    assert alive_at_build == [[False]]
+    assert [ref() is not None for ref in built] == [False, True]
+
+
+@pytest.mark.parametrize("method", ["shortest-path", "cosine", "ppmi", "random-walk", None])
+def test_memo_warm_reports_match_cold(tmp_path, built, method):
+    graph = toy_graph(tmp_path, "affix")
+    sim = f"{method}:{graph}" if method else str(separable_embedding(tmp_path))
+    evals = [
+        ["eval-lsim", "--pairs", data_path("toy_rated_pairs.tsv")],
+        ["eval-shift", "--pairs", data_path("toy_shift_pairs.tsv"), "--runs", "3", "--seed", "2"],
+        ["eval-links", "--pairs", data_path("toy_association_pairs.tsv"),
+         "--runs", "3", "--seed", "2", "--min-weight", "5"],
+    ]
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    cold.mkdir()
+    warm.mkdir()
+    for argv in evals:
+        cli._slot.clear()
+        assert run(argv + ["--sim", sim, "--report", str(cold / argv[0])]) == 0
+    cli._slot.clear()
+    if method:
+        assert run(["baseline", "--graph", str(graph), "--method", method,
+                    "--out", str(tmp_path / "m.tsv")]) == 0
+    else:
+        lsim(sim, tmp_path / "warm-up.json")
+    builds = len(built)
+    for argv in evals:
+        assert run(argv + ["--sim", sim, "--report", str(warm / argv[0])]) == 0
+    assert len(built) == builds
+    for argv in evals:
+        assert (warm / argv[0]).read_bytes() == (cold / argv[0]).read_bytes()
 
 # ---------------------------------------------------------------------------
 # exit codes

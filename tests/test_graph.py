@@ -58,8 +58,10 @@ def test_load_graph_nonpositive_weight(tmp_path):
 
 def test_load_graph_duplicate_edge(tmp_path):
     path = write_edge_file(tmp_path, "A\tB\t1\nB\tA\t2\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError) as exc:
         load_graph(path)  # undirected by default: same unordered pair
+    assert exc.value.line_no == 3
+    assert str(exc.value).endswith("g.tsv:3: duplicate edge B->A")
 
 
 def test_load_graph_reads_sidecar(tmp_path):
