@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
+import scipy.sparse as sp
 
 from .embeddings import EmbeddingSet
 from .errors import ValidationError
-from .graph import ColexGraph, DenseMatrix, adjacency
+from .graph import ColexGraph, DenseMatrix
 from .numerics import cosine_similarity
 
 PROVIDER_SOURCES = frozenset(
@@ -133,8 +134,8 @@ def shortest_path_provider(g: ColexGraph) -> SimilarityProvider:
     # command not scoring shortest paths would otherwise pay at import
     from scipy.sparse.csgraph import dijkstra
 
-    lengths = adjacency(g)
-    lengths.data = 1.0 / lengths.data
+    adj = g.adjacency
+    lengths = sp.csr_array((1.0 / adj.data, adj.indices, adj.indptr), shape=adj.shape)
     dist = dijkstra(lengths, directed=True)
     finite = np.isfinite(dist)
     fill = 2.0 * dist[finite].max() if finite.any() else 0.0
@@ -144,7 +145,7 @@ def shortest_path_provider(g: ColexGraph) -> SimilarityProvider:
 
 def cosine_adjacency_provider(g: ColexGraph) -> SimilarityProvider:
     """Cosine of the concepts' adjacency-matrix rows; isolated rows score 0."""
-    mat = adjacency(g).toarray()
+    mat = g.adjacency.toarray()
     return _table_provider("cosine_adjacency", g.sorted_nodes(), _row_cosines(mat))
 
 
@@ -157,7 +158,7 @@ def ppmi_provider(g: ColexGraph, mode: str = "pairwise") -> SimilarityProvider:
     """
     if mode not in ("pairwise", "cosine_rows"):
         raise ValidationError(f"unknown ppmi mode {mode!r}")
-    ppmi = _ppmi_matrix(adjacency(g).toarray())
+    ppmi = _ppmi_matrix(g.adjacency.toarray())
     table = _row_cosines(ppmi) if mode == "cosine_rows" else ppmi
     return _table_provider("ppmi", g.sorted_nodes(), table)
 
@@ -170,7 +171,7 @@ def random_walk_provider(
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     if max_steps < 1:
         raise ValidationError(f"max_steps must be >= 1, got {max_steps}")
-    profiles = _walk_profiles(adjacency(g).toarray(), alpha, max_steps)
+    profiles = _walk_profiles(g.adjacency.toarray(), alpha, max_steps)
     return _table_provider("random_walk", g.sorted_nodes(), _row_cosines(profiles))
 
 

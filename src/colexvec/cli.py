@@ -27,7 +27,7 @@ from .baselines import (
 )
 from .combine import combine, map_external_vectors
 from .embeddings import load_embedding, save_embedding
-from .errors import ColexvecError, ParseError
+from .errors import ColexvecError, ParseError, ValidationError
 from .evaluation import (
     eval_binary,
     eval_lsim,
@@ -239,6 +239,8 @@ def _config(cls, args):
 
 def cmd_embed(args) -> dict:
     g = to_undirected(load_graph(args.graph))
+    if g.n_edges == 0:
+        raise ValidationError(f"{args.graph}: no edges to embed")
     if args.method == "node2vec":
         es = node2vec_embed(g, _config(WalkConfig, args), _config(SkipGramConfig, args))
     else:

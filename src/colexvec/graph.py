@@ -1,9 +1,10 @@
 """Colexification network data model with edge-list I/O.
 
 Concept identifiers are plain strings (Concepticon-style labels such as
-"TREE"). Graphs are immutable once built: every transform returns a new
-instance. An edge's weight counts the language families that attest the
-colexification, so every weight is a whole number >= 1.
+"TREE"). A graph is its weighted adjacency, one read-only CSR matrix that
+every consumer shares; every transform returns a new instance. An edge's
+weight counts the language families that attest the colexification, so
+every weight is a whole number >= 1.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,70 +31,96 @@ EDGE_HEADER = "SOURCE\tTARGET\tWEIGHT"
 _INT_TOL = 1e-9
 
 
-def _check_edge(src, dst, w: float) -> None:
-    """Reject an empty id, a self-loop, or a weight that is not a family count.
+def _edge_checker(directed: bool) -> Callable:
+    """A function that checks one edge (src, dst, w) and returns it.
 
-    A count is a whole number >= 1 within the slack; 1e-10 is not.
+    It rejects an empty id, a self-loop, a weight that is not a family
+    count (a whole number >= 1 within the slack; 1e-10 is not) and a pair
+    it has seen before: the ordered pair if directed, else the sorted one.
     """
-    if not src or not dst:
-        raise ValidationError("empty concept id in edge list")
-    if src == dst:
-        raise ValidationError(f"self-loop on {src!r}")
-    if not math.isfinite(w):
-        raise ValidationError(f"non-finite weight on {src}->{dst}: {w}")
-    if not (round(w) >= 1 and abs(w - round(w)) <= _INT_TOL * max(1.0, abs(w))):
-        raise ValidationError(
-            f"family_count weight on {src}->{dst} is not a whole number >= 1: {w}"
-        )
+    seen = set()
+
+    def check(src, dst, w: float) -> tuple:
+        if not src or not dst:
+            raise ValidationError("empty concept id in edge list")
+        if src == dst:
+            raise ValidationError(f"self-loop on {src!r}")
+        if not math.isfinite(w):
+            raise ValidationError(f"non-finite weight on {src}->{dst}: {w}")
+        if not (round(w) >= 1 and abs(w - round(w)) <= _INT_TOL * max(1.0, abs(w))):
+            raise ValidationError(
+                f"family_count weight on {src}->{dst} is not a whole number >= 1: {w}"
+            )
+        key = (src, dst) if directed else (min(src, dst), max(src, dst))
+        if key in seen:
+            raise ValidationError(f"duplicate edge {src}->{dst}")
+        seen.add(key)
+        return src, dst, w
+
+    return check
 
 
-def _edge_key(src, dst, directed: bool) -> tuple:
-    """The pair a duplicate edge repeats: ordered if directed, else sorted."""
-    return (src, dst) if directed else (min(src, dst), max(src, dst))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColexGraph:
-    """Weighted concept graph for one colexification type."""
+    """Weighted concept graph for one colexification type.
 
-    nodes: frozenset
-    edges: tuple
+    `adjacency` is the graph: a CSR matrix over the sorted node ids `order`
+    whose arrays are read-only. An undirected edge fills both (i, j) and
+    (j, i), a directed one only (i, j). Column indices are sorted within
+    each row, and an isolated node has an empty row and column. Graphs
+    compare equal when their order, type, direction and edges match.
+    `make_graph` and `load_graph` check every edge before building one.
+    """
+
+    order: tuple
+    adjacency: sp.csr_array
     colex_type: str
     directed: bool
 
     def __post_init__(self):
         if self.colex_type not in COLEX_TYPES:
             raise ValidationError(f"unknown colex_type {self.colex_type!r}")
-        seen = set()
-        for src, dst, w in self.edges:
-            _check_edge(src, dst, w)
-            if src not in self.nodes or dst not in self.nodes:
-                raise ValidationError(f"edge endpoint missing from node set: {src}->{dst}")
-            key = _edge_key(src, dst, self.directed)
-            if key in seen:
-                raise ValidationError(f"duplicate edge {src}->{dst}")
-            seen.add(key)
-        for node in self.nodes:
-            if not node:
-                raise ValidationError("empty concept id in node set")
+        for array in (self.adjacency.data, self.adjacency.indices, self.adjacency.indptr):
+            array.flags.writeable = False
+
+    def _key(self) -> tuple:
+        return (self.order, self.colex_type, self.directed, self.edges)
+
+    def __eq__(self, other):
+        return isinstance(other, ColexGraph) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    @property
+    def nodes(self) -> frozenset:
+        return frozenset(self.order)
+
+    @property
+    def edges(self) -> tuple:
+        """(src, dst, w) in row-major order; an undirected edge once, as (min, max)."""
+        adj = self.adjacency
+        rows = np.repeat(np.arange(self.n_nodes), np.diff(adj.indptr))
+        keep = self.directed | (rows < adj.indices)
+        names = self.order
+        return tuple((names[i], names[j], w) for i, j, w in zip(
+            rows[keep].tolist(), adj.indices[keep].tolist(), adj.data[keep].tolist()))
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.order)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return self.adjacency.nnz if self.directed else self.adjacency.nnz // 2
 
     def sorted_nodes(self) -> list:
-        return sorted(self.nodes)
+        return list(self.order)
 
     def isolated_nodes(self) -> frozenset:
-        touched = set()
-        for src, dst, _ in self.edges:
-            touched.add(src)
-            touched.add(dst)
-        return frozenset(self.nodes - touched)
+        touched = np.diff(self.adjacency.indptr) > 0
+        touched[self.adjacency.indices] = True  # a directed edge's target
+        return frozenset(node for node, t in zip(self.order, touched.tolist()) if not t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,17 +162,26 @@ def make_graph(
     extra_nodes: Iterable = (),
 ) -> ColexGraph:
     """Build a validated graph; node set = edge endpoints plus extra_nodes."""
-    edge_tuple = tuple((src, dst, float(w)) for src, dst, w in edges)
+    check = _edge_checker(directed)
+    edges = [check(src, dst, float(w)) for src, dst, w in edges]
+    return _from_checked_edges(edges, colex_type, directed, extra_nodes)
+
+
+def _from_checked_edges(
+    edges: list, colex_type: str, directed: bool, extra_nodes: Iterable
+) -> ColexGraph:
+    """The graph of already checked edges plus extra_nodes."""
     nodes = set(extra_nodes)
-    for src, dst, _ in edge_tuple:
-        nodes.add(src)
-        nodes.add(dst)
-    return ColexGraph(
-        nodes=frozenset(nodes),
-        edges=edge_tuple,
-        colex_type=colex_type,
-        directed=directed,
-    )
+    if not all(nodes):
+        raise ValidationError("empty concept id in node set")
+    src, dst, weights = zip(*edges) if edges else ((), (), ())
+    order = tuple(sorted(nodes.union(src, dst)))
+    index = {node: i for i, node in enumerate(order)}
+    rows = np.fromiter(map(index.__getitem__, src), dtype=np.intp, count=len(src))
+    cols = np.fromiter(map(index.__getitem__, dst), dtype=np.intp, count=len(dst))
+    # the COO to CSR conversion and the sum of CSR arrays sort every row's indices
+    adj = sp.csr_array((np.array(weights, dtype=float), (rows, cols)), shape=(len(order),) * 2)
+    return ColexGraph(order, adj if directed else adj + adj.T, colex_type, directed)
 
 
 def sidecar_path(path) -> Path:
@@ -209,25 +245,13 @@ def load_graph(path) -> ColexGraph:
     if sidecar.exists():
         meta.update(_load_sidecar(sidecar))
 
-    seen = set()
-
-    def edge(src, dst, weight) -> tuple:
-        # checked row by row, so a bad or duplicate edge names its line
-        w = number(weight, "weight")
-        _check_edge(src, dst, w)
-        key = _edge_key(src, dst, meta["directed"])
-        if key in seen:
-            raise ValidationError(f"duplicate edge {src}->{dst}")
-        seen.add(key)
-        return src, dst, w
-
-    edges = read_tsv(path, (EDGE_HEADER,), edge)
+    check = _edge_checker(meta["directed"])
+    # checked row by row, so a bad or duplicate edge names its line
+    edges = read_tsv(path, (EDGE_HEADER,),
+                     lambda src, dst, weight: check(src, dst, number(weight, "weight")))
     try:
-        return make_graph(
-            edges,
-            colex_type=meta["colex_type"],
-            directed=meta["directed"],
-            extra_nodes=meta.get("isolated_nodes", ()),
+        return _from_checked_edges(
+            edges, meta["colex_type"], meta["directed"], meta.get("isolated_nodes", ())
         )
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
@@ -242,41 +266,15 @@ def to_undirected(g: ColexGraph) -> ColexGraph:
     """
     if not g.directed:
         return g
-    adj = adjacency(g)
-    # the upper triangle in row-major order lists each pair once, sorted by name
-    merged = sp.triu(adj.maximum(adj.T), k=1, format="csr").tocoo()
-    names = g.sorted_nodes()
-    edges = tuple((names[i], names[j], w) for i, j, w in
-                  zip(merged.row.tolist(), merged.col.tolist(), merged.data.tolist()))
-    return ColexGraph(
-        nodes=g.nodes,
-        edges=edges,
-        colex_type=g.colex_type,
-        directed=False,
-    )
-
-
-def adjacency(g: ColexGraph) -> sp.csr_array:
-    """Weighted adjacency over `g.sorted_nodes()` in CSR form.
-
-    An undirected edge fills both (i, j) and (j, i), a directed one only
-    (i, j). Column indices are sorted within each row, and an isolated
-    node has an empty row.
-    """
-    index = {node: i for i, node in enumerate(g.sorted_nodes())}
-    src, dst, weights = zip(*g.edges) if g.edges else ((), (), ())
-    rows = np.fromiter(map(index.__getitem__, src), dtype=np.intp, count=len(src))
-    cols = np.fromiter(map(index.__getitem__, dst), dtype=np.intp, count=len(dst))
-    # the COO to CSR conversion and the sum of CSR arrays sort every row's indices
-    adj = sp.csr_array((np.array(weights, dtype=float), (rows, cols)), shape=(len(index),) * 2)
-    return adj if g.directed else adj + adj.T
+    adj = g.adjacency
+    return ColexGraph(g.order, adj.maximum(adj.T), g.colex_type, directed=False)
 
 
 def adjacency_matrix(g: ColexGraph, order: Sequence) -> DenseMatrix:
-    """Dense `adjacency(g)` with rows and columns in the given node order."""
+    """Dense `g.adjacency` with rows and columns in the given node order."""
     order = list(order)
     if len(order) != len(set(order)) or set(order) != set(g.nodes):
         raise ValidationError("order must be a permutation of the graph's nodes")
-    index = {node: i for i, node in enumerate(g.sorted_nodes())}
+    index = {node: i for i, node in enumerate(g.order)}
     perm = [index[node] for node in order]
-    return DenseMatrix(values=adjacency(g).toarray()[np.ix_(perm, perm)], row_labels=tuple(order))
+    return DenseMatrix(values=g.adjacency.toarray()[np.ix_(perm, perm)], row_labels=tuple(order))

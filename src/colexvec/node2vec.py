@@ -18,7 +18,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet
 from .errors import ValidationError
-from .graph import ColexGraph, adjacency
+from .graph import ColexGraph
 from .runtime import config_digest
 
 logger = logging.getLogger(__name__)
@@ -68,7 +68,7 @@ class SkipGramConfig:
 def sample_walks(g: ColexGraph, cfg: WalkConfig) -> list:
     """Weighted second-order random walks, `walks_per_node` per non-isolated node.
 
-    Each step draws from the current node's row of `adjacency(g)`, its
+    Each step draws from the current node's row of `g.adjacency`, its
     neighbours in sorted order. With p = q = 1 the draw is plain
     weight-proportional; otherwise the previous node reweights each
     candidate by 1/p (the previous node itself), 1 (a neighbour of the
@@ -80,7 +80,7 @@ def sample_walks(g: ColexGraph, cfg: WalkConfig) -> list:
         raise ValidationError("sample_walks needs an undirected graph")
 
     order = g.sorted_nodes()
-    adj = adjacency(g)
+    adj = g.adjacency
     indptr, indices, weights = adj.indptr, adj.indices, adj.data
     # row i's CDF is cdf[indptr[i]:indptr[i + 1]], aligned with its neighbours
     cdf = weights.copy()

@@ -106,17 +106,10 @@ def randomized_tsvd(m, d: int, seed: int, n_iter: int = 7, oversample: int = 10)
 
 
 def _average_ranks(xs: np.ndarray) -> np.ndarray:
-    order = np.argsort(xs, kind="stable")
-    ranks = np.empty(len(xs), dtype=float)
-    i = 0
-    while i < len(xs):
-        j = i
-        while j + 1 < len(xs) and xs[order[j + 1]] == xs[order[i]]:
-            j += 1
-        # ranks are 1-based; ties share the average of their positions
-        ranks[order[i: j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; ties share the average of their positions."""
+    _, inverse, counts = np.unique(xs, return_inverse=True, return_counts=True)
+    # a run of c tied values ending at 1-based position e averages e - (c - 1) / 2
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def spearman_rho(xs, ys) -> float:
@@ -131,6 +124,8 @@ def spearman_rho(xs, ys) -> float:
         raise ValidationError("inputs must be 1-D and of equal length")
     if len(xs) < 3:
         raise ValidationError(f"need at least 3 observations, got {len(xs)}")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValidationError("inputs must be finite")
     if np.all(xs == xs[0]) or np.all(ys == ys[0]):
         raise ValidationError("degenerate input: all values tied")
     rx = _average_ranks(xs)

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from .embeddings import EmbeddingSet
 from .errors import ValidationError
-from .graph import ColexGraph, DenseMatrix, adjacency
+from .graph import ColexGraph, DenseMatrix
 from .numerics import randomized_tsvd
 from .runtime import config_digest
 
@@ -74,7 +74,7 @@ def build_shifted_matrix(g: ColexGraph, cfg: ProneConfig) -> sp.csr_array:
     """
     if g.directed:
         raise ValidationError("build_shifted_matrix needs an undirected graph")
-    adj = adjacency(g).tocoo()
+    adj = g.adjacency.tocoo()
 
     n = g.n_nodes
     degree = np.zeros(n)
@@ -118,14 +118,14 @@ def spectral_propagate(g: ColexGraph, base: DenseMatrix, cfg: ProneConfig) -> Em
     if base.cols != cfg.dim:
         raise ValidationError(f"base has {base.cols} columns, config dim is {cfg.dim}")
 
-    # work in sorted node order, the order of adjacency(g)
+    # work in sorted node order, the order of g.adjacency
     row = {node: i for i, node in enumerate(labels)}
     x0 = base.values[[row[node] for node in order]]
     if cfg.step == 1:
         out = _l2_normalize_rows(x0)
     else:
         n = len(order)
-        a_hat = adjacency(g) + sp.eye_array(n, format="csr")
+        a_hat = g.adjacency + sp.eye_array(n, format="csr")
         inv_rows = 1.0 / np.asarray(a_hat.sum(axis=1)).ravel()
         da = sp.diags_array(inv_rows) @ a_hat
         m = sp.eye_array(n, format="csr") * (1.0 - cfg.mu) - da

@@ -1,6 +1,7 @@
 import gc
 import json
 import shlex
+import warnings
 import weakref
 from importlib import resources
 from pathlib import Path
@@ -88,6 +89,21 @@ def test_embed_requires_seed(tmp_path, capsys):
                 "--out", str(tmp_path / "e.txt")])
     assert code == 1
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["prone", "node2vec"])
+def test_embed_graph_without_edges_exits_1(tmp_path, capsys, method):
+    graph = tmp_path / "bare.tsv"
+    graph.write_text("SOURCE\tTARGET\tWEIGHT\n", encoding="utf-8")
+    (tmp_path / "bare.tsv.json").write_text('{"isolated_nodes": ["FIRE", "WATER"]}',
+                                             encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["embed", "--graph", str(graph), "--method", method, "--seed", "1",
+                    "--dim", "2", "--out", str(tmp_path / "e.txt")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {graph}: no edges to embed\n"
+    assert not (tmp_path / "e.txt").exists()
 
 
 def test_embed_undirects_affix_graph(tmp_path):

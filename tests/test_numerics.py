@@ -172,6 +172,14 @@ def test_spearman_errors():
         spearman_rho([1, 1, 1], [1, 2, 3])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_spearman_rejects_non_finite_input(bad):
+    with pytest.raises(ValidationError, match="inputs must be finite"):
+        spearman_rho([1, 2, bad, 4], [1, 2, 3, 4])
+    with pytest.raises(ValidationError, match="inputs must be finite"):
+        spearman_rho([1, 2, 3, 4], [1, bad, 3, 4])
+
+
 def test_spearman_matches_scipy_with_ties():
     rng = np.random.default_rng(17)
     for _ in range(20):
@@ -181,6 +189,36 @@ def test_spearman_matches_scipy_with_ties():
             continue
         expected = scipy.stats.spearmanr(xs, ys).statistic
         assert spearman_rho(xs, ys) == pytest.approx(expected, abs=1e-12)
+
+
+def loop_average_ranks(xs):
+    """Average ranks by walking the stably sorted values run by run."""
+    order = np.argsort(xs, kind="stable")
+    ranks = np.empty(len(xs), dtype=float)
+    i = 0
+    while i < len(xs):
+        j = i
+        while j + 1 < len(xs) and xs[order[j + 1]] == xs[order[i]]:
+            j += 1
+        ranks[order[i: j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_average_ranks_bitwise_equal_to_loop_oracle():
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        n = int(rng.integers(1, 60))
+        kind = trial % 3
+        if kind == 0:
+            xs = rng.integers(-4, 5, size=n).astype(float)  # integer ties
+        elif kind == 1:
+            xs = np.round(rng.standard_normal(n), 1)  # rounded normals
+        else:
+            xs = rng.choice([0.0, -0.0, 1.0, -1.0], size=n)  # +0.0 and -0.0 tie
+        got = numerics._average_ranks(xs)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, loop_average_ranks(xs)), xs
 
 
 @settings(max_examples=50, deadline=None)
