@@ -16,6 +16,7 @@ from .embeddings import EmbeddingSet, load_embedding, save_embedding
 from .errors import (
     ColexvecError,
     InsufficientDataError,
+    NoEdgesError,
     ParseError,
     SamplingError,
     ValidationError,

@@ -182,16 +182,11 @@ def embedding_provider(es: EmbeddingSet) -> SimilarityProvider:
     `cosine_similarity` keeps those ties (a matrix product can break them
     by an ulp and so move rank statistics) and warns on zero vectors.
     """
-    order = es.sorted_concepts()
-    vectors = es.matrix(order).values
+    vectors = es.values
     pair_cosine = np.vectorize(
         lambda i, j: cosine_similarity(vectors[i], vectors[j]), otypes=[float]
     )
-    return SimilarityProvider(
-        source="embedding",
-        score=pair_cosine,
-        index={concept: i for i, concept in enumerate(order)},
-    )
+    return SimilarityProvider(source="embedding", score=pair_cosine, index=es.index)
 
 
 def similarity_matrix(provider: SimilarityProvider, order) -> DenseMatrix:

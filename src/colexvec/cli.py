@@ -27,7 +27,7 @@ from .baselines import (
 )
 from .combine import combine, map_external_vectors
 from .embeddings import load_embedding, save_embedding
-from .errors import ColexvecError, ParseError, ValidationError
+from .errors import ColexvecError, NoEdgesError, ParseError
 from .evaluation import (
     eval_binary,
     eval_lsim,
@@ -239,21 +239,22 @@ def _config(cls, args):
 
 def cmd_embed(args) -> dict:
     g = to_undirected(load_graph(args.graph))
-    if g.n_edges == 0:
-        raise ValidationError(f"{args.graph}: no edges to embed")
-    if args.method == "node2vec":
-        es = node2vec_embed(g, _config(WalkConfig, args), _config(SkipGramConfig, args))
-    else:
-        es = prone_embed(g, _config(ProneConfig, args))
+    try:
+        if args.method == "node2vec":
+            es = node2vec_embed(g, _config(WalkConfig, args), _config(SkipGramConfig, args))
+        else:
+            es = prone_embed(g, _config(ProneConfig, args))
+    except NoEdgesError as exc:
+        raise NoEdgesError(f"{args.graph}: {exc}") from exc
     save_embedding(es, args.out)
     uncovered = es.provenance.get("uncovered", ())
     print(
-        f"wrote {args.out}: {len(es.vectors)} concepts, dim {es.dim}"
+        f"wrote {args.out}: {len(es.concepts)} concepts, dim {es.dim}"
         + (f", {len(uncovered)} isolated concepts uncovered" if uncovered else "")
     )
     return {
         "out": args.out,
-        "concepts": len(es.vectors),
+        "concepts": len(es.concepts),
         "dim": es.dim,
         "seed": args.seed,
         "config_digest": es.provenance.get("config_digest"),
@@ -265,8 +266,8 @@ def cmd_combine(args) -> dict:
     sets = [load_embedding(p) for p in paths]
     fused = combine(sets, args.dim)
     save_embedding(fused, args.out)
-    print(f"wrote {args.out}: {len(fused.vectors)} concepts, dim {fused.dim}")
-    return {"out": args.out, "concepts": len(fused.vectors), "dim": fused.dim}
+    print(f"wrote {args.out}: {len(fused.concepts)} concepts, dim {fused.dim}")
+    return {"out": args.out, "concepts": len(fused.concepts), "dim": fused.dim}
 
 
 def cmd_map_external(args) -> dict:
@@ -274,10 +275,10 @@ def cmd_map_external(args) -> dict:
     save_embedding(es, args.out)
     excluded = es.provenance.get("excluded", ())
     print(
-        f"wrote {args.out}: {len(es.vectors)} concepts, dim {es.dim}"
+        f"wrote {args.out}: {len(es.concepts)} concepts, dim {es.dim}"
         + (f", {len(excluded)} concepts had no resolvable word" if excluded else "")
     )
-    return {"out": args.out, "concepts": len(es.vectors), "excluded": len(excluded)}
+    return {"out": args.out, "concepts": len(es.concepts), "excluded": len(excluded)}
 
 
 def cmd_baseline(args) -> dict:
@@ -348,12 +349,12 @@ def cmd_viz(args) -> dict:
         with open_text(args.concepts) as fh:
             wanted = list(dict.fromkeys(
                 line.strip() for line in fh.read().splitlines() if line.strip()))
-        order = [c for c in wanted if c in es.vectors]
+        order = [c for c in wanted if c in es.index]
         missing = len(wanted) - len(order)
         if missing:
             print(f"skipping {missing} concepts not covered by the embedding")
     else:
-        order = es.sorted_concepts()
+        order = list(es.concepts)
     matrix = es.matrix(order)
     coords = tsne_project(
         matrix, perplexity=args.perplexity, iterations=args.iterations, seed=args.seed

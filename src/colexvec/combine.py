@@ -26,16 +26,14 @@ CONCEPT_MAP_HEADER = "CONCEPT\tWORD\tFREQUENCY"
 def stack_union(sets) -> DenseMatrix:
     """Concatenated matrix over the union of coverages, zero blocks for gaps."""
     sets = list(sets)
-    universe = sorted(set().union(*(s.coverage() for s in sets)))
+    universe = sorted(set().union(*(s.concepts for s in sets)))
     if not universe:
         raise ValidationError("no concepts covered by any input set")
+    row = {concept: i for i, concept in enumerate(universe)}
     stacked = np.zeros((len(universe), sum(s.dim for s in sets)))
     offset = 0
     for s in sets:
-        for i, concept in enumerate(universe):
-            vec = s.vectors.get(concept)
-            if vec is not None:
-                stacked[i, offset: offset + s.dim] = vec
+        stacked[[row[c] for c in s.concepts], offset: offset + s.dim] = s.values
         offset += s.dim
     return DenseMatrix(values=stacked, row_labels=tuple(universe))
 
@@ -49,9 +47,7 @@ def combine(sets, d: int) -> EmbeddingSet:
         raise ValidationError(
             f"target dim {d} must equal the first set's dim {sets[0].dim}"
         )
-    stacked = stack_union(sets)
-    universe = list(stacked.row_labels)
-    reduced = pca_reduce(stacked, d)
+    reduced = pca_reduce(stack_union(sets), d)
 
     colex_types = []
     for s in sets:
@@ -62,15 +58,14 @@ def combine(sets, d: int) -> EmbeddingSet:
         "inputs": tuple(s.provenance.get("method", "unknown") for s in sets),
         "config_digest": config_digest({"dim": d, "inputs": [dict(s.provenance) for s in sets]}),
     }
-    shared = set.intersection(*(set(s.coverage()) for s in sets))
+    shared = set.intersection(*(set(s.concepts) for s in sets))
     if not shared:
         provenance["warning"] = "input sets share no covered concept"
         logger.warning("combine: input sets share no covered concept")
     if reduced.meta.get("rank_deficient"):
         provenance["rank_deficient"] = True
 
-    vectors = {concept: reduced.values[i] for i, concept in enumerate(universe)}
-    return EmbeddingSet(dim=d, vectors=vectors, provenance=provenance)
+    return EmbeddingSet(reduced.row_labels, reduced.values, provenance)
 
 
 def _concept_word(concept, word, frequency) -> tuple:
@@ -91,40 +86,34 @@ def aggregate_concept_vectors(words: EmbeddingSet, concept_map) -> tuple:
     """Frequency-weighted mean of each concept's word vectors.
 
     Words absent from the vector set are dropped and the remaining weights
-    renormalized. Returns (vectors dict, excluded concept list); a concept
-    with no resolvable word (or only zero-weight ones) is excluded.
+    renormalized. Returns (set, excluded): an EmbeddingSet over the
+    resolved concepts and the sorted list of the others; a concept with no
+    resolvable word (or only zero-weight ones) is excluded.
     """
-    grouped = {}
+    found = {}  # concept -> (row, frequency) of each of its words in the set
     for concept, word, freq in concept_map:
-        grouped.setdefault(concept, []).append((word, freq))
-
-    vectors = {}
-    excluded = []
-    for concept in sorted(grouped):
-        found = [(w, f) for w, f in grouped[concept] if w in words.vectors]
-        total = sum(f for _, f in found)
-        if not found or total == 0:
-            excluded.append(concept)
-            continue
-        acc = np.zeros(words.dim)
-        for word, freq in found:
-            acc += (freq / total) * words.vectors[word]
-        vectors[concept] = acc
-    return vectors, excluded
+        rows = found.setdefault(concept, [])
+        if word in words.index:
+            rows.append((words.index[word], freq))
+    total = {concept: sum(f for _, f in rows) for concept, rows in found.items()}
+    resolved = sorted(c for c in found if total[c] != 0)
+    values = np.zeros((len(resolved), words.dim))
+    for acc, concept in zip(values, resolved):
+        for row, freq in found[concept]:
+            acc += (freq / total[concept]) * words.values[row]
+    return EmbeddingSet(resolved, values), sorted(c for c in found if total[c] == 0)
 
 
 def map_external_vectors(vector_file, concept_map_file, d: int) -> EmbeddingSet:
     """Aggregate pretrained word vectors onto concepts and reduce to d via PCA."""
     words = load_embedding(vector_file)
     concept_map = load_concept_map(concept_map_file)
-    vectors, excluded = aggregate_concept_vectors(words, concept_map)
-    if not vectors:
+    aggregated, excluded = aggregate_concept_vectors(words, concept_map)
+    if not aggregated.concepts:
         raise ValidationError(
             f"{concept_map_file}: no concept resolves to any word in {vector_file}"
         )
-    concepts = sorted(vectors)
-    stacked = np.vstack([vectors[c] for c in concepts])
-    reduced = pca_reduce(DenseMatrix(values=stacked, row_labels=tuple(concepts)), d)
+    reduced = pca_reduce(aggregated.matrix(), d)
     provenance = {
         "method": "external",
         "vector_file": str(vector_file),
@@ -134,5 +123,4 @@ def map_external_vectors(vector_file, concept_map_file, d: int) -> EmbeddingSet:
             {"dim": d, "vector_file": str(vector_file), "concept_map": str(concept_map_file)}
         ),
     }
-    out = {concept: reduced.values[i] for i, concept in enumerate(concepts)}
-    return EmbeddingSet(dim=d, vectors=out, provenance=provenance)
+    return EmbeddingSet(aggregated.concepts, reduced.values, provenance)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -23,52 +24,80 @@ from .tsv import format_floats, open_text, write_lines
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingSet:
-    """Mapping concept id -> fixed-dimension vector, plus provenance."""
+    """One read-only float64 matrix `values` whose row i embeds `concepts[i]`.
 
-    dim: int
-    vectors: Mapping
+    The constructor sorts ids and rows together. A float64 C-contiguous
+    array already in sorted id order is kept without a copy and made
+    read-only. `index` maps a concept to its row; `vectors` is a read-only
+    concept -> row view.
+    """
+
+    concepts: tuple
+    values: np.ndarray
     provenance: Mapping = field(default_factory=dict)
+    index: Mapping = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError(f"dim must be >= 1, got {self.dim}")
-        vecs = {}
-        for concept, vec in self.vectors.items():
-            if not concept:
-                raise ValidationError("empty concept id in embedding set")
-            arr = np.asarray(vec, dtype=float)
-            if arr.shape != (self.dim,):
-                raise ValidationError(
-                    f"vector for {concept!r} has shape {arr.shape}, expected ({self.dim},)"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"non-finite entries in vector for {concept!r}")
-            vecs[concept] = arr
-        object.__setattr__(self, "vectors", vecs)
+        concepts, values = tuple(self.concepts), np.asarray(self.values, dtype=np.float64)
+        if values.ndim != 2:
+            raise ValidationError(f"values must be a 2-D array, got shape {values.shape}")
+        if values.shape[1] < 1:
+            raise ValidationError(f"dim must be >= 1, got {values.shape[1]}")
+        if len(concepts) != len(values):
+            raise ValidationError(f"{len(concepts)} concepts for {len(values)} rows")
+        order = sorted(range(len(concepts)), key=concepts.__getitem__)
+        if order != list(range(len(concepts))):
+            concepts, values = tuple(concepts[i] for i in order), values[order]
+        if not all(concepts):
+            raise ValidationError("empty concept id in embedding set")
+        for a, b in zip(concepts, concepts[1:]):
+            if a == b:
+                raise ValidationError(f"duplicate concept {a!r} in embedding set")
+        bad = ~np.isfinite(values).all(axis=1)
+        if bad.any():
+            raise ValidationError(f"non-finite entries in vector for {concepts[bad.argmax()]!r}")
+        values = np.ascontiguousarray(values)
+        values.flags.writeable = False
+        object.__setattr__(self, "concepts", concepts)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "index", MappingProxyType({c: i for i, c in enumerate(concepts)}))
 
-    def coverage(self) -> frozenset:
-        return frozenset(self.vectors)
+    @property
+    def dim(self) -> int:
+        return self.values.shape[1]
 
-    def sorted_concepts(self) -> list:
-        return sorted(self.vectors)
+    @property
+    def vectors(self) -> Mapping:
+        return _Rows(self)
 
     def matrix(self, order: Sequence = None) -> DenseMatrix:
-        """Stack vectors in the given (default: sorted) concept order."""
-        if order is None:
-            order = self.sorted_concepts()
-        else:
-            order = list(order)
-            missing = [c for c in order if c not in self.vectors]
-            if missing:
-                raise ValidationError(f"concepts not covered: {missing[:5]}")
-        values = np.vstack([self.vectors[c] for c in order]) if order else np.zeros((0, self.dim))
-        return DenseMatrix(values=values, row_labels=tuple(order))
+        """The rows in the given (default: sorted) concept order."""
+        order = self.concepts if order is None else tuple(order)
+        missing = [c for c in order if c not in self.index]
+        if missing:
+            raise ValidationError(f"concepts not covered: {missing[:5]}")
+        return DenseMatrix(values=self.values[[self.index[c] for c in order]], row_labels=order)
+
+
+class _Rows(Mapping):
+    """Read-only concept -> row view of an EmbeddingSet."""
+
+    def __init__(self, es: EmbeddingSet):
+        self._es = es
+
+    def __getitem__(self, concept) -> np.ndarray:
+        return self._es.values[self._es.index[concept]]
+
+    def __iter__(self):
+        return iter(self._es.concepts)
+
+    def __len__(self) -> int:
+        return len(self._es.concepts)
 
 
 def save_embedding(es: EmbeddingSet, path) -> None:
-    concepts = es.sorted_concepts()
-    lines = (f"{c} " + format_floats(es.vectors[c], " ") for c in concepts)
-    write_lines(path, f"{len(concepts)} {es.dim}", lines)
+    lines = (f"{c} " + format_floats(row, " ") for c, row in zip(es.concepts, es.values))
+    write_lines(path, f"{len(es.concepts)} {es.dim}", lines)
 
 
 def load_embedding(path) -> EmbeddingSet:
@@ -83,7 +112,7 @@ def load_embedding(path) -> EmbeddingSet:
             raise ParseError(path, 1, "expected integer count and dim") from None
         if dim < 1:
             raise ParseError(path, 1, f"dim must be >= 1, got {dim}")
-        vectors = {}
+        index, rows = {}, []  # concept -> its row in file order, and the rows
         for line_no, line in enumerate(fh, start=2):
             # word2vec and fastText end lines with a space, some files with \r\n
             line = line.rstrip()
@@ -101,11 +130,11 @@ def load_embedding(path) -> EmbeddingSet:
                 raise ParseError(path, line_no, "bad vector value") from None
             if not all(map(math.isfinite, vec)):
                 raise ParseError(path, line_no, f"non-finite value in vector for {concept!r}")
-            if concept in vectors:
+            if concept in index:
                 raise ParseError(path, line_no, f"duplicate concept {concept!r}")
-            vectors[concept] = vec
-    if len(vectors) != count:
-        raise ValidationError(
-            f"{path}: header count {count} != {len(vectors)} vector lines"
-        )
-    return EmbeddingSet(dim=dim, vectors=vectors, provenance={"method": "file", "path": str(path)})
+            index[concept] = len(rows)
+            rows.append(vec)
+    if len(rows) != count:
+        raise ValidationError(f"{path}: header count {count} != {len(rows)} vector lines")
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+    return EmbeddingSet(tuple(index), values, {"method": "file", "path": str(path)})

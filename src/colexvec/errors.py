@@ -22,6 +22,10 @@ class ValidationError(ColexvecError):
     """Structurally parseable input that violates an invariant."""
 
 
+class NoEdgesError(ValidationError):
+    """A graph without edges, which no embedding method can train on."""
+
+
 class InsufficientDataError(ColexvecError):
     """Too little evaluable data to compute the requested statistic."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingSet
-from .errors import ValidationError
+from .errors import NoEdgesError, ValidationError
 from .graph import ColexGraph
 from .runtime import config_digest
 
@@ -261,14 +261,15 @@ def train_skipgram(pairs, vocab, cfg: SkipGramConfig) -> EmbeddingSet:
         "train_loss": tuple(train_losses),
         "validation_loss": tuple(val_losses),
     }
-    vectors = {concept: w_in[i] for concept, i in index.items()}
-    return EmbeddingSet(dim=cfg.dim, vectors=vectors, provenance=provenance)
+    return EmbeddingSet(vocab, w_in, provenance)
 
 
 def node2vec_embed(
     g: ColexGraph, walk_cfg: WalkConfig, sg_cfg: SkipGramConfig
 ) -> EmbeddingSet:
     """Full Node2Vec pipeline: sample walks, extract pairs, train skip-gram."""
+    if g.n_edges == 0:
+        raise NoEdgesError("no edges to embed")
     walks = sample_walks(g, walk_cfg)
     pairs = extract_pairs(walks, sg_cfg.window)
     vocab = sorted(g.nodes - g.isolated_nodes())
@@ -285,4 +286,4 @@ def node2vec_embed(
             "uncovered": tuple(sorted(g.isolated_nodes())),
         }
     )
-    return EmbeddingSet(dim=trained.dim, vectors=trained.vectors, provenance=provenance)
+    return EmbeddingSet(trained.concepts, trained.values, provenance)

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 import scipy.sparse as sp
 
 from .embeddings import EmbeddingSet
-from .errors import ValidationError
+from .errors import NoEdgesError, ValidationError
 from .graph import ColexGraph, DenseMatrix
 from .numerics import randomized_tsvd
 from .runtime import config_digest
@@ -141,9 +142,7 @@ def spectral_propagate(g: ColexGraph, base: DenseMatrix, cfg: ProneConfig) -> Em
         out = _l2_normalize_rows(da @ (x0 - filt))
 
     isolated = g.isolated_nodes()
-    vectors = {
-        node: out[i] for i, node in enumerate(order) if node not in isolated
-    }
+    keep = [node not in isolated for node in order]
     provenance = {
         "method": "prone",
         "colex_types": (g.colex_type,),
@@ -151,10 +150,12 @@ def spectral_propagate(g: ColexGraph, base: DenseMatrix, cfg: ProneConfig) -> Em
         "config_digest": config_digest(vars(cfg) | {"__config__": "prone"}),
         "uncovered": tuple(sorted(isolated)),
     }
-    return EmbeddingSet(dim=cfg.dim, vectors=vectors, provenance=provenance)
+    return EmbeddingSet(list(compress(order, keep)), out[keep], provenance)
 
 
 def prone_embed(g: ColexGraph, cfg: ProneConfig) -> EmbeddingSet:
     """Full ProNE pipeline: shifted matrix, factorization, propagation."""
+    if g.n_edges == 0:
+        raise NoEdgesError("no edges to embed")
     shifted = build_shifted_matrix(g, cfg)
     return spectral_propagate(g, factorize(shifted, cfg), cfg)

@@ -218,8 +218,8 @@ def test_criterion_4_tsvd_and_propagation_oracles():
 def test_criterion_5_pca_contracts():
     rng = np.random.default_rng(55)
     concepts = [f"C{i}" for i in range(12)]
-    e = EmbeddingSet(dim=4, vectors={c: rng.standard_normal(4) for c in concepts})
-    z = EmbeddingSet(dim=4, vectors={c: np.zeros(4) for c in concepts})
+    e = EmbeddingSet(concepts, [rng.standard_normal(4) for c in concepts])
+    z = EmbeddingSet(concepts, np.zeros((len(concepts), 4)))
     fused = combine([e, z], 4)
     orig = np.vstack([e.vectors[c] for c in concepts])
     new = np.vstack([fused.vectors[c] for c in concepts])

@@ -288,7 +288,7 @@ def test_all_providers_symmetric_on_undirected():
 
 
 def test_embedding_provider_scores():
-    es = EmbeddingSet(dim=2, vectors={"A": [1.0, 0.0], "B": [0.0, 1.0], "C": [2.0, 0.0]})
+    es = EmbeddingSet(("A", "B", "C"), [[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
     provider = embedding_provider(es)
     assert score(provider, "A", "C") == pytest.approx(1.0)
     assert score(provider, "A", "B") == pytest.approx(0.0)

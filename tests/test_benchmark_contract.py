@@ -8,7 +8,8 @@ iterations as calls of numerics.logistic_gradient and flags a fit as capped
 from the default of its max_iter keyword;
 perfbench/checks.py re-derives colexify edges with
 wordlist.classify_pair(a, b, ColexParams()); perfbench/run.py records
-runtime.worker_count(). Removing or bypassing any of these crashes every
+runtime.worker_count(); probes.combine_counts reads len(es.vectors) of
+combine's result and the dim of each input set. Removing or bypassing any of these crashes every
 benchmark run, or silently stops it from timing the baselines or counting
 the fit iterations.
 """
@@ -22,6 +23,7 @@ import colexvec.cli as cli
 import colexvec.evaluation as evaluation
 import colexvec.numerics as numerics
 from colexvec.baselines import PROVIDER_SOURCES
+from colexvec.combine import combine
 from colexvec.embeddings import EmbeddingSet
 from colexvec.graph import make_graph
 from colexvec.runtime import worker_count
@@ -35,7 +37,7 @@ PROVIDERS = (
     "embedding_provider",
 )
 TOY_GRAPH = make_graph([("A", "B", 2), ("B", "C", 1)], "full", False, extra_nodes=["D"])
-TOY_EMBEDDING = EmbeddingSet(dim=2, vectors={"A": [1.0, 0.0], "B": [0.5, 0.5], "C": [0.0, 2.0]})
+TOY_EMBEDDING = EmbeddingSet(("A", "B", "C"), [[1.0, 0.0], [0.5, 0.5], [0.0, 2.0]])
 
 
 def test_classify_pair_takes_default_params():
@@ -149,3 +151,10 @@ def test_eval_binary_fits_through_evaluation_attribute(monkeypatch):
     evaluation.eval_binary(provider, positives, runs=3, seed=0)
     assert len(fits) == 3
     assert gradients
+
+
+def test_combine_result_exposes_the_counts_the_probe_reads():
+    other = EmbeddingSet(("B", "C", "D"), [[0.0, 1.0], [1.0, 1.0], [2.0, 0.5]])
+    es = combine([TOY_EMBEDDING, other], 2)
+    assert len(es.vectors) == len(es.concepts) == 4
+    assert all(isinstance(s.dim, int) for s in (TOY_EMBEDDING, other, es))

@@ -44,7 +44,7 @@ def separable_embedding(tmp_path):
         vec[3 + j % 5] = 1.0
         vectors[concept] = vec
     path = tmp_path / "separable.txt"
-    save_embedding(EmbeddingSet(dim=8, vectors=vectors), path)
+    save_embedding(EmbeddingSet(list(vectors), list(vectors.values())), path)
     return path
 
 
@@ -126,9 +126,9 @@ def test_combine_cli(tmp_path):
                 "--out", str(tmp_path / "fused.emb"), "--dim", "4"])
     assert code == 0
     fused = load_embedding(tmp_path / "fused.emb")
-    full_cov = load_embedding(tmp_path / "full.emb").coverage()
-    affix_cov = load_embedding(tmp_path / "affix.emb").coverage()
-    assert fused.coverage() == full_cov | affix_cov
+    full_cov = frozenset(load_embedding(tmp_path / "full.emb").concepts)
+    affix_cov = frozenset(load_embedding(tmp_path / "affix.emb").concepts)
+    assert frozenset(fused.concepts) == full_cov | affix_cov
 
 
 def test_baseline_pair_scores(tmp_path):
@@ -545,8 +545,8 @@ def clean_inputs(tmp_path) -> dict:
     paths["sidecar"] = d / "full.tsv.json"
     paths["embedding"] = separable_embedding(d)
     paths["vectors"] = d / "words.txt"
-    save_embedding(EmbeddingSet(dim=3, vectors={"avtomobil": [1.0, 0, 0], "mashina": [0, 1.0, 0],
-                                                "derevo": [0, 0, 1.0]}), paths["vectors"])
+    save_embedding(EmbeddingSet(("avtomobil", "mashina", "derevo"),
+                                [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]), paths["vectors"])
     paths["concept_map"] = d / "map.tsv"
     paths["concept_map"].write_text("CONCEPT\tWORD\tFREQUENCY\nCAR\tavtomobil\t0.4\n"
                                     "CAR\tmashina\t0.6\nTREE\tderevo\t1\n", encoding="utf-8")
@@ -742,8 +742,7 @@ def test_memo_warm_reports_match_cold(tmp_path, built, method):
 def test_map_external_cli(tmp_path):
     from colexvec.embeddings import EmbeddingSet as ES
 
-    words = ES(dim=3, vectors={"avtomobil": [1.0, 0, 0], "mashina": [0, 1.0, 0],
-                               "derevo": [0, 0, 1.0]})
+    words = ES(("avtomobil", "mashina", "derevo"), [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
     save_embedding(words, tmp_path / "words.txt")
     (tmp_path / "map.tsv").write_text(
         "CONCEPT\tWORD\tFREQUENCY\nCAR\tavtomobil\t0.4\nCAR\tmashina\t0.6\nTREE\tderevo\t1\n",

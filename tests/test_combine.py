@@ -17,8 +17,8 @@ from colexvec.numerics import pca_reduce
 def random_set(seed, concepts, dim):
     rng = np.random.default_rng(seed)
     return EmbeddingSet(
-        dim=dim,
-        vectors={c: rng.standard_normal(dim) for c in concepts},
+        concepts,
+        [rng.standard_normal(dim) for c in concepts],
         provenance={"method": "test", "colex_types": ("full",)},
     )
 
@@ -40,7 +40,7 @@ def as_matrix(es, order):
 def test_combine_with_zero_set_preserves_distances():
     concepts = [f"C{i}" for i in range(10)]
     e = random_set(0, concepts, 3)
-    z = EmbeddingSet(dim=3, vectors={c: np.zeros(3) for c in concepts})
+    z = EmbeddingSet(concepts, np.zeros((len(concepts), 3)))
     fused = combine([e, z], 3)
     orig = pairwise_distances(as_matrix(e, concepts))
     new = pairwise_distances(as_matrix(fused, concepts))
@@ -52,7 +52,7 @@ def test_combine_duplicated_set_preserves_cosines():
     e = random_set(1, concepts, 3)
     # center the set so cosine comparison against the raw vectors is exact
     mean = np.mean([e.vectors[c] for c in concepts], axis=0)
-    centered = EmbeddingSet(dim=3, vectors={c: e.vectors[c] - mean for c in concepts})
+    centered = EmbeddingSet(concepts, [e.vectors[c] - mean for c in concepts])
     fused = combine([centered, centered], 3)
     orig = pairwise_cosines(as_matrix(centered, concepts))
     new = pairwise_cosines(as_matrix(fused, concepts))
@@ -68,8 +68,8 @@ def test_combine_duplicated_set_matches_single_set_pca():
 
 
 def test_stack_union_zero_fill_rule():
-    e1 = EmbeddingSet(dim=2, vectors={"X": [1.0, 2.0], "Y": [3.0, 4.0]})
-    e2 = EmbeddingSet(dim=2, vectors={"Y": [5.0, 6.0]})
+    e1 = EmbeddingSet(("X", "Y"), [[1.0, 2.0], [3.0, 4.0]])
+    e2 = EmbeddingSet(("Y",), [[5.0, 6.0]])
     stacked = stack_union([e1, e2])
     assert stacked.row_labels == ("X", "Y")
     assert np.array_equal(stacked.values, [[1, 2, 0, 0], [3, 4, 5, 6]])
@@ -79,7 +79,7 @@ def test_combine_coverage_is_union():
     e1 = random_set(3, ["A", "B", "C", "D"], 2)
     e2 = random_set(4, ["C", "D", "E"], 2)
     fused = combine([e1, e2], 2)
-    assert fused.coverage() == frozenset("ABCDE")
+    assert frozenset(fused.concepts) == frozenset("ABCDE")
     assert fused.provenance["colex_types"] == ("full", "full")
 
 
@@ -102,7 +102,7 @@ def test_combine_invariant_under_concept_reordering():
     concepts = ["A", "B", "C", "D", "E"]
     e1 = random_set(8, concepts, 2)
     reordered = EmbeddingSet(
-        dim=2, vectors={c: e1.vectors[c] for c in reversed(concepts)}
+        concepts[::-1], [e1.vectors[c] for c in reversed(concepts)]
     )
     e2 = random_set(9, concepts, 2)
     a = combine([e1, e2], 2)
@@ -117,17 +117,23 @@ def test_combine_invariant_under_concept_reordering():
 
 def word_set():
     return EmbeddingSet(
-        dim=3,
-        vectors={
-            "avtomobil": [1.0, 0.0, 0.0],
-            "mashina": [0.0, 1.0, 0.0],
-            "derevo": [0.0, 0.0, 1.0],
-        },
+        ("avtomobil", "mashina", "derevo"),
+        [
+            [1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0],
+        ],
     )
 
 
+def aggregate(words, concept_map):
+    """aggregate_concept_vectors with its set read through the vectors view."""
+    aggregated, excluded = aggregate_concept_vectors(words, concept_map)
+    return aggregated.vectors, excluded
+
+
 def test_aggregate_weighted_mean():
-    vectors, excluded = aggregate_concept_vectors(
+    vectors, excluded = aggregate(
         word_set(), [("CAR", "avtomobil", 0.4), ("CAR", "mashina", 0.6)]
     )
     assert np.allclose(vectors["CAR"], [0.4, 0.6, 0.0])
@@ -135,19 +141,19 @@ def test_aggregate_weighted_mean():
 
 
 def test_aggregate_single_word_identity():
-    vectors, _ = aggregate_concept_vectors(word_set(), [("TREE", "derevo", 1.0)])
+    vectors, _ = aggregate(word_set(), [("TREE", "derevo", 1.0)])
     assert np.allclose(vectors["TREE"], [0.0, 0.0, 1.0])
 
 
 def test_aggregate_missing_word_renormalizes():
-    vectors, _ = aggregate_concept_vectors(
+    vectors, _ = aggregate(
         word_set(), [("CAR", "avtomobil", 0.4), ("CAR", "voiture", 0.6)]
     )
     assert np.allclose(vectors["CAR"], [1.0, 0.0, 0.0])  # survivor gets weight 1
 
 
 def test_aggregate_unresolvable_concept_excluded():
-    vectors, excluded = aggregate_concept_vectors(
+    vectors, excluded = aggregate(
         word_set(), [("CAR", "voiture", 1.0), ("TREE", "derevo", 1.0)]
     )
     assert excluded == ["CAR"]

@@ -1,18 +1,25 @@
 import numpy as np
 import pytest
 
+from colexvec.combine import combine, map_external_vectors
 from colexvec.embeddings import EmbeddingSet, load_embedding, save_embedding
 from colexvec.errors import ParseError, ValidationError
+from colexvec.graph import make_graph
+from colexvec.node2vec import SkipGramConfig, WalkConfig, node2vec_embed
+from colexvec.prone import ProneConfig, prone_embed
+
+RING = make_graph([(f"N{i}", f"N{(i + 1) % 7}", 1 + i % 2) for i in range(7)], "full", False,
+                  extra_nodes=["LONE"])
 
 
 def sample_set():
     return EmbeddingSet(
-        dim=3,
-        vectors={
-            "TREE": [1.0, -0.5, 0.25],
-            "OLDER BROTHER": [0.125, 2.0, -4.0],  # ids may contain spaces
-            "BARK": [1e-9, 123456.789, 0.333333333333],
-        },
+        ("TREE", "OLDER BROTHER", "BARK"),  # ids may contain spaces
+        [
+            [1.0, -0.5, 0.25],
+            [0.125, 2.0, -4.0],
+            [1e-9, 123456.789, 0.333333333333],
+        ],
     )
 
 
@@ -76,11 +83,45 @@ def test_load_non_finite_value_names_line(tmp_path, value):
 
 def test_embedding_set_validation():
     with pytest.raises(ValidationError):
-        EmbeddingSet(dim=2, vectors={"A": [1.0]})
+        EmbeddingSet(("A",), [1.0])
     with pytest.raises(ValidationError):
-        EmbeddingSet(dim=1, vectors={"A": [float("nan")]})
+        EmbeddingSet(("A",), [[float("nan")]])
     with pytest.raises(ValidationError):
-        EmbeddingSet(dim=0, vectors={})
+        EmbeddingSet((), np.zeros((0, 0)))
+    with pytest.raises(ValidationError, match="values must be a 2-D array, got shape \\(2,\\)"):
+        EmbeddingSet(("A", "B"), [1.0, 2.0])
+    with pytest.raises(ValidationError, match="dim must be >= 1, got 0"):
+        EmbeddingSet(("A",), np.zeros((1, 0)))
+    with pytest.raises(ValidationError, match="2 concepts for 1 rows"):
+        EmbeddingSet(("A", "B"), [[1.0]])
+    with pytest.raises(ValidationError, match="empty concept id in embedding set"):
+        EmbeddingSet(("A", ""), [[1.0], [2.0]])
+    with pytest.raises(ValidationError, match="duplicate concept 'A' in embedding set"):
+        EmbeddingSet(("B", "A", "A"), [[1.0], [2.0], [3.0]])
+    with pytest.raises(ValidationError, match="non-finite entries in vector for 'B'"):
+        EmbeddingSet(("C", "B", "A"), [[1.0], [float("inf")], [3.0]])
+    assert EmbeddingSet((), np.zeros((0, 4))).dim == 4
+
+
+def test_values_are_one_read_only_matrix_in_sorted_concept_order():
+    rng = np.random.default_rng(3)
+    concepts = [f"C{i:02d}" for i in range(20)]
+    rows = rng.standard_normal((20, 3))
+    perm = rng.permutation(20)
+    es = EmbeddingSet([concepts[i] for i in perm], rows[perm])
+    assert es.concepts == tuple(concepts)
+    assert np.array_equal(es.values, rows)
+    assert es.values.dtype == np.float64 and es.values.flags.c_contiguous
+    assert not es.values.flags.writeable
+    with pytest.raises(ValueError):
+        es.values[0, 0] = 1.0
+    assert es.index["C07"] == 7 and es.dim == 3 and isinstance(es.dim, int)
+    assert list(es.vectors) == concepts and len(es.vectors) == 20
+    assert np.array_equal(es.vectors["C07"], rows[7])
+    with pytest.raises(ValueError):
+        es.vectors["C07"][0] = 1.0
+    kept = EmbeddingSet(concepts, rows)  # already sorted: no copy
+    assert np.shares_memory(kept.values, rows) and not rows.flags.writeable
 
 
 def test_matrix_ordering():
@@ -106,3 +147,33 @@ def test_load_ignores_trailing_whitespace(tmp_path, ending):
 def test_load_keeps_inner_spaces_of_concept_ids(tmp_path):
     (tmp_path / "e.txt").write_text("1 2\nTHE  OLD ONE 1 2 \n", encoding="utf-8")
     assert set(load_embedding(tmp_path / "e.txt").vectors) == {"THE  OLD ONE"}
+
+
+def ring_prone(tmp_path):
+    return prone_embed(RING, ProneConfig(dim=3, seed=1))
+
+
+def ring_node2vec(tmp_path):
+    return node2vec_embed(RING, WalkConfig(seed=1),
+                          SkipGramConfig(dim=3, epochs=2, learning_rate=0.5, seed=1))
+
+
+def ring_combine(tmp_path):
+    return combine([ring_prone(tmp_path), ring_node2vec(tmp_path)], 3)
+
+
+def ring_external(tmp_path):
+    save_embedding(ring_node2vec(tmp_path), tmp_path / "words.emb")
+    (tmp_path / "map.tsv").write_text(
+        "CONCEPT\tWORD\tFREQUENCY\nA\tN0\t2\nA\tN1\t1\nB\tN2\t1\nC\tN3\t0.5\n"
+        "C\tN4\t3\nD\tMISSING\t1\n", encoding="utf-8")
+    return map_external_vectors(tmp_path / "words.emb", tmp_path / "map.tsv", 2)
+
+
+@pytest.mark.parametrize("produce", [ring_prone, ring_node2vec, ring_combine, ring_external],
+                         ids=["prone", "node2vec", "combine", "external"])
+def test_save_load_save_is_byte_identical(tmp_path, produce):
+    first, second = tmp_path / "first.emb", tmp_path / "second.emb"
+    save_embedding(produce(tmp_path), first)
+    save_embedding(load_embedding(first), second)
+    assert first.read_bytes() == second.read_bytes()

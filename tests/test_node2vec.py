@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -391,3 +393,11 @@ def test_node2vec_embed_end_to_end():
     assert es.provenance["uncovered"] == ("LONER",)
     assert es.provenance["method"] == "node2vec"
     assert es.provenance["colex_types"] == ("full",)
+
+
+def test_node2vec_embed_rejects_graph_without_edges():
+    g = make_graph([], "full", False, extra_nodes=["A", "B"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^no edges to embed$"):
+            node2vec_embed(g, WalkConfig(), SkipGramConfig(dim=2, epochs=1))

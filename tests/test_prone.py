@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -263,3 +264,11 @@ def test_prone_runtime_envelope_at_affix_scale():
     elapsed = time.monotonic() - start
     assert len(es.vectors) == 1308
     assert elapsed < 5.0
+
+
+def test_prone_embed_rejects_graph_without_edges():
+    g = make_graph([], "full", False, extra_nodes=["A", "B"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^no edges to embed$"):
+            prone_embed(g, ProneConfig(dim=2))
