@@ -10,6 +10,7 @@ Embedding sets get a provider of the same shape.
 from __future__ import annotations
 
 import mmap
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -19,11 +20,13 @@ import scipy.sparse as sp
 from .embeddings import EmbeddingSet
 from .errors import ValidationError
 from .graph import ColexGraph, DenseMatrix
-from .numerics import cosine_similarity
+from .numerics import ZeroVectorWarning
 
 PROVIDER_SOURCES = frozenset(
     {"shortest_path", "cosine_adjacency", "ppmi", "random_walk", "embedding"}
 )
+# pairs an embedding provider scores per gathered block of rows
+SCORE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -176,17 +179,37 @@ def random_walk_provider(
 
 
 def embedding_provider(es: EmbeddingSet) -> SimilarityProvider:
-    """Cosine between embedding vectors, computed pair by pair.
+    """Cosine between embedding vectors, bit for bit `cosine_similarity`'s.
 
-    Fused embeddings hold exactly tied scores; the per-pair
-    `cosine_similarity` keeps those ties (a matrix product can break them
-    by an ulp and so move rank statistics) and warns on zero vectors.
+    Each row's norm is the per-row `np.linalg.norm` of `cosine_similarity`
+    (`norm(axis=1)` sums in another order), and each pair's dot is
+    `np.vecdot` of the two rows, which gives `np.dot`'s bits. A matrix
+    product or `einsum` can move a score by an ulp and so break the exact
+    ties of fused embeddings, which rank statistics see. Pairs are scored
+    in chunks of at most SCORE_CHUNK, so a full matrix never gathers n^2
+    rows. A pair with a zero vector scores 0 with a ZeroVectorWarning.
     """
     vectors = es.values
-    pair_cosine = np.vectorize(
-        lambda i, j: cosine_similarity(vectors[i], vectors[j]), otypes=[float]
-    )
-    return SimilarityProvider(source="embedding", score=pair_cosine, index=es.index)
+    norms = np.array([np.linalg.norm(row) for row in vectors])
+
+    def score(ia, ib):
+        ia, ib = np.broadcast_arrays(ia, ib)
+        a, b = ia.ravel(), ib.ravel()
+        out = np.empty(a.shape)
+        any_zero = False
+        for lo in range(0, len(a), SCORE_CHUNK):
+            i, j = a[lo:lo + SCORE_CHUNK], b[lo:lo + SCORE_CHUNK]
+            na, nb = norms[i], norms[j]
+            nonzero = (na != 0.0) & (nb != 0.0)
+            any_zero = any_zero or not nonzero.all()
+            dots = np.vecdot(vectors[i], vectors[j])
+            cos = np.divide(dots, na * nb, out=np.zeros_like(dots), where=nonzero)
+            out[lo:lo + SCORE_CHUNK] = np.clip(cos, -1.0, 1.0)
+        if any_zero:
+            warnings.warn("cosine of a zero vector is defined as 0", ZeroVectorWarning)
+        return out.reshape(ia.shape)
+
+    return SimilarityProvider(source="embedding", score=score, index=es.index)
 
 
 def similarity_matrix(provider: SimilarityProvider, order) -> DenseMatrix:

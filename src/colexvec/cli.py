@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -55,8 +56,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message, f"{self.prog}: {message}\n{self.format_usage()}")
 
 
+@functools.lru_cache(maxsize=2)
 def build_parser(add_help: bool = True) -> _Parser:
-    """The parser; pipeline steps are parsed without -h/--help (add_help=False)."""
+    """The parser; pipeline steps are parsed without -h/--help (add_help=False).
+
+    Built once per process for each `add_help`, because every `run` and
+    every pipeline check parses with it. Each parse returns a new namespace
+    and leaves the parser as it was; callers must not change the parser.
+    """
     parser = _Parser(prog="colexvec", description=__doc__)
     parser.add_argument("--version", action="version", version=f"colexvec {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")

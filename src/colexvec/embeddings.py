@@ -5,11 +5,17 @@ one `<concept> <v1> ... <vdim>` line per concept with 8 significant digits.
 Concept ids may contain spaces; the trailing `dim` fields of a line are the
 vector, everything before them is the id. Trailing whitespace on a line
 (word2vec and fastText write a space before the newline) is ignored.
+
+The vector fields are separated by single spaces, and each must be a number
+as numpy's text parser reads it: ASCII digits with an optional sign, point
+and exponent, or `inf` and `nan`, which are then rejected as non-finite.
+Digit-group underscores (`1_0`) and non-ASCII digits (`١٢`), which Python's
+`float()` accepts, are bad vector values. `#` starts no comment, so an id
+may contain one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -102,6 +108,8 @@ def save_embedding(es: EmbeddingSet, path) -> None:
 
 def load_embedding(path) -> EmbeddingSet:
     path = Path(path)
+    concepts, lines, line_nos = [], [], []
+    failure = None  # the first malformed line; bad values before it are reported first
     with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -112,29 +120,65 @@ def load_embedding(path) -> EmbeddingSet:
             raise ParseError(path, 1, "expected integer count and dim") from None
         if dim < 1:
             raise ParseError(path, 1, f"dim must be >= 1, got {dim}")
-        index, rows = {}, []  # concept -> its row in file order, and the rows
+        seen = set()
         for line_no, line in enumerate(fh, start=2):
             # word2vec and fastText end lines with a space, some files with \r\n
             line = line.rstrip()
             if not line:
                 continue
-            fields = line.split(" ")
-            if len(fields) < dim + 1:
-                raise ParseError(path, line_no, f"expected id plus {dim} values")
-            concept = " ".join(fields[: len(fields) - dim])
+            fields = line.rsplit(" ", dim)
+            if len(fields) <= dim:
+                failure = ParseError(path, line_no, f"expected id plus {dim} values")
+                break
+            concept = fields[0]
             if not concept:
-                raise ParseError(path, line_no, "empty concept id")
-            try:
-                vec = [float(v) for v in fields[len(fields) - dim:]]
-            except ValueError:
-                raise ParseError(path, line_no, "bad vector value") from None
-            if not all(map(math.isfinite, vec)):
-                raise ParseError(path, line_no, f"non-finite value in vector for {concept!r}")
-            if concept in index:
-                raise ParseError(path, line_no, f"duplicate concept {concept!r}")
-            index[concept] = len(rows)
-            rows.append(vec)
-    if len(rows) != count:
-        raise ValidationError(f"{path}: header count {count} != {len(rows)} vector lines")
-    values = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
-    return EmbeddingSet(tuple(index), values, {"method": "file", "path": str(path)})
+                failure = ParseError(path, line_no, "empty concept id")
+                break
+            concepts.append(concept)
+            lines.append(line)
+            line_nos.append(line_no)
+            if concept in seen:
+                failure = ParseError(path, line_no, f"duplicate concept {concept!r}")
+                break
+            seen.add(concept)
+    values = _parse_vectors(path, lines, line_nos, concepts, dim)
+    if failure:
+        raise failure
+    if len(lines) != count:
+        raise ValidationError(f"{path}: header count {count} != {len(lines)} vector lines")
+    return EmbeddingSet(tuple(concepts), values, {"method": "file", "path": str(path)})
+
+
+def _parse_vectors(path, lines, line_nos, concepts, dim) -> np.ndarray:
+    """The last `dim` fields of every line, parsed by numpy in one call.
+
+    The first line numpy cannot parse is a "bad vector value" and the first
+    row with a non-finite value a "non-finite value" error, whichever line
+    comes first.
+    """
+
+    def parse(rows):
+        if not rows:
+            return np.empty((0, dim))
+        return np.loadtxt(rows, dtype=np.float64, delimiter=" ", usecols=range(-dim, 0),
+                          ndmin=2, comments=None)
+
+    def parses(line):
+        try:
+            parse([line])
+        except ValueError:
+            return False
+        return True
+
+    try:
+        values, bad = parse(lines), len(lines)
+    except ValueError:
+        bad = next(k for k, line in enumerate(lines) if not parses(line))
+        values = parse(lines[:bad])
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        k = int(finite.argmin())
+        raise ParseError(path, line_nos[k], f"non-finite value in vector for {concepts[k]!r}")
+    if bad < len(lines):
+        raise ParseError(path, line_nos[bad], "bad vector value")
+    return values

@@ -4,8 +4,11 @@ The trainer optimizes the exact softmax cross-entropy over the whole
 vocabulary (no negative sampling, no hierarchical softmax), which is
 affordable at colexification-network scale (~1,300 nodes). Training is
 sequential mini-batch SGD, one batch after another, for determinism; only
-its matrix products run on every BLAS thread. Walk sampling derives an
-independent RNG per start node so corpus generation is order-independent.
+its matrix products run on every BLAS thread. Those products sum in an
+order that depends on the BLAS build and its thread count, so identical
+seeds give bit-identical vectors only on the same build with the same
+thread count. Walk sampling derives an independent RNG per start node so
+corpus generation is order-independent.
 """
 
 from __future__ import annotations

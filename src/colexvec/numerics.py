@@ -75,9 +75,10 @@ def randomized_tsvd(m, d: int, seed: int, n_iter: int = 7, oversample: int = 10)
 
     Returns (U, S) with U n x d (orthonormal columns) and S non-increasing.
     The Gaussian test matrix is drawn from a generator seeded with `seed`,
-    so identical seeds give bit-identical results. Subspace (power)
-    iterations with QR re-orthonormalization keep small cases accurate to
-    dense-SVD levels.
+    so identical seeds give bit-identical results on the same BLAS build
+    with the same thread count: its QR factorisations and dense products
+    sum in an order that depends on both. Subspace (power) iterations with
+    QR re-orthonormalization keep small cases accurate to dense-SVD levels.
     """
     if d <= 0:
         raise ValidationError(f"rank must be positive, got {d}")

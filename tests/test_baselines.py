@@ -1,12 +1,15 @@
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import floyd_warshall
 
+from colexvec import baselines
 from colexvec.baselines import (
+    SCORE_CHUNK,
     _ppmi_matrix,
     _row_cosines,
     _walk_profiles,
@@ -17,8 +20,10 @@ from colexvec.baselines import (
     shortest_path_provider,
     similarity_matrix,
 )
+from colexvec.combine import combine
 from colexvec.embeddings import EmbeddingSet
 from colexvec.graph import adjacency_matrix, make_graph
+from colexvec.numerics import ZeroVectorWarning, cosine_similarity
 
 PATH_GRAPH = make_graph([("A", "B", 2), ("B", "C", 1)], "full", False)
 
@@ -295,6 +300,100 @@ def test_embedding_provider_scores():
     assert provider.covered == frozenset({"A", "B", "C"})
     with pytest.raises(KeyError, match="'Z'"):
         score(provider, "A", "Z")
+
+
+def pair_cosine_oracle(es, a, b):
+    """Per-pair `cosine_similarity`, the reference the provider matches bit for bit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroVectorWarning)
+        return np.array([cosine_similarity(es.vectors[x], es.vectors[y]) for x, y in zip(a, b)])
+
+
+def random_embedding(seed, n, dim):
+    rng = np.random.default_rng(seed)
+    return EmbeddingSet([f"C{i:03d}" for i in range(n)], rng.standard_normal((n, dim)))
+
+
+def tied_fused_embedding():
+    """A `combine` result in which T0 ... T5 came from one input row.
+
+    The PCA does not always map equal input rows to equal output rows, so
+    `tied_rows` picks out the ones it did.
+    """
+    rng = np.random.default_rng(5)
+    base = [f"C{i:02d}" for i in range(30)]
+    tied = [f"T{i}" for i in range(6)]
+    first = EmbeddingSet(base + tied, np.vstack([rng.standard_normal((30, 8)),
+                                                 np.tile(rng.standard_normal(8), (6, 1))]))
+    second = EmbeddingSet(base, rng.standard_normal((30, 8)))
+    return combine([first, second], 8)
+
+
+def tied_rows(es):
+    """The largest group of T concepts whose fused rows are bitwise equal."""
+    groups = {}
+    for c in es.concepts:
+        if c.startswith("T"):
+            groups.setdefault(es.vectors[c].tobytes(), []).append(c)
+    return max(groups.values(), key=len)
+
+
+def with_zero_vector():
+    es = random_embedding(6, 40, 5)
+    values = es.values.copy()
+    values[[1, 17]] = 0.0
+    return EmbeddingSet(es.concepts, values)
+
+
+def random_pairs(es, count, seed):
+    rng = np.random.default_rng(seed)
+    concepts = np.array(es.concepts, dtype=object)
+    return (list(concepts[rng.integers(0, len(concepts), count)]),
+            list(concepts[rng.integers(0, len(concepts), count)]))
+
+
+@pytest.mark.parametrize("chunk", [SCORE_CHUNK, 7, 1])
+@pytest.mark.parametrize("make", [lambda: random_embedding(4, 90, 16), tied_fused_embedding,
+                                  with_zero_vector], ids=["random", "tied-fused", "zero-vector"])
+def test_embedding_scores_equal_per_pair_cosine_bitwise(monkeypatch, make, chunk):
+    monkeypatch.setattr(baselines, "SCORE_CHUNK", chunk)
+    es = make()
+    provider = embedding_provider(es)
+    zero = {c for c in es.concepts if not es.vectors[c].any()}
+    warned = [ZeroVectorWarning] if zero else []
+    count = 2 * SCORE_CHUNK + 5 if chunk == SCORE_CHUNK else 50  # crosses chunk boundaries
+    a, b = random_pairs(es, count, seed=chunk)
+    b[:3] = list(es.concepts[:3])  # C001 is a zero vector in the zero-vector set
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = provider.score_pairs(a, b)
+    assert got.dtype == np.float64 and got.shape == (count,)
+    assert np.array_equal(got.view(np.int64), pair_cosine_oracle(es, a, b).view(np.int64))
+    touches_zero = [x in zero or y in zero for x, y in zip(a, b)]
+    assert any(touches_zero) == bool(zero)
+    assert (got[touches_zero] == 0.0).all()
+    assert [w.category for w in caught] == warned
+
+    order = list(es.concepts)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        matrix = similarity_matrix(provider, order).values
+    pairs = list(itertools.product(order, repeat=2))  # 8,100 pairs in the random set
+    oracle = pair_cosine_oracle(es, [x for x, _ in pairs], [y for _, y in pairs])
+    assert np.array_equal(matrix.view(np.int64), oracle.reshape(len(order), -1).view(np.int64))
+    assert [w.category for w in caught] == warned
+
+
+def test_tied_fused_scores_stay_tied():
+    es = tied_fused_embedding()
+    first, *rest = tied_rows(es)
+    assert rest
+    provider = embedding_provider(es)
+    others = [c for c in es.concepts if c.startswith("C")]
+    want = provider.score_pairs(others, [first] * len(others))
+    for tied in rest:
+        assert np.array_equal(provider.score_pairs(others, [tied] * len(others)), want)
+        assert np.array_equal(provider.score_pairs([tied] * len(others), others), want)
 
 
 def test_similarity_matrix_dump():

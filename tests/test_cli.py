@@ -843,6 +843,54 @@ def test_malformed_input_exits_1_naming_path_and_line(tmp_path, capsys, command,
     assert not Path(out).exists()
 
 
+@pytest.mark.parametrize("token", ["1_0", "١٢"])
+def test_embedding_value_float_accepts_but_numpy_does_not_exits_1(tmp_path, capsys, token):
+    bad = tmp_path / "bad.emb"
+    bad.write_text(f"2 2\nTREE 1 0\nFOREST {token} 1\n", encoding="utf-8")
+    assert run(["eval-lsim", "--sim", str(bad), "--pairs", data_path("toy_rated_pairs.tsv"),
+                "--report", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:3: bad vector value\n"
+
+
+def test_one_cached_parser_leaks_no_state_between_runs(tmp_path, monkeypatch, capsys):
+    """Back-to-back runs share one parser per add_help, and each handler gets
+    the namespace a newly built parser gives for the same arguments."""
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    for name, handler in list(cli.HANDLERS.items()):
+        def record(ns, _handler=handler):
+            seen.append(vars(ns).copy())
+            return _handler(ns)
+        monkeypatch.setitem(cli.HANDLERS, name, record)
+    graph = str(tmp_path / "g.tsv")
+    colexify = ["colexify", "--wordlist", data_path("toy_wordlist.tsv"), "--type", "full",
+                "--out", graph]
+    walk = ["baseline", "--graph", graph, "--method", "random-walk"]
+    step = {"graph": graph, "method": "random-walk", "out": str(tmp_path / "step.tsv")}
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"report": str(tmp_path / "r.json"),
+                                  "steps": [{"command": "baseline", "args": step}]}),
+                      encoding="utf-8")
+    runs = [
+        colexify + ["--min-form-len", "4"],
+        colexify,
+        ["embed", "--graph", graph, "--method", "prone", "--out", str(tmp_path / "e.emb")],
+        walk + ["--alpha", "0.25", "--max-steps", "2", "--out", str(tmp_path / "tuned.tsv")],
+        ["pipeline", "--config", str(config)],
+        walk + ["--out", str(tmp_path / "plain.tsv")],
+    ]
+    assert [run(argv) for argv in runs] == [0, 0, 1, 0, 0, 0]
+    assert "the following arguments are required: --seed" in capsys.readouterr().err
+    fresh = cli.build_parser.__wrapped__
+    expected = [vars(fresh().parse_args(argv)) for argv in runs if argv[0] != "embed"]
+    step_argv = walk + ["--out", step["out"]]
+    expected.insert(4, vars(fresh(add_help=False).parse_args(step_argv)))
+    assert seen == expected
+    assert seen[1]["min_form_len"] == 3 and seen[4]["alpha"] == seen[5]["alpha"] == 0.5
+    # the pipeline step, parsed without -h, scores as the plain run does
+    assert (tmp_path / "step.tsv").read_bytes() == (tmp_path / "plain.tsv").read_bytes()
+
+
 def test_unknown_flag_exit_1(capsys):
     assert run(["colexify", "--nope"]) == 1
 

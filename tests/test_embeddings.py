@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -177,3 +179,55 @@ def test_save_load_save_is_byte_identical(tmp_path, produce):
     save_embedding(produce(tmp_path), first)
     save_embedding(load_embedding(first), second)
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("concept", ["C#1", "#", "OLD # ONE", "OLDER BROTHER", "# 1"])
+def test_load_keeps_hash_and_space_in_concept_ids(tmp_path, concept):
+    (tmp_path / "e.txt").write_text(f"2 2\n{concept} 1 2\nB 3 4\n", encoding="utf-8")
+    loaded = load_embedding(tmp_path / "e.txt")
+    assert loaded.concepts == tuple(sorted((concept, "B")))
+    assert np.array_equal(loaded.vectors[concept], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("token", ["1_0", "١٢", "1e", "0x1p3", "1,5", "#2"])
+def test_load_rejects_what_numpy_cannot_parse(tmp_path, token):
+    # Python's float() accepts "1_0" and "١٢"; the file grammar does not
+    path = tmp_path / "e.txt"
+    path.write_text(f"2 2\nA 1 2\nB 3 {token}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_embedding(path)
+    assert str(exc.value) == f"{path}:3: bad vector value"
+
+
+@pytest.mark.parametrize("body, line_no, message", [
+    ("A 1 x\nA 1 2\n", 2, "bad vector value"),
+    ("A 1 2\nB 1 x\nB 1 2\n", 3, "bad vector value"),
+    ("A 1 2\nA 1 x\n", 3, "bad vector value"),
+    ("A 1 x\nB 2\n", 2, "bad vector value"),
+    ("A 1 x\n 1 2\n", 2, "bad vector value"),
+    ("A 1 nan\nB 1 x\n", 2, "non-finite value in vector for 'A'"),
+    ("A 1 x\nB 1 nan\n", 2, "bad vector value"),
+    ("A 1 2\nB 1 inf\nA 1 2\n", 3, "non-finite value in vector for 'B'"),
+    ("A 1 2\nB 2\nC 1 nan\n", 3, "expected id plus 2 values"),
+    ("A 1 2\nA 1 2\nC 1 x\n", 3, "duplicate concept 'A'"),
+])
+def test_load_reports_the_first_bad_line(tmp_path, body, line_no, message):
+    path = tmp_path / "e.txt"
+    path.write_text(f"3 2\n{body}", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_embedding(path)
+    assert str(exc.value) == f"{path}:{line_no}: {message}"
+
+
+def test_load_peak_memory_stays_within_4x_the_array(tmp_path):
+    # the size of a fused colex-prone set
+    values = np.random.default_rng(8).standard_normal((2428, 128))
+    save_embedding(EmbeddingSet([f"C{i:04d}" for i in range(2428)], values), tmp_path / "e.txt")
+    tracemalloc.start()
+    try:
+        loaded = load_embedding(tmp_path / "e.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.values.shape == (2428, 128)
+    assert peak < 4 * loaded.values.nbytes, f"peak {peak / 1e6:.2f} MB"
