@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -45,6 +46,8 @@ from .viz import export_scatter, tsne_project
 from .wordlist import ColexParams, infer_network, load_wordlist
 
 BASELINE_METHODS = ("shortest-path", "cosine", "ppmi", "random-walk")
+# `embed` warns when a skip-gram's final train loss is this close to ln V
+UNMOVED_NATS = 1e-3
 
 
 class UsageError(Exception):
@@ -259,6 +262,17 @@ def cmd_embed(args) -> dict:
         f"wrote {args.out}: {len(es.concepts)} concepts, dim {es.dim}"
         + (f", {len(uncovered)} isolated concepts uncovered" if uncovered else "")
     )
+    train_loss = es.provenance.get("train_loss")
+    # ln V is the loss of a uniform softmax, where small random start vectors sit
+    uniform_loss = math.log(len(es.concepts))
+    if train_loss and uniform_loss - train_loss[-1] < UNMOVED_NATS:
+        print(
+            f"warning: {args.out}: the vectors barely moved from their start: final "
+            f"train loss {train_loss[-1]:.6f} is within {UNMOVED_NATS:g} nats of "
+            f"ln V = {uniform_loss:.6f} (relative drift {es.provenance['drift']:.2g}); "
+            f"raise --learning-rate ({args.learning_rate:g})",
+            file=sys.stderr,
+        )
     return {
         "out": args.out,
         "concepts": len(es.concepts),

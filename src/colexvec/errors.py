@@ -22,6 +22,12 @@ class ValidationError(ColexvecError):
     """Structurally parseable input that violates an invariant."""
 
 
+def check_seed(seed: int) -> None:
+    """Reject a negative seed, which numpy's generators refuse without naming it."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+
+
 class NoEdgesError(ValidationError):
     """A graph without edges, which no embedding method can train on."""
 

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .baselines import SimilarityProvider
-from .errors import InsufficientDataError, SamplingError, ValidationError
+from .errors import InsufficientDataError, SamplingError, ValidationError, check_seed
 from .numerics import fit_logistic_1d, spearman_rho
 from .tsv import number, read_tsv
 
@@ -196,6 +196,7 @@ def eval_binary(
         raise ValidationError("no positive pairs given")
     if runs < 1:
         raise ValidationError("runs must be >= 1")
+    check_seed(seed)
     evaluable = [p for p in positives if p.a in sim.index and p.b in sim.index]
     coverage = len(evaluable) / len(positives)
     if not evaluable:

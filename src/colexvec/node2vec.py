@@ -7,8 +7,11 @@ sequential mini-batch SGD, one batch after another, for determinism; only
 its matrix products run on every BLAS thread. Those products sum in an
 order that depends on the BLAS build and its thread count, so identical
 seeds give bit-identical vectors only on the same build with the same
-thread count. Walk sampling derives an independent RNG per start node so
-corpus generation is order-independent.
+thread count. The per-epoch validation loss builds its logits in blocks
+of LOSS_BLOCK distinct centers, so it never holds a vocabulary x
+vocabulary matrix, and gives the same bits as one whole-matrix pass.
+Walk sampling derives an independent RNG per start node so corpus
+generation is order-independent.
 """
 
 from __future__ import annotations
@@ -20,11 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingSet
-from .errors import NoEdgesError, ValidationError
+from .errors import NoEdgesError, ValidationError, check_seed
 from .graph import ColexGraph
 from .runtime import config_digest
 
 logger = logging.getLogger(__name__)
+
+# distinct centers per logit block of the validation loss
+LOSS_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -43,6 +49,7 @@ class WalkConfig:
                 raise ValidationError(f"{name} must be finite")
         if self.p <= 0 or self.q <= 0:
             raise ValidationError("p and q must be positive")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,7 @@ class SkipGramConfig:
             raise ValidationError("validation_split must be in [0, 1)")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValidationError("batch_size and epochs must be >= 1")
+        check_seed(self.seed)
 
 
 def sample_walks(g: ColexGraph, cfg: WalkConfig) -> list:
@@ -183,12 +191,28 @@ def batch_loss_and_grads(w_in, w_out, centers, contexts):
 
 
 def _mean_loss(w_in, w_out, centers, contexts) -> float:
-    """Mean softmax cross-entropy of the pairs, one logsumexp per distinct center."""
+    """Mean softmax cross-entropy of the pairs, one logsumexp per distinct center.
+
+    The logits are built LOSS_BLOCK distinct centers at a time, so memory
+    stays at one block x vocabulary buffer. Each logit and each row's
+    logsumexp goes through the same operations as over the whole logit
+    matrix at once, so the loss has the same bits.
+    """
     rows, inv = np.unique(centers, return_inverse=True)
-    logits = w_in[rows] @ w_out.T
-    peak = logits.max(axis=1)
-    logsumexp = peak + np.log(np.exp(logits - peak[:, None]).sum(axis=1))
-    return float(np.mean(logsumexp[inv] - logits[inv, contexts]))
+    # the pairs of block b are by_row[bounds[b]:bounds[b + 1]]
+    by_row = np.argsort(inv, kind="stable")
+    bounds = np.searchsorted(inv[by_row], np.arange(0, len(rows) + LOSS_BLOCK, LOSS_BLOCK))
+    logsumexp = np.empty(len(rows))
+    target = np.empty(len(centers))
+    for b, lo in enumerate(range(0, len(rows), LOSS_BLOCK)):
+        logits = w_in[rows[lo: lo + LOSS_BLOCK]] @ w_out.T
+        mine = by_row[bounds[b]: bounds[b + 1]]
+        target[mine] = logits[inv[mine] - lo, contexts[mine]]
+        peak = logits.max(axis=1)
+        np.subtract(logits, peak[:, None], out=logits)
+        np.exp(logits, out=logits)
+        logsumexp[lo: lo + LOSS_BLOCK] = peak + np.log(logits.sum(axis=1))
+    return float(np.mean(logsumexp[inv] - target))
 
 
 def train_skipgram(pairs, vocab, cfg: SkipGramConfig) -> EmbeddingSet:
@@ -198,7 +222,9 @@ def train_skipgram(pairs, vocab, cfg: SkipGramConfig) -> EmbeddingSet:
     and updates only the w_in rows of those centers; w_out gets a full update.
     A validation_split fraction of the pairs is held out purely for loss
     monitoring; it never gates training. Per-epoch losses end up in the
-    result's provenance. A train loss that is not finite at the end of an
+    result's provenance, next to "drift", the relative distance
+    ||w_in - w_start|| / ||w_start|| of the trained vectors from their
+    random start. A train loss that is not finite at the end of an
     epoch raises ValidationError naming that epoch (counted from 1).
     """
     if not pairs:
@@ -217,6 +243,7 @@ def train_skipgram(pairs, vocab, cfg: SkipGramConfig) -> EmbeddingSet:
     n_vocab = len(vocab)
     w_in = (rng.random((n_vocab, cfg.dim)) - 0.5) / cfg.dim
     w_out = (rng.random((n_vocab, cfg.dim)) - 0.5) / cfg.dim
+    w_start = w_in.copy()
 
     n_pairs = len(pairs)
     perm = rng.permutation(n_pairs)
@@ -240,8 +267,11 @@ def train_skipgram(pairs, vocab, cfg: SkipGramConfig) -> EmbeddingSet:
                 w_in, w_out, centers[sel], contexts[sel]
             )
             total += loss * len(sel)
-            w_in[rows] -= cfg.learning_rate * grad_rows
-            w_out -= cfg.learning_rate * grad_out
+            # scaled in place: no V x d temporary per batch
+            np.multiply(grad_rows, cfg.learning_rate, out=grad_rows)
+            w_in[rows] -= grad_rows
+            np.multiply(grad_out, cfg.learning_rate, out=grad_out)
+            w_out -= grad_out
         train_losses.append(total / len(shuffled))
         if not np.isfinite(train_losses[-1]):
             raise ValidationError(
@@ -263,6 +293,7 @@ def train_skipgram(pairs, vocab, cfg: SkipGramConfig) -> EmbeddingSet:
         "config_digest": config_digest(vars(cfg) | {"__config__": "skipgram"}),
         "train_loss": tuple(train_losses),
         "validation_loss": tuple(val_losses),
+        "drift": float(np.linalg.norm(w_in - w_start) / np.linalg.norm(w_start)),
     }
     return EmbeddingSet(vocab, w_in, provenance)
 

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .embeddings import EmbeddingSet
-from .errors import NoEdgesError, ValidationError
+from .errors import NoEdgesError, ValidationError, check_seed
 from .graph import ColexGraph, DenseMatrix
 from .numerics import randomized_tsvd
 from .runtime import config_digest
@@ -48,6 +48,7 @@ class ProneConfig:
             raise ValidationError("theta must be positive")
         if self.shift < 1.0:
             raise ValidationError("shift must be >= 1")
+        check_seed(self.seed)
 
 
 def bessel_i(k: int, x: float, terms: int = _BESSEL_TERMS) -> float:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_seed
 from .graph import DenseMatrix
 from .tsv import write_lines
 
@@ -111,6 +111,7 @@ def tsne_project(
         raise ValidationError(f"perplexity must be in (0, n={n}), got {perplexity}")
     if iterations < 1:
         raise ValidationError("iterations must be >= 1")
+    check_seed(seed)
 
     p = joint_probabilities(conditional_gaussians(squared_distances(x), perplexity))
 

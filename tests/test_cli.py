@@ -12,7 +12,7 @@ import pytest
 import colexvec.cli as cli
 from colexvec.cli import run
 from colexvec.embeddings import EmbeddingSet, load_embedding, save_embedding
-from colexvec.graph import load_graph
+from colexvec.graph import load_graph, make_graph, save_graph
 
 DATA = resources.files("colexvec") / "data"
 
@@ -104,6 +104,48 @@ def test_embed_graph_without_edges_exits_1(tmp_path, capsys, method):
     assert code == 1
     assert capsys.readouterr().err == f"error: {graph}: no edges to embed\n"
     assert not (tmp_path / "e.txt").exists()
+
+
+def negative_seed_argv(tmp_path, command):
+    if command.startswith("embed"):
+        return ["embed", "--graph", str(toy_graph(tmp_path)), "--method", command[6:],
+                "--dim", "2", "--out", str(tmp_path / "out"), "--seed", "-1"]
+    emb = str(separable_embedding(tmp_path))
+    if command == "viz":
+        return ["viz", "--embedding", emb, "--perplexity", "3", "--out", str(tmp_path / "out"),
+                "--seed", "-1"]
+    pairs = "toy_association_pairs.tsv" if command == "eval-links" else "toy_shift_pairs.tsv"
+    return [command, "--sim", emb, "--pairs", data_path(pairs), "--runs", "2",
+            "--report", str(tmp_path / "out"), "--seed", "-1"]
+
+
+@pytest.mark.parametrize("command", ["embed-prone", "embed-node2vec", "eval-shift",
+                                     "eval-links", "viz"])
+def test_negative_seed_exits_1_naming_the_field(tmp_path, capsys, command):
+    argv = negative_seed_argv(tmp_path, command)
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not list(tmp_path.glob("out*"))
+
+
+# every leaf of the star has the same neighbourhood, the center
+STAR = make_graph([("C0", f"L{i}", 1) for i in range(1, 5)], "full", False)
+
+
+@pytest.mark.parametrize("rate, warns", [("1e-6", True), ("1", False)])
+def test_embed_warns_when_node2vec_vectors_did_not_move(tmp_path, capsys, rate, warns):
+    graph, out = tmp_path / "star.tsv", tmp_path / "star.emb"
+    save_graph(STAR, graph)
+    assert run(["embed", "--graph", str(graph), "--method", "node2vec", "--seed", "1",
+                "--dim", "8", "--epochs", "5", "--walks-per-node", "20",
+                "--learning-rate", rate, "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    if warns:
+        assert err.startswith(f"warning: {out}: the vectors barely moved from their start: ")
+        assert err.endswith("raise --learning-rate (1e-06)\n") and err.count("\n") == 1
+    else:
+        assert err == ""
 
 
 def test_embed_undirects_affix_graph(tmp_path):

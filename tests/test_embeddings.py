@@ -1,7 +1,6 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+from memtrace import traced_peak
 
 from colexvec.combine import combine, map_external_vectors
 from colexvec.embeddings import EmbeddingSet, load_embedding, save_embedding
@@ -223,11 +222,6 @@ def test_load_peak_memory_stays_within_4x_the_array(tmp_path):
     # the size of a fused colex-prone set
     values = np.random.default_rng(8).standard_normal((2428, 128))
     save_embedding(EmbeddingSet([f"C{i:04d}" for i in range(2428)], values), tmp_path / "e.txt")
-    tracemalloc.start()
-    try:
-        loaded = load_embedding(tmp_path / "e.txt")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    loaded, peak = traced_peak(load_embedding, tmp_path / "e.txt")
     assert loaded.values.shape == (2428, 128)
     assert peak < 4 * loaded.values.nbytes, f"peak {peak / 1e6:.2f} MB"

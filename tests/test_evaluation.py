@@ -242,6 +242,12 @@ def test_eval_binary_rejects_pool_outside_coverage():
         eval_binary(provider, [ConceptPair("A", "B")], pool=["A", "B", "Z"], seed=0)
 
 
+def test_eval_binary_rejects_negative_seed():
+    provider = make_provider(stable_unit, ["A", "B", "C"])
+    with pytest.raises(ValidationError, match=r"^seed must be >= 0, got -5$"):
+        eval_binary(provider, [ConceptPair("A", "B")], seed=-5)
+
+
 # ---------------------------------------------------------------------------
 # association filtering
 

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from memtrace import traced_peak
 
 import colexvec.node2vec as n2v
 from colexvec.errors import ValidationError
@@ -142,6 +143,12 @@ def test_walk_config_rejects_non_finite(field, value):
         WalkConfig(**{field: value})
 
 
+@pytest.mark.parametrize("config", [WalkConfig, SkipGramConfig])
+def test_configs_reject_negative_seed(config):
+    with pytest.raises(ValidationError, match=r"^seed must be >= 0, got -1$"):
+        config(seed=-1)
+
+
 def test_sample_walks_rejects_directed():
     g = make_graph([("A", "B", 1)], "affix", True)
     with pytest.raises(ValidationError):
@@ -245,6 +252,55 @@ def test_mean_loss_matches_per_pair_reference(name):
     assert abs(n2v._mean_loss(w_in, w_out, centers, contexts) - expected) < 1e-12
 
 
+def three_array_mean_loss(w_in, w_out, centers, contexts):
+    """The validation loss over the whole distinct-center logit matrix at once."""
+    rows, inv = np.unique(centers, return_inverse=True)
+    logits = w_in[rows] @ w_out.T
+    peak = logits.max(axis=1)
+    logsumexp = peak + np.log(np.exp(logits - peak[:, None]).sum(axis=1))
+    return float(np.mean(logsumexp[inv] - logits[inv, contexts]))
+
+
+def spread_centers(n_distinct, n_vocab, dim, seed):
+    """Pairs on exactly n_distinct centers drawn from a larger vocabulary."""
+    rng = np.random.default_rng(seed)
+    w_in = rng.standard_normal((n_vocab, dim))
+    w_out = rng.standard_normal((n_vocab, dim))
+    ids = rng.choice(n_vocab, n_distinct, replace=False)
+    centers = rng.permutation(np.concatenate([ids, rng.choice(ids, 3 * n_distinct)]))
+    contexts = rng.integers(0, n_vocab, len(centers))
+    return w_in, w_out, centers, contexts
+
+
+BLOCK = n2v.LOSS_BLOCK
+
+
+@pytest.mark.parametrize("n_distinct", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+def test_blocked_mean_loss_equals_three_array_loss_bitwise(n_distinct):
+    instance = spread_centers(n_distinct, 4 * BLOCK, 9, n_distinct)
+    assert n2v._mean_loss(*instance) == three_array_mean_loss(*instance)
+
+
+def test_blocked_mean_loss_with_sparse_centers_bitwise():
+    # 300 centers among 20,000 ids: most LOSS_BLOCK-wide id ranges hold no pair
+    instance = spread_centers(300, 20_000, 3, 1)
+    assert n2v._mean_loss(*instance) == three_array_mean_loss(*instance)
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_blocked_mean_loss_on_kernel_cases_bitwise(name):
+    instance = kernel_instance(name)
+    assert n2v._mean_loss(*instance) == three_array_mean_loss(*instance)
+
+
+def test_mean_loss_peak_memory_is_a_few_blocks():
+    # the whole 1,500 x 1,500 logit matrix and its two temporaries would take 54 MB
+    instance = spread_centers(1500, 1500, 16, 0)
+    loss, peak = traced_peak(n2v._mean_loss, *instance)
+    assert np.isfinite(loss)
+    assert peak < 8e6, f"peak {peak / 1e6:.2f} MB"
+
+
 def per_pair_training(pairs, vocab, cfg):
     """train_skipgram's random draws and batches with dense per-pair updates."""
     index = {concept: i for i, concept in enumerate(vocab)}
@@ -304,6 +360,15 @@ def test_skipgram_gradients_match_finite_differences():
                 mat[i, j] += h
                 fd = (up - down) / (2 * h)
                 assert abs(grad[i, j] - fd) < 1e-5
+
+
+def test_skipgram_provenance_holds_the_relative_drift():
+    cfg = SkipGramConfig(dim=4, learning_rate=0.5, epochs=5, batch_size=16, seed=8)
+    trained = train_skipgram(star_pairs(), sorted(STAR.nodes), cfg)
+    rng = np.random.default_rng(cfg.seed)
+    w_start = (rng.random((len(STAR.nodes), cfg.dim)) - 0.5) / cfg.dim
+    drift = np.linalg.norm(trained.values - w_start) / np.linalg.norm(w_start)
+    assert trained.provenance["drift"] == drift > 0
 
 
 def test_skipgram_symmetric_leaves_align():

@@ -28,6 +28,11 @@ def test_config_rejects_non_finite(field, value):
         ProneConfig(**{field: value})
 
 
+def test_config_rejects_negative_seed():
+    with pytest.raises(ValidationError, match=r"^seed must be >= 0, got -1$"):
+        ProneConfig(seed=-1)
+
+
 def random_graph(rng, n, extra_edges):
     nodes = [f"N{i:02d}" for i in range(n)]
     edges = {}

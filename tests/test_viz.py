@@ -88,6 +88,8 @@ def test_tsne_argument_errors():
         tsne_project(m, perplexity=4.0, seed=0)
     with pytest.raises(ValidationError):
         tsne_project(DenseMatrix(values=np.zeros((2, 3))), perplexity=1.0, seed=0)
+    with pytest.raises(ValidationError, match=r"^seed must be >= 0, got -1$"):
+        tsne_project(swadesh_like_fixture(), seed=-1)
 
 
 def test_export_scatter_tsv(tmp_path):
