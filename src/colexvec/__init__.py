@@ -15,6 +15,7 @@ from .combine import combine, map_external_vectors
 from .embeddings import EmbeddingSet, load_embedding, save_embedding
 from .errors import (
     ColexvecError,
+    GraphTooSmallError,
     InsufficientDataError,
     NoEdgesError,
     ParseError,

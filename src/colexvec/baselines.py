@@ -70,18 +70,27 @@ class SimilarityProvider:
         return self.score(self.rows(a), self.rows(b))
 
 
-def _table_provider(source: str, order: list, table: np.ndarray) -> SimilarityProvider:
+def _table_provider(source: str, order: list, table) -> SimilarityProvider:
+    """The provider that looks scores up in `table`.
+
+    `table` is a dense n x n array, or a sparse matrix whose unstored cells
+    score +0.0.
+    """
     # The CLI keeps its last provider for later steps, so the table gets its
     # own anonymous memory map: outside the malloc heap it pins no heap
     # memory freed around it, and dropping it unmaps its pages at once.
     # Read-only, because every later step that reuses it reads the same one.
-    kept = np.ndarray(table.shape, table.dtype, buffer=mmap.mmap(-1, max(table.nbytes, 1)))
-    kept[...] = table
+    n_bytes = table.shape[0] * table.shape[1] * table.dtype.itemsize
+    kept = np.ndarray(table.shape, table.dtype, buffer=mmap.mmap(-1, max(n_bytes, 1)))
+    if sp.issparse(table):
+        table = table.tocoo()
+        kept[table.coords] = table.data  # the fresh map's pages read as +0.0
+    else:
+        kept[...] = table
     kept.flags.writeable = False
-    table = kept
     return SimilarityProvider(
         source=source,
-        score=lambda ia, ib: table[ia, ib],
+        score=lambda ia, ib: kept[ia, ib],
         index={node: i for i, node in enumerate(order)},
     )
 
@@ -89,9 +98,9 @@ def _table_provider(source: str, order: list, table: np.ndarray) -> SimilarityPr
 def _row_cosines(rows: np.ndarray) -> np.ndarray:
     """Cosine of every pair of rows; a zero row scores 0 against everything.
 
-    The rows are not normalised first: for integer-valued rows the Gram
-    entries are exact, so each cell equals the per-pair dot/(|u||v|). The
-    Gram matrix is divided in place, so no third n x n array is made.
+    Each cell is gram / (|u||v|), the Gram matrix divided in place, so no
+    third n x n array is made. It sees float rows (random-walk profiles
+    and PPMI rows), whose Gram entries the BLAS may sum in any order.
     """
     norms = np.linalg.norm(rows, axis=1)
     denom = np.outer(norms, norms)
@@ -101,16 +110,22 @@ def _row_cosines(rows: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _ppmi_matrix(mat: np.ndarray) -> np.ndarray:
-    total = mat.sum()
-    if total == 0:
-        return np.zeros_like(mat)
-    p_joint = mat / total
-    expected = np.outer(mat.sum(axis=1) / total, mat.sum(axis=0) / total)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pmi = np.log(p_joint / expected)
+def _ppmi(adj: sp.csr_array) -> sp.coo_array:
+    """PPMI of every stored cell of `adj`; an unstored cell's PPMI is 0.
+
+    A cell is max(log((w / total) / ((r_i / total) * (c_j / total))), 0)
+    with r the row sums and c the column sums, 0 where the log is not
+    finite. These are the rounding steps of the dense n x n formula, taken
+    on the stored cells only; that formula gives 0 wherever w = 0.
+    """
+    coo = adj.tocoo()
+    total = adj.sum()
+    rows, cols = coo.coords
+    with np.errstate(divide="ignore", invalid="ignore"):  # total is 0 without edges
+        p_row, p_col = adj.sum(axis=1) / total, adj.sum(axis=0) / total
+        pmi = np.log((coo.data / total) / (p_row[rows] * p_col[cols]))
     pmi[~np.isfinite(pmi)] = 0.0
-    return np.maximum(pmi, 0.0)
+    return sp.coo_array((np.maximum(pmi, 0.0), coo.coords), shape=adj.shape)
 
 
 def _walk_profiles(mat: np.ndarray, alpha: float, max_steps: int) -> np.ndarray:
@@ -147,9 +162,23 @@ def shortest_path_provider(g: ColexGraph) -> SimilarityProvider:
 
 
 def cosine_adjacency_provider(g: ColexGraph) -> SimilarityProvider:
-    """Cosine of the concepts' adjacency-matrix rows; isolated rows score 0."""
-    mat = g.adjacency.toarray()
-    return _table_provider("cosine_adjacency", g.sorted_nodes(), _row_cosines(mat))
+    """Cosine of the concepts' adjacency-matrix rows; isolated rows score 0.
+
+    Built from the sparse adjacency: a cell is gram / (norm_i * norm_j)
+    with gram the sparse product A A^T and norm the square root of a row's
+    sum of squared weights, computed for the nonzero cells only. A weight
+    is a family count of at most graph.MAX_FAMILY_COUNT = 2^16, so for a
+    node of fewer than 2^21 neighbours every Gram entry and squared norm
+    is an exact integer in any summation order, and each cell has the bits
+    of the dense per-pair dot / (|u||v|).
+    """
+    a = g.adjacency
+    norms = np.sqrt(a.multiply(a).sum(axis=1))
+    gram = (a @ a.T).tocoo()
+    rows, cols = gram.coords
+    cells = gram.data / (norms[rows] * norms[cols])
+    table = sp.coo_array((cells, gram.coords), shape=a.shape)
+    return _table_provider("cosine_adjacency", g.sorted_nodes(), table)
 
 
 def ppmi_provider(g: ColexGraph, mode: str = "pairwise") -> SimilarityProvider:
@@ -157,12 +186,13 @@ def ppmi_provider(g: ColexGraph, mode: str = "pairwise") -> SimilarityProvider:
 
     On a directed graph a pair's source marginal is its out-weight and its
     target marginal its in-weight. `mode` picks the pairwise PPMI value or
-    the cosine between PPMI rows.
+    the cosine between PPMI rows. Only an edge's cell can be positive, so
+    the pairwise table is computed on the edges alone.
     """
     if mode not in ("pairwise", "cosine_rows"):
         raise ValidationError(f"unknown ppmi mode {mode!r}")
-    ppmi = _ppmi_matrix(g.adjacency.toarray())
-    table = _row_cosines(ppmi) if mode == "cosine_rows" else ppmi
+    ppmi = _ppmi(g.adjacency)
+    table = _row_cosines(ppmi.toarray()) if mode == "cosine_rows" else ppmi
     return _table_provider("ppmi", g.sorted_nodes(), table)
 
 

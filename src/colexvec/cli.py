@@ -10,9 +10,11 @@ hashes, so a report is reproducible from its own contents.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
+import logging
 import math
 import sys
 from pathlib import Path
@@ -29,7 +31,7 @@ from .baselines import (
 )
 from .combine import combine, map_external_vectors
 from .embeddings import load_embedding, save_embedding
-from .errors import ColexvecError, NoEdgesError, ParseError
+from .errors import ColexvecError, GraphTooSmallError, ParseError
 from .evaluation import (
     eval_binary,
     eval_lsim,
@@ -69,6 +71,8 @@ def build_parser(add_help: bool = True) -> _Parser:
     """
     parser = _Parser(prog="colexvec", description=__doc__)
     parser.add_argument("--version", action="version", version=f"colexvec {__version__}")
+    parser.add_argument("--log-level", choices=("warning", "info", "debug"),
+                        default="warning", help="the least severe log records printed to stderr")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     def add_command(name, help):
@@ -254,8 +258,8 @@ def cmd_embed(args) -> dict:
             es = node2vec_embed(g, _config(WalkConfig, args), _config(SkipGramConfig, args))
         else:
             es = prone_embed(g, _config(ProneConfig, args))
-    except NoEdgesError as exc:
-        raise NoEdgesError(f"{args.graph}: {exc}") from exc
+    except GraphTooSmallError as exc:
+        raise type(exc)(f"{args.graph}: {exc}") from exc
     save_embedding(es, args.out)
     uncovered = es.provenance.get("uncovered", ())
     print(
@@ -491,6 +495,24 @@ HANDLERS = {
 }
 
 
+@contextlib.contextmanager
+def _log_to_stderr(level: str):
+    """Print the package's log records of `level` and above to stderr, one
+    bare message a line, while the block runs; then remove the handler and
+    restore the logger, so runs in one process stack no handlers."""
+    log = logging.getLogger("colexvec")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(level.upper())
+    saved = log.level
+    log.addHandler(handler)
+    log.setLevel(handler.level)
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(saved)
+
+
 def run(argv) -> int:
     parser = build_parser()
     try:
@@ -498,7 +520,8 @@ def run(argv) -> int:
         if not getattr(args, "command", None):
             print(parser.format_usage(), file=sys.stderr)
             return 1
-        HANDLERS[args.command](args)
+        with _log_to_stderr(args.log_level):
+            HANDLERS[args.command](args)
         return 0
     except UsageError as exc:
         print(exc.args[1], file=sys.stderr)

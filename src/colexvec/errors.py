@@ -28,7 +28,11 @@ def check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be >= 0, got {seed}")
 
 
-class NoEdgesError(ValidationError):
+class GraphTooSmallError(ValidationError):
+    """A graph too small for the embedding asked of it."""
+
+
+class NoEdgesError(GraphTooSmallError):
     """A graph without edges, which no embedding method can train on."""
 
 

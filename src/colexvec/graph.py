@@ -29,14 +29,19 @@ EDGE_HEADER = "SOURCE\tTARGET\tWEIGHT"
 
 # relative slack when checking that family counts are whole numbers
 _INT_TOL = 1e-9
+# the largest family count an edge may carry: squared counts stay below 2^32,
+# so sums of up to 2^21 of them are exact in float64
+MAX_FAMILY_COUNT = 2**16
 
 
 def _edge_checker(directed: bool) -> Callable:
     """A function that checks one edge (src, dst, w) and returns it.
 
     It rejects an empty id, a self-loop, a weight that is not a family
-    count (a whole number >= 1 within the slack; 1e-10 is not) and a pair
-    it has seen before: the ordered pair if directed, else the sorted one.
+    count (a whole number >= 1 within the slack; 1e-10 is not), a count
+    above MAX_FAMILY_COUNT and a pair it has seen before: the ordered pair
+    if directed, else the sorted one. The weight it returns is the whole
+    number, so 2.000000001 is kept as 2.0.
     """
     seen = set()
 
@@ -47,15 +52,20 @@ def _edge_checker(directed: bool) -> Callable:
             raise ValidationError(f"self-loop on {src!r}")
         if not math.isfinite(w):
             raise ValidationError(f"non-finite weight on {src}->{dst}: {w}")
-        if not (round(w) >= 1 and abs(w - round(w)) <= _INT_TOL * max(1.0, abs(w))):
+        count = round(w)
+        if not (count >= 1 and abs(w - count) <= _INT_TOL * max(1.0, abs(w))):
             raise ValidationError(
                 f"family_count weight on {src}->{dst} is not a whole number >= 1: {w}"
+            )
+        if count > MAX_FAMILY_COUNT:
+            raise ValidationError(
+                f"family_count weight on {src}->{dst} exceeds {MAX_FAMILY_COUNT}: {w}"
             )
         key = (src, dst) if directed else (min(src, dst), max(src, dst))
         if key in seen:
             raise ValidationError(f"duplicate edge {src}->{dst}")
         seen.add(key)
-        return src, dst, w
+        return src, dst, float(count)
 
     return check
 

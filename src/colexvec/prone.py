@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .embeddings import EmbeddingSet
-from .errors import NoEdgesError, ValidationError, check_seed
+from .errors import GraphTooSmallError, NoEdgesError, ValidationError, check_seed
 from .graph import ColexGraph, DenseMatrix
 from .numerics import randomized_tsvd
 from .runtime import config_digest
@@ -155,8 +155,14 @@ def spectral_propagate(g: ColexGraph, base: DenseMatrix, cfg: ProneConfig) -> Em
 
 
 def prone_embed(g: ColexGraph, cfg: ProneConfig) -> EmbeddingSet:
-    """Full ProNE pipeline: shifted matrix, factorization, propagation."""
+    """Full ProNE pipeline: shifted matrix, factorization, propagation.
+
+    The factorization has at most one dimension per node, so a dim above
+    the graph's node count fails as a GraphTooSmallError naming both.
+    """
     if g.n_edges == 0:
         raise NoEdgesError("no edges to embed")
+    if cfg.dim > g.n_nodes:
+        raise GraphTooSmallError(f"dim {cfg.dim} exceeds the graph's {g.n_nodes} nodes")
     shifted = build_shifted_matrix(g, cfg)
     return spectral_propagate(g, factorize(shifted, cfg), cfg)

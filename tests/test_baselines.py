@@ -10,7 +10,6 @@ from scipy.sparse.csgraph import floyd_warshall
 from colexvec import baselines
 from colexvec.baselines import (
     SCORE_CHUNK,
-    _ppmi_matrix,
     _row_cosines,
     _walk_profiles,
     cosine_adjacency_provider,
@@ -22,7 +21,7 @@ from colexvec.baselines import (
 )
 from colexvec.combine import combine
 from colexvec.embeddings import EmbeddingSet
-from colexvec.graph import adjacency_matrix, make_graph
+from colexvec.graph import MAX_FAMILY_COUNT, adjacency_matrix, make_graph
 from colexvec.numerics import ZeroVectorWarning, cosine_similarity
 
 PATH_GRAPH = make_graph([("A", "B", 2), ("B", "C", 1)], "full", False)
@@ -507,6 +506,19 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def dense_ppmi(mat):
+    """The dense n x n PPMI formula the sparse provider replaced."""
+    total = mat.sum()
+    if total == 0:
+        return np.zeros_like(mat)
+    p_joint = mat / total
+    expected = np.outer(mat.sum(axis=1) / total, mat.sum(axis=0) / total)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pmi = np.log(p_joint / expected)
+    pmi[~np.isfinite(pmi)] = 0.0
+    return np.maximum(pmi, 0.0)
+
+
 @pytest.mark.parametrize("n, directed", [(1, False), (7, False), (60, True), (200, False),
                                          (333, True)])
 def test_in_place_tables_have_the_out_of_place_bits(n, directed):
@@ -517,10 +529,46 @@ def test_in_place_tables_have_the_out_of_place_bits(n, directed):
     isolated = rng.choice(n, size=max(1, n // 5), replace=False)
     mat[isolated, :] = 0.0
     mat[:, isolated] = 0.0
-    for rows in (mat, _ppmi_matrix(mat)):
+    for rows in (mat, dense_ppmi(mat)):
         assert same_bits(_row_cosines(rows), out_of_place_row_cosines(rows))
     for alpha, steps in ((0.5, 5), (0.2, 1), (0.9, 3)):
         want = out_of_place_walk_profiles(mat, alpha, steps)
         work = mat.copy()
         assert same_bits(_walk_profiles(work, alpha, steps), want)
         assert same_bits(_row_cosines(want), out_of_place_row_cosines(want))
+
+
+# ---------------------------------------------------------------------------
+# the sparse cosine and PPMI tables against the dense formulas they replaced
+
+
+def random_count_graph(rng, n, directed, density, top):
+    """Edges with whole family counts up to `top`; n // 5 nodes are isolated."""
+    names = [f"N{i:03d}" for i in range(n)]
+    mat = rng.integers(1, top + 1, (n, n)) * (rng.random((n, n)) < density)
+    isolated = rng.choice(n, size=n // 5, replace=False)
+    mat[isolated, :] = 0
+    mat[:, isolated] = 0
+    edges = [(names[i], names[j], float(mat[i, j]))
+             for i in range(n) for j in range(n)
+             if mat[i, j] and i != j and (directed or i < j)]
+    return make_graph(edges, "full", directed, extra_nodes=names)
+
+
+@pytest.mark.parametrize("n, directed, density, top", [
+    (1, False, 0.5, 9), (2, True, 1.0, 9), (5, False, 0.0, 9), (9, False, 0.4, 3),
+    (40, True, 0.1, MAX_FAMILY_COUNT), (120, False, 0.05, 40), (200, True, 0.02, 9),
+    (300, False, 0.03, MAX_FAMILY_COUNT),
+])
+def test_sparse_tables_have_the_dense_bits(n, directed, density, top):
+    rng = np.random.default_rng(n + 1000 * directed)
+    g = random_count_graph(rng, n, directed, density, top)
+    order = g.sorted_nodes()
+    mat = g.adjacency.toarray()
+    ppmi = dense_ppmi(mat)
+    for provider, want in (
+        (cosine_adjacency_provider(g), _row_cosines(mat)),
+        (ppmi_provider(g), ppmi),
+        (ppmi_provider(g, mode="cosine_rows"), _row_cosines(ppmi)),
+    ):
+        assert same_bits(similarity_matrix(provider, order).values, want), provider.source

@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import json
+import logging
 import shlex
 import warnings
 import weakref
@@ -13,6 +15,8 @@ import colexvec.cli as cli
 from colexvec.cli import run
 from colexvec.embeddings import EmbeddingSet, load_embedding, save_embedding
 from colexvec.graph import load_graph, make_graph, save_graph
+from colexvec.node2vec import SkipGramConfig
+from colexvec.prone import ProneConfig
 
 DATA = resources.files("colexvec") / "data"
 
@@ -104,6 +108,17 @@ def test_embed_graph_without_edges_exits_1(tmp_path, capsys, method):
     assert code == 1
     assert capsys.readouterr().err == f"error: {graph}: no edges to embed\n"
     assert not (tmp_path / "e.txt").exists()
+
+
+def test_embed_prone_dim_above_the_node_count_names_the_graph(tmp_path, capsys):
+    graph = tmp_path / "four.tsv"
+    graph.write_text("SOURCE\tTARGET\tWEIGHT\nA\tB\t1\nB\tC\t2\nC\tD\t1\n", encoding="utf-8")
+    argv = ["embed", "--graph", str(graph), "--method", "prone", "--seed", "1"]
+    assert run(argv + ["--dim", "5", "--out", str(tmp_path / "e5.emb")]) == 1
+    assert capsys.readouterr().err == f"error: {graph}: dim 5 exceeds the graph's 4 nodes\n"
+    assert not (tmp_path / "e5.emb").exists()
+    assert run(argv + ["--dim", "4", "--out", str(tmp_path / "e4.emb")]) == 0
+    assert load_embedding(tmp_path / "e4.emb").values.shape == (4, 4)
 
 
 def negative_seed_argv(tmp_path, command):
@@ -949,3 +964,90 @@ def test_validation_error_exit_1(tmp_path):
     code = run(["colexify", "--wordlist", str(bad), "--type", "full",
                 "--out", str(tmp_path / "g.tsv")])
     assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# --log-level
+
+
+def node2vec_argv(tmp_path):
+    return ["embed", "--graph", str(toy_graph(tmp_path)), "--method", "node2vec", "--seed", "1",
+            "--dim", "4", "--epochs", "3", "--walks-per-node", "3", "--learning-rate", "1",
+            "--out", str(tmp_path / "e.emb")]
+
+
+def epoch_lines(err: str) -> list:
+    return [line for line in err.splitlines() if line.startswith("epoch ")]
+
+
+def test_log_level_debug_prints_each_epoch_once_per_run(tmp_path, capsys):
+    argv = node2vec_argv(tmp_path)
+    capsys.readouterr()
+    assert run(argv) == 0
+    default = capsys.readouterr()
+    assert epoch_lines(default.err) == []
+    for _ in range(2):  # one handler per run: a second run prints no line twice
+        assert run(["--log-level", "debug", *argv]) == 0
+        debug = capsys.readouterr()
+        epochs = epoch_lines(debug.err)
+        assert [line.split(":")[0] for line in epochs] == ["epoch 0", "epoch 1", "epoch 2"]
+        assert all("train loss" in line and "validation loss" in line for line in epochs)
+        assert debug.out == default.out
+        assert [line for line in debug.err.splitlines() if line not in epochs] == \
+            default.err.splitlines()
+    assert run(["--log-level", "warning", *argv]) == 0
+    assert capsys.readouterr() == default
+    log = logging.getLogger("colexvec")
+    assert log.handlers == [] and log.level == logging.NOTSET
+
+
+def test_combine_warning_text_reaches_stderr_once(tmp_path, capsys):
+    for name, concepts in (("a.emb", ["A", "B"]), ("b.emb", ["C", "D"])):
+        save_embedding(EmbeddingSet(concepts, np.eye(2)), tmp_path / name)
+    argv = ["combine", "--inputs", f"{tmp_path / 'a.emb'},{tmp_path / 'b.emb'}",
+            "--dim", "2", "--out", str(tmp_path / "f.emb")]
+    for _ in range(2):
+        assert run(argv) == 0
+        assert capsys.readouterr().err == "combine: input sets share no covered concept\n"
+
+
+# ---------------------------------------------------------------------------
+# the paper's protocol
+
+
+def test_protocol_config_declares_the_published_evaluation():
+    path = Path(__file__).resolve().parent.parent / "examples" / "protocol.json"
+    config = json.loads(path.read_text(encoding="utf-8"))
+    steps = cli._check_pipeline_config(path, config)
+    graphs, spaces, evaluated = set(), set(), set()
+    for ns in steps:
+        if ns.command == "colexify":
+            graphs.add(ns.out)
+        elif ns.command == "embed":
+            assert ns.graph in graphs
+            spaces.add(ns.out)
+            assert ns.dim == SkipGramConfig.dim == ProneConfig.dim
+            if ns.method == "node2vec":
+                for field in dataclasses.fields(SkipGramConfig):
+                    if field.name != "seed":
+                        assert getattr(ns, field.name) == field.default, field.name
+        elif ns.command == "combine":
+            assert set(ns.inputs.split(",")) <= spaces
+            spaces.add(ns.out)
+        else:
+            method, source = cli.parse_sim(ns.sim)
+            assert source in (graphs if method else spaces), ns.sim
+            evaluated.add((ns.command, ns.sim))
+            if ns.command != "eval-lsim":
+                assert ns.runs == 50
+            if ns.command == "eval-links":
+                assert ns.min_weight == 5
+    assert {ns.type for ns in steps if ns.command == "colexify"} == {"full", "affix", "overlap"}
+    assert {(ns.graph, ns.method) for ns in steps if ns.command == "embed"} == {
+        (f"{kind}.tsv", method) for kind in ("full", "affix", "overlap")
+        for method in ("prone", "node2vec")}
+    fusions = [ns.inputs.split(",") for ns in steps if ns.command == "combine"]
+    assert sorted(len(inputs) for inputs in fusions) == [2, 2, 3, 3]
+    baselines = {f"{method}:full.tsv" for method in cli.BASELINE_METHODS}
+    assert evaluated == {(command, sim) for command in ("eval-lsim", "eval-shift", "eval-links")
+                         for sim in spaces | baselines}

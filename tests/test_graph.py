@@ -15,6 +15,7 @@ from colexvec.baselines import (
 )
 from colexvec.errors import ParseError, ValidationError
 from colexvec.graph import (
+    MAX_FAMILY_COUNT,
     adjacency_matrix,
     load_graph,
     make_graph,
@@ -129,6 +130,30 @@ def test_fractional_family_count_rejected_at_its_line(tmp_path):
     message = f"{path}:3: family_count weight on B->C is not a whole number >= 1: 2.5"
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         load_graph(path)
+
+
+def test_near_whole_family_count_is_stored_whole(tmp_path):
+    path = write_edge_file(tmp_path, "A\tB\t2.000000001\nB\tC\t3\n")
+    g = load_graph(path)
+    assert g.edges == (("A", "B", 2.0), ("B", "C", 3.0))
+    assert make_graph([("A", "B", 2.000000001)], "full", False).edges == (("A", "B", 2.0),)
+    # the reloaded graph equals the first, which it did not while 2.000000001 was kept
+    save_graph(g, tmp_path / "again.tsv")
+    assert load_graph(tmp_path / "again.tsv") == g
+
+
+def test_family_count_is_capped_at_max(tmp_path):
+    top = float(MAX_FAMILY_COUNT)
+    assert MAX_FAMILY_COUNT == 65536
+    assert make_graph([("A", "B", top)], "full", False).edges == (("A", "B", top),)
+    assert load_graph(write_edge_file(tmp_path, "A\tB\t65536\n")).edges == (("A", "B", top),)
+    for weight in ("65537", "1e17"):
+        path = write_edge_file(tmp_path, f"A\tB\t1\nB\tC\t{weight}\n", name=f"{weight}.tsv")
+        message = f"{path}:3: family_count weight on B->C exceeds 65536: {float(weight)}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load_graph(path)
+        with pytest.raises(ValidationError, match=r"^family_count weight on B->C exceeds 65536: "):
+            make_graph([("B", "C", float(weight))], "full", False)
 
 
 def test_to_undirected_max_merge():

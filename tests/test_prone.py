@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from colexvec.errors import ValidationError
+from colexvec.errors import GraphTooSmallError, ValidationError
 from colexvec.graph import DenseMatrix, adjacency_matrix, make_graph
 from colexvec.prone import (
     ProneConfig,
@@ -277,3 +277,11 @@ def test_prone_embed_rejects_graph_without_edges():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="^no edges to embed$"):
             prone_embed(g, ProneConfig(dim=2))
+
+
+def test_prone_embed_rejects_a_dim_above_the_node_count():
+    g = make_graph([("A", "B", 1), ("B", "C", 2), ("C", "D", 1)], "full", False)
+    with pytest.raises(GraphTooSmallError, match="^dim 5 exceeds the graph's 4 nodes$"):
+        prone_embed(g, ProneConfig(dim=5, seed=1))
+    es = prone_embed(g, ProneConfig(dim=4, seed=1))
+    assert es.values.shape == (4, 4)

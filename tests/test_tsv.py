@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from colexvec.combine import load_concept_map
@@ -126,6 +127,19 @@ def test_format_floats_equals_per_value_format(sep):
     for v in VALUES:
         assert format_floats([v], sep) == format(v, ".8g")
     assert format_floats([], sep) == ""
+
+
+@pytest.mark.parametrize("sep", ["\t", " "])
+@pytest.mark.parametrize("row", [
+    [0.0] * 9,
+    [-0.0] * 9,
+    [0.0, 1.5, 0.0, -0.0, 0.0, 2.0, 0.0, 7e-9],  # exactly half +0.0
+    [0.0] * 20 + [-0.0, 5e-324, 1e300, 0.0, -0.0, 0.25] + [0.0] * 7,
+    VALUES,
+], ids=["all-zero", "all-negative-zero", "half-zero", "mostly-zero", "values"])
+def test_format_floats_of_zero_heavy_rows_equals_per_value_format(row, sep):
+    assert format_floats(row, sep) == sep.join(format(v, ".8g") for v in row)
+    assert format_floats(np.array(row), sep) == sep.join(format(v, ".8g") for v in row)
 
 
 def test_writers_bytes(tmp_path):
