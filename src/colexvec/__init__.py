@@ -35,7 +35,6 @@ from .evaluation import (
 )
 from .graph import (
     ColexGraph,
-    DenseMatrix,
     adjacency_matrix,
     load_graph,
     make_graph,
@@ -59,7 +58,7 @@ from .numerics import (
     spearman_rho,
 )
 from .prone import ProneConfig, build_shifted_matrix, factorize, prone_embed, spectral_propagate
-from .viz import export_scatter, tsne_project
+from .viz import DenseMatrix, export_scatter, tsne_project
 from .wordlist import (
     ColexMatch,
     ColexParams,

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from .embeddings import EmbeddingSet
 from .errors import ValidationError
-from .graph import ColexGraph, DenseMatrix
+from .graph import ColexGraph
 from .numerics import ZeroVectorWarning
 
 PROVIDER_SOURCES = frozenset(
@@ -242,9 +242,7 @@ def embedding_provider(es: EmbeddingSet) -> SimilarityProvider:
     return SimilarityProvider(source="embedding", score=score, index=es.index)
 
 
-def similarity_matrix(provider: SimilarityProvider, order) -> DenseMatrix:
+def similarity_matrix(provider: SimilarityProvider, order) -> np.ndarray:
     """Full pairwise score matrix over `order`."""
-    order = list(order)
     rows = provider.rows(order)
-    values = provider.score(rows[:, None], rows[None, :])
-    return DenseMatrix(values=values, row_labels=tuple(order))
+    return provider.score(rows[:, None], rows[None, :])

@@ -44,7 +44,7 @@ from .node2vec import SkipGramConfig, WalkConfig, node2vec_embed
 from .prone import ProneConfig, prone_embed
 from .runtime import config_digest, file_sha256
 from .tsv import format_floats, open_text, write_json, write_lines
-from .viz import export_scatter, tsne_project
+from .viz import DenseMatrix, export_scatter, tsne_project
 from .wordlist import ColexParams, infer_network, load_wordlist
 
 BASELINE_METHODS = ("shortest-path", "cosine", "ppmi", "random-walk")
@@ -90,21 +90,14 @@ def build_parser(add_help: bool = True) -> _Parser:
     p.add_argument("--method", required=True, choices=("node2vec", "prone"))
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--dim", type=int, default=128)
-    p.add_argument("--walks-per-node", type=int, default=5)
-    p.add_argument("--walk-length", type=int, default=10)
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--window", type=int, default=2)
-    p.add_argument("--learning-rate", type=float, default=0.001)
-    p.add_argument("--epochs", type=int, default=1500)
-    p.add_argument("--validation-split", type=float, default=0.2)
-    p.add_argument("--batch-size", type=int, default=512)
-    p.add_argument("--step", type=int, default=10)
-    p.add_argument("--mu", type=float, default=0.2)
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--exponent", type=float, default=0.75)
-    p.add_argument("--shift", type=float, default=1.0)
+    # one option per config field, typed by its default; --dim serves both methods
+    defaults = {}
+    for config in (WalkConfig, SkipGramConfig, ProneConfig):
+        for f in dataclasses.fields(config):
+            defaults.setdefault(f.name, f.default)
+    del defaults["seed"]
+    for name, default in defaults.items():
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
 
     p = add_command("combine", "fuse embeddings via concatenation + PCA")
     p.add_argument("--inputs", required=True, help="comma-separated embedding files")
@@ -320,7 +313,7 @@ def cmd_baseline(args) -> dict:
         return {"out": args.out, "pairs": len(pairs)}
     order = sorted(provider.covered)
     matrix = similarity_matrix(provider, order)
-    lines = (node + "\t" + format_floats(row, "\t") for node, row in zip(order, matrix.values))
+    lines = (node + "\t" + format_floats(row, "\t") for node, row in zip(order, matrix))
     write_lines(out, "CONCEPT\t" + "\t".join(order), lines)
     print(f"wrote {out}: {len(order)}x{len(order)} similarity matrix ({args.method})")
     return {"out": args.out, "nodes": len(order)}
@@ -380,9 +373,9 @@ def cmd_viz(args) -> dict:
             print(f"skipping {missing} concepts not covered by the embedding")
     else:
         order = list(es.concepts)
-    matrix = es.matrix(order)
     coords = tsne_project(
-        matrix, perplexity=args.perplexity, iterations=args.iterations, seed=args.seed
+        DenseMatrix(es.matrix(order), tuple(order)),
+        perplexity=args.perplexity, iterations=args.iterations, seed=args.seed,
     )
     tsv_path, svg_path = export_scatter(coords, order, args.out)
     print(f"wrote {tsv_path} and {svg_path}: {len(order)} concepts")
@@ -421,7 +414,7 @@ def _check_pipeline_config(path, config) -> list:
             raise ColexvecError(f"{where}: 'args' must be an object")
         argv = [command]
         for key, value in step_args.items():
-            if not isinstance(value, (str, int, float)):
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
                 raise ColexvecError(f"{where}: args.{key} must be a string or a number")
             argv += ["--" + str(key).replace("_", "-"), str(value)]
         try:

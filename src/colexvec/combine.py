@@ -13,7 +13,6 @@ import numpy as np
 
 from .embeddings import EmbeddingSet, load_embedding
 from .errors import ValidationError
-from .graph import DenseMatrix
 from .numerics import pca_reduce
 from .runtime import config_digest
 from .tsv import number, read_tsv
@@ -23,8 +22,8 @@ logger = logging.getLogger(__name__)
 CONCEPT_MAP_HEADER = "CONCEPT\tWORD\tFREQUENCY"
 
 
-def stack_union(sets) -> DenseMatrix:
-    """Concatenated matrix over the union of coverages, zero blocks for gaps."""
+def stack_union(sets) -> EmbeddingSet:
+    """Concatenated vectors over the sorted union of coverages, zero blocks for gaps."""
     sets = list(sets)
     universe = sorted(set().union(*(s.concepts for s in sets)))
     if not universe:
@@ -35,7 +34,7 @@ def stack_union(sets) -> DenseMatrix:
     for s in sets:
         stacked[[row[c] for c in s.concepts], offset: offset + s.dim] = s.values
         offset += s.dim
-    return DenseMatrix(values=stacked, row_labels=tuple(universe))
+    return EmbeddingSet(universe, stacked)
 
 
 def combine(sets, d: int) -> EmbeddingSet:
@@ -47,7 +46,8 @@ def combine(sets, d: int) -> EmbeddingSet:
         raise ValidationError(
             f"target dim {d} must equal the first set's dim {sets[0].dim}"
         )
-    reduced = pca_reduce(stack_union(sets), d)
+    stacked = stack_union(sets)
+    reduced, rank = pca_reduce(stacked.values, d)
 
     colex_types = []
     for s in sets:
@@ -62,10 +62,10 @@ def combine(sets, d: int) -> EmbeddingSet:
     if not shared:
         provenance["warning"] = "input sets share no covered concept"
         logger.warning("combine: input sets share no covered concept")
-    if reduced.meta.get("rank_deficient"):
+    if rank < d:
         provenance["rank_deficient"] = True
 
-    return EmbeddingSet(reduced.row_labels, reduced.values, provenance)
+    return EmbeddingSet(stacked.concepts, reduced, provenance)
 
 
 def _concept_word(concept, word, frequency) -> tuple:
@@ -113,7 +113,7 @@ def map_external_vectors(vector_file, concept_map_file, d: int) -> EmbeddingSet:
         raise ValidationError(
             f"{concept_map_file}: no concept resolves to any word in {vector_file}"
         )
-    reduced = pca_reduce(aggregated.matrix(), d)
+    reduced, _ = pca_reduce(aggregated.values, d)
     provenance = {
         "method": "external",
         "vector_file": str(vector_file),
@@ -123,4 +123,4 @@ def map_external_vectors(vector_file, concept_map_file, d: int) -> EmbeddingSet:
             {"dim": d, "vector_file": str(vector_file), "concept_map": str(concept_map_file)}
         ),
     }
-    return EmbeddingSet(aggregated.concepts, reduced.values, provenance)
+    return EmbeddingSet(aggregated.concepts, reduced, provenance)

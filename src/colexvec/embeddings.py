@@ -24,7 +24,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .graph import DenseMatrix
 from .tsv import format_floats, open_text, write_lines
 
 
@@ -76,13 +75,13 @@ class EmbeddingSet:
     def vectors(self) -> Mapping:
         return _Rows(self)
 
-    def matrix(self, order: Sequence = None) -> DenseMatrix:
-        """The rows in the given (default: sorted) concept order."""
+    def matrix(self, order: Sequence = None) -> np.ndarray:
+        """A copy of the rows in the given (default: sorted) concept order."""
         order = self.concepts if order is None else tuple(order)
         missing = [c for c in order if c not in self.index]
         if missing:
             raise ValidationError(f"concepts not covered: {missing[:5]}")
-        return DenseMatrix(values=self.values[[self.index[c] for c in order]], row_labels=order)
+        return self.values[[self.index[c] for c in order]]
 
 
 class _Rows(Mapping):

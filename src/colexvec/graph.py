@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -133,38 +133,6 @@ class ColexGraph:
         return frozenset(node for node, t in zip(self.order, touched.tolist()) if not t)
 
 
-@dataclass(frozen=True, eq=False)
-class DenseMatrix:
-    """Row-major dense matrix with optional concept row labels."""
-
-    values: np.ndarray
-    row_labels: Optional[tuple] = None
-    meta: Mapping = field(default_factory=dict)
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 2:
-            raise ValidationError("DenseMatrix requires a 2-D array")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("DenseMatrix entries must be finite")
-        object.__setattr__(self, "values", arr)
-        if self.row_labels is not None:
-            labels = tuple(self.row_labels)
-            if len(labels) != arr.shape[0]:
-                raise ValidationError(
-                    f"row_labels length {len(labels)} != rows {arr.shape[0]}"
-                )
-            object.__setattr__(self, "row_labels", labels)
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
-
 def make_graph(
     edges: Iterable,
     colex_type: str,
@@ -280,11 +248,11 @@ def to_undirected(g: ColexGraph) -> ColexGraph:
     return ColexGraph(g.order, adj.maximum(adj.T), g.colex_type, directed=False)
 
 
-def adjacency_matrix(g: ColexGraph, order: Sequence) -> DenseMatrix:
+def adjacency_matrix(g: ColexGraph, order: Sequence) -> np.ndarray:
     """Dense `g.adjacency` with rows and columns in the given node order."""
     order = list(order)
     if len(order) != len(set(order)) or set(order) != set(g.nodes):
         raise ValidationError("order must be a permutation of the graph's nodes")
     index = {node: i for i, node in enumerate(g.order)}
     perm = [index[node] for node in order]
-    return DenseMatrix(values=g.adjacency.toarray()[np.ix_(perm, perm)], row_labels=tuple(order))
+    return g.adjacency.toarray()[np.ix_(perm, perm)]

@@ -12,6 +12,11 @@ of LOSS_BLOCK distinct centers, so it never holds a vocabulary x
 vocabulary matrix, and gives the same bits as one whole-matrix pass.
 Walk sampling derives an independent RNG per start node so corpus
 generation is order-independent.
+
+The corpus stays in row space: walks are rows of `g.order`, pairs are
+(center, context) rows, and `train_skipgram` takes rows of its vocabulary.
+`node2vec_embed` maps graph rows to vocabulary rows once and names the
+vocabulary once, from `g.order`.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -76,21 +82,22 @@ class SkipGramConfig:
         check_seed(self.seed)
 
 
-def sample_walks(g: ColexGraph, cfg: WalkConfig) -> list:
+def sample_walks(g: ColexGraph, cfg: WalkConfig) -> np.ndarray:
     """Weighted second-order random walks, `walks_per_node` per non-isolated node.
 
-    Each step draws from the current node's row of `g.adjacency`, its
-    neighbours in sorted order. With p = q = 1 the draw is plain
-    weight-proportional; otherwise the previous node reweights each
-    candidate by 1/p (the previous node itself), 1 (a neighbour of the
-    previous node) or 1/q (any other node). Start node i draws from its own
-    generator `default_rng([seed, i])` in the RNG stream of
-    `Generator.choice`, so identical seeds give an identical corpus.
+    Returns an intp array of shape (walks, walk_length) whose entries are
+    rows of `g.order`: the walks of each start node in ascending row order,
+    `walks_per_node` of them each. Each step draws from the current node's
+    row of `g.adjacency`, its neighbours in sorted order. With p = q = 1
+    the draw is plain weight-proportional; otherwise the previous node
+    reweights each candidate by 1/p (the previous node itself), 1 (a
+    neighbour of the previous node) or 1/q (any other node). Start node i
+    draws from its own generator `default_rng([seed, i])` in the RNG stream
+    of `Generator.choice`, so identical seeds give an identical corpus.
     """
     if g.directed:
         raise ValidationError("sample_walks needs an undirected graph")
 
-    order = g.sorted_nodes()
     adj = g.adjacency
     indptr, indices, weights = adj.indptr, adj.indices, adj.data
     # row i's CDF is cdf[indptr[i]:indptr[i + 1]], aligned with its neighbours
@@ -105,9 +112,7 @@ def sample_walks(g: ColexGraph, cfg: WalkConfig) -> list:
         np.fill_diagonal(divisor, cfg.p)
 
     walks = []
-    for start in range(len(order)):
-        if indptr[start] == indptr[start + 1]:
-            continue
+    for start in np.flatnonzero(np.diff(indptr)).tolist():
         rng = np.random.default_rng([cfg.seed, start])
         for _ in range(cfg.walks_per_node):
             walk = [start]
@@ -119,8 +124,8 @@ def sample_walks(g: ColexGraph, cfg: WalkConfig) -> list:
                 else:
                     row_cdf = _choice_cdf(weights[lo:hi] / divisor[walk[-2], indices[lo:hi]])
                 walk.append(int(indices[lo + int(row_cdf.searchsorted(rng.random(), side="right"))]))
-            walks.append([order[i] for i in walk])
-    return walks
+            walks.append(walk)
+    return np.array(walks, dtype=np.intp).reshape(-1, cfg.walk_length)
 
 
 def _choice_cdf(weights: np.ndarray) -> np.ndarray:
@@ -134,19 +139,22 @@ def _choice_cdf(weights: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def extract_pairs(walks, window: int) -> list:
-    """Skip-gram (center, context) pairs within the given window."""
+def extract_pairs(walks, window: int) -> np.ndarray:
+    """Skip-gram (center, context) pairs within the given window, as an (n, 2) array.
+
+    `walks` is a 2-D array, one walk a row. Pairs come walk by walk, then
+    by center position, then by context position, from one gather of
+    every walk's interleaved (center, context) positions.
+    """
     if window < 1:
         raise ValidationError("window must be >= 1")
-    pairs = []
-    for walk in walks:
-        for i, center in enumerate(walk):
-            lo = max(0, i - window)
-            hi = min(len(walk), i + window + 1)
-            for j in range(lo, hi):
-                if j != i:
-                    pairs.append((center, walk[j]))
-    return pairs
+    walks = np.asarray(walks)
+    if walks.ndim != 2:
+        raise ValidationError(f"walks must be a 2-D array, got shape {walks.shape}")
+    pos = np.arange(walks.shape[1])
+    gap = np.abs(pos[:, None] - pos[None, :])
+    positions = np.argwhere((gap >= 1) & (gap <= window)).ravel()
+    return walks[:, positions].reshape(-1, 2)
 
 
 def softmax_rows(logits: np.ndarray, out: np.ndarray = None) -> np.ndarray:
@@ -218,6 +226,7 @@ def _mean_loss(w_in, w_out, centers, contexts) -> float:
 def train_skipgram(pairs, vocab, cfg: SkipGramConfig) -> EmbeddingSet:
     """Train input-side vectors with full-softmax SGD over shuffled mini-batches.
 
+    `pairs` is an (n, 2) integer array of (center, context) rows of `vocab`.
     Each batch computes one softmax per distinct center (weighted by its count)
     and updates only the w_in rows of those centers; w_out gets a full update.
     A validation_split fraction of the pairs is held out purely for loss
@@ -227,20 +236,20 @@ def train_skipgram(pairs, vocab, cfg: SkipGramConfig) -> EmbeddingSet:
     random start. A train loss that is not finite at the end of an
     epoch raises ValidationError naming that epoch (counted from 1).
     """
-    if not pairs:
+    pairs = np.asarray(pairs)
+    if not pairs.size:
         raise ValidationError("empty pair list")
-    vocab = list(vocab)
-    index = {concept: i for i, concept in enumerate(vocab)}
-    if len(index) != len(vocab):
+    vocab = tuple(vocab)
+    n_vocab = len(vocab)
+    if len(set(vocab)) != n_vocab:
         raise ValidationError("vocab contains duplicates")
-    try:
-        centers = np.array([index[c] for c, _ in pairs], dtype=np.int64)
-        contexts = np.array([index[t] for _, t in pairs], dtype=np.int64)
-    except KeyError as exc:
-        raise ValidationError(f"pair member missing from vocab: {exc}") from None
+    if pairs.shape[1:] != (2,) or pairs.dtype.kind not in "iu":
+        raise ValidationError(f"pairs must be (n, 2) integers, got {pairs.dtype} {pairs.shape}")
+    if pairs.min() < 0 or pairs.max() >= n_vocab:
+        raise ValidationError(f"pair rows {pairs.min()}..{pairs.max()} outside [0, {n_vocab})")
+    centers, contexts = pairs.T
 
     rng = np.random.default_rng(cfg.seed)
-    n_vocab = len(vocab)
     w_in = (rng.random((n_vocab, cfg.dim)) - 0.5) / cfg.dim
     w_out = (rng.random((n_vocab, cfg.dim)) - 0.5) / cfg.dim
     w_start = w_in.copy()
@@ -301,13 +310,21 @@ def train_skipgram(pairs, vocab, cfg: SkipGramConfig) -> EmbeddingSet:
 def node2vec_embed(
     g: ColexGraph, walk_cfg: WalkConfig, sg_cfg: SkipGramConfig
 ) -> EmbeddingSet:
-    """Full Node2Vec pipeline: sample walks, extract pairs, train skip-gram."""
+    """Full Node2Vec pipeline: sample walks, extract pairs, train skip-gram.
+
+    The vocabulary is the nodes with a non-empty adjacency row, in `g.order`.
+    """
+    if walk_cfg.walk_length < 2:
+        raise ValidationError(
+            f"walk_length must be >= 2 to yield skip-gram pairs, got {walk_cfg.walk_length}"
+        )
     if g.n_edges == 0:
         raise NoEdgesError("no edges to embed")
-    walks = sample_walks(g, walk_cfg)
-    pairs = extract_pairs(walks, sg_cfg.window)
-    vocab = sorted(g.nodes - g.isolated_nodes())
-    trained = train_skipgram(pairs, vocab, sg_cfg)
+    covered = np.diff(g.adjacency.indptr) > 0
+    # graph row -> vocabulary row; mapping the walks, not the pairs, makes one pair array
+    vocab_row = np.cumsum(covered) - 1
+    pairs = extract_pairs(vocab_row[sample_walks(g, walk_cfg)], sg_cfg.window)
+    trained = train_skipgram(pairs, tuple(compress(g.order, covered)), sg_cfg)
     provenance = dict(trained.provenance)
     provenance.update(
         {
@@ -317,7 +334,7 @@ def node2vec_embed(
             "config_digest": config_digest(
                 {"walks": vars(walk_cfg), "skipgram": vars(sg_cfg)}
             ),
-            "uncovered": tuple(sorted(g.isolated_nodes())),
+            "uncovered": tuple(compress(g.order, ~covered)),
         }
     )
     return EmbeddingSet(trained.concepts, trained.values, provenance)

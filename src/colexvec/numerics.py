@@ -15,7 +15,6 @@ import numpy as np
 import scipy.sparse
 
 from .errors import ValidationError
-from .graph import DenseMatrix
 
 
 class ZeroVectorWarning(UserWarning):
@@ -40,16 +39,15 @@ def cosine_similarity(u, v) -> float:
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
-def pca_reduce(m: DenseMatrix, d: int) -> DenseMatrix:
-    """Project onto the top-d principal components of the centered input.
+def pca_reduce(x: np.ndarray, d: int) -> tuple:
+    """(scores, rank): the rows of x projected onto its top-d principal components.
 
     Components are ordered by decreasing explained variance with a fixed
     sign convention (largest-magnitude loading positive), so the result is
-    deterministic. If d exceeds the input's rank, the trailing components
-    are null-space directions with zero variance and the result's meta
-    carries rank_deficient/rank.
+    deterministic. `rank` is the numerical rank of the centered input; if
+    d exceeds it, the trailing components are null-space directions with
+    zero variance.
     """
-    x = m.values
     n, dim = x.shape
     if d < 1 or d > min(n, dim):
         raise ValidationError(f"target dimension {d} not in [1, min(n={n}, D={dim})]")
@@ -61,13 +59,8 @@ def pca_reduce(m: DenseMatrix, d: int) -> DenseMatrix:
         if vt[k, pivot] < 0:
             vt[k] = -vt[k]
             u[:, k] = -u[:, k]
-    scores = u[:, :d] * s[:d]
-    meta = {}
     tol = max(n, dim) * np.finfo(float).eps * (s[0] if len(s) else 0.0)
-    rank = int(np.sum(s > tol))
-    if d > rank:
-        meta = {"rank_deficient": True, "rank": rank}
-    return DenseMatrix(values=scores, row_labels=m.row_labels, meta=meta)
+    return u[:, :d] * s[:d], int(np.sum(s > tol))
 
 
 def randomized_tsvd(m, d: int, seed: int, n_iter: int = 7, oversample: int = 10):

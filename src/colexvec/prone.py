@@ -4,6 +4,10 @@ Stage one factorizes a sparse matrix of shifted log transition
 probabilities with a seeded randomized truncated SVD. Stage two smooths
 the base embedding with a Gaussian band-pass graph filter expanded in a
 Chebyshev-style recurrence whose coefficients are modified Bessel values.
+
+Both stages stay in graph rows: row i of the shifted matrix, of the base
+embedding and of the propagated one belongs to node `g.order[i]`. Only the
+final EmbeddingSet names its rows, dropping the isolated nodes.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import scipy.sparse as sp
 
 from .embeddings import EmbeddingSet
 from .errors import GraphTooSmallError, NoEdgesError, ValidationError, check_seed
-from .graph import ColexGraph, DenseMatrix
+from .graph import ColexGraph
 from .numerics import randomized_tsvd
 from .runtime import config_digest
 
@@ -89,10 +93,10 @@ def build_shifted_matrix(g: ColexGraph, cfg: ProneConfig) -> sp.csr_array:
     return sp.csr_array((values, (adj.row, adj.col)), shape=(n, n))
 
 
-def factorize(m, cfg: ProneConfig) -> DenseMatrix:
-    """Base embedding U * sqrt(S) from the seeded randomized truncated SVD."""
+def factorize(m, cfg: ProneConfig) -> np.ndarray:
+    """Base embedding U * sqrt(S) from the seeded randomized truncated SVD, in m's rows."""
     u, s = randomized_tsvd(m, cfg.dim, cfg.seed)
-    return DenseMatrix(values=u * np.sqrt(s))
+    return u * np.sqrt(s)
 
 
 def _l2_normalize_rows(x: np.ndarray) -> np.ndarray:
@@ -100,7 +104,7 @@ def _l2_normalize_rows(x: np.ndarray) -> np.ndarray:
     return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
 
 
-def spectral_propagate(g: ColexGraph, base: DenseMatrix, cfg: ProneConfig) -> EmbeddingSet:
+def spectral_propagate(g: ColexGraph, base: np.ndarray, cfg: ProneConfig) -> EmbeddingSet:
     """Smooth the base embedding with the band-pass Chebyshev filter.
 
     With A-hat = A + I row-normalized to DA, L = I - DA and M = L - mu*I,
@@ -108,25 +112,18 @@ def spectral_propagate(g: ColexGraph, base: DenseMatrix, cfg: ProneConfig) -> Em
     X_{k+1} = M(M X_k) - 2 X_k - X_{k-1}; the accumulated filter weights
     term k by (-1)^k c_k with c_0 = I_0(theta) and c_k = 2 I_k(theta).
     The output is the row-wise L2 normalization of DA (base - filter);
-    step = 1 short-circuits to the normalized base. The base rows may come
-    in any order of the graph's nodes; unlabeled rows are in sorted order.
+    step = 1 short-circuits to the normalized base. `base` is an
+    (n_nodes, dim) array whose row i belongs to `g.order[i]`.
     """
     if g.directed:
         raise ValidationError("spectral_propagate needs an undirected graph")
-    order = g.sorted_nodes()
-    labels = list(base.row_labels) if base.row_labels else order
-    if set(labels) != g.nodes or len(labels) != len(order):
-        raise ValidationError("base rows must align with the graph's node set")
-    if base.cols != cfg.dim:
-        raise ValidationError(f"base has {base.cols} columns, config dim is {cfg.dim}")
-
-    # work in sorted node order, the order of g.adjacency
-    row = {node: i for i, node in enumerate(labels)}
-    x0 = base.values[[row[node] for node in order]]
+    x0 = np.asarray(base, dtype=float)
+    if x0.shape != (g.n_nodes, cfg.dim):
+        raise ValidationError(f"base has shape {x0.shape}, expected {(g.n_nodes, cfg.dim)}")
     if cfg.step == 1:
         out = _l2_normalize_rows(x0)
     else:
-        n = len(order)
+        n = g.n_nodes
         a_hat = g.adjacency + sp.eye_array(n, format="csr")
         inv_rows = 1.0 / np.asarray(a_hat.sum(axis=1)).ravel()
         da = sp.diags_array(inv_rows) @ a_hat
@@ -142,16 +139,15 @@ def spectral_propagate(g: ColexGraph, base: DenseMatrix, cfg: ProneConfig) -> Em
             prev, cur = cur, nxt
         out = _l2_normalize_rows(da @ (x0 - filt))
 
-    isolated = g.isolated_nodes()
-    keep = [node not in isolated for node in order]
+    keep = np.diff(g.adjacency.indptr) > 0
     provenance = {
         "method": "prone",
         "colex_types": (g.colex_type,),
         "seed": cfg.seed,
         "config_digest": config_digest(vars(cfg) | {"__config__": "prone"}),
-        "uncovered": tuple(sorted(isolated)),
+        "uncovered": tuple(compress(g.order, ~keep)),
     }
-    return EmbeddingSet(list(compress(order, keep)), out[keep], provenance)
+    return EmbeddingSet(tuple(compress(g.order, keep)), out[keep], provenance)
 
 
 def prone_embed(g: ColexGraph, cfg: ProneConfig) -> EmbeddingSet:

@@ -3,18 +3,20 @@
 Plotted concept subsets are small (tens of points), so the quadratic
 exact algorithm is used rather than Barnes-Hut. Everything is
 deterministic given the seed; the SVG is assembled by hand so output
-files are byte-stable.
+files are byte-stable. A point set is a DenseMatrix: one row per point,
+optionally labelled, with the projection's KL history in `meta`.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .errors import ValidationError, check_seed
-from .graph import DenseMatrix
 from .tsv import write_lines
 
 EXAGGERATION = 12.0
@@ -24,6 +26,36 @@ MOMENTUM_LATE = 0.8
 LEARNING_RATE = 10.0
 INIT_SCALE = 1e-4
 _EPS = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class DenseMatrix:
+    """A t-SNE point set: row-major finite values with optional row labels."""
+
+    values: np.ndarray
+    row_labels: Optional[tuple] = None
+    meta: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        arr = np.asarray(self.values, dtype=float)
+        if arr.ndim != 2:
+            raise ValidationError("DenseMatrix requires a 2-D array")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("DenseMatrix entries must be finite")
+        object.__setattr__(self, "values", arr)
+        if self.row_labels is not None:
+            labels = tuple(self.row_labels)
+            if len(labels) != arr.shape[0]:
+                raise ValidationError(f"row_labels length {len(labels)} != rows {arr.shape[0]}")
+            object.__setattr__(self, "row_labels", labels)
+
+    @property
+    def rows(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.values.shape[1]
 
 
 def squared_distances(x: np.ndarray) -> np.ndarray:

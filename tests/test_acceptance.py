@@ -39,7 +39,6 @@ from colexvec.evaluation import (
     load_rated_pairs,
 )
 from colexvec.graph import (
-    DenseMatrix,
     adjacency_matrix,
     load_graph,
     make_graph,
@@ -61,7 +60,7 @@ from colexvec.numerics import (
     spearman_rho,
 )
 from colexvec.prone import ProneConfig, prone_embed, spectral_propagate
-from colexvec.viz import conditional_gaussians, squared_distances, tsne_project
+from colexvec.viz import DenseMatrix, conditional_gaussians, squared_distances, tsne_project
 from colexvec.wordlist import ColexParams, infer_network
 
 DATA_DIR = os.environ.get("COLEXVEC_DATA_DIR")
@@ -113,7 +112,7 @@ def test_criterion_2_baseline_oracles():
             assert dist[a, b] == pytest.approx(fill if math.isinf(got) else got)
 
         order = nodes
-        mat = adjacency_matrix(g, order).values
+        mat = adjacency_matrix(g, order)
         total = mat.sum()
         marginal = mat.sum(axis=1) / total
         rowsum = mat.sum(axis=1, keepdims=True)
@@ -138,7 +137,7 @@ def test_criterion_2_baseline_oracles():
 
     path_graph = make_graph([("A", "B", 2), ("B", "C", 1)], "full", False)
     assert tb.score(ppmi_provider(path_graph), "A", "B") == pytest.approx(0.6931, abs=1e-4)
-    mat = adjacency_matrix(path_graph, ["A", "B", "C"]).values
+    mat = adjacency_matrix(path_graph, ["A", "B", "C"])
     p = mat / mat.sum(axis=1, keepdims=True)
     profile_a = (0.5 * p + 0.25 * (p @ p))[0]
     assert np.allclose(profile_a, [1 / 6, 1 / 2, 1 / 12])
@@ -199,10 +198,9 @@ def test_criterion_4_tsvd_and_propagation_oracles():
     g = tp.random_graph(gen, 10, 7)
     order = g.sorted_nodes()
     base_values = gen.standard_normal((10, 4))
-    base = DenseMatrix(values=base_values, row_labels=tuple(order))
-    adj = adjacency_matrix(g, order).values
+    adj = adjacency_matrix(g, order)
     cfg = ProneConfig(dim=4, step=10, mu=0.2, theta=0.5, seed=0)
-    es = spectral_propagate(g, base, cfg)
+    es = spectral_propagate(g, base_values, cfg)
     expected = tp.oracle_propagate(adj, base_values, 10, 0.2, 0.5)
     got = np.vstack([es.vectors[node] for node in order])
     assert np.max(np.abs(got - expected)) < 1e-8
@@ -228,7 +226,7 @@ def test_criterion_5_pca_contracts():
     assert np.max(np.abs(d_orig - d_new)) < 1e-9
 
     x = rng.standard_normal((40, 6)) @ rng.standard_normal((6, 6))
-    out = pca_reduce(DenseMatrix(values=x), 5).values
+    out, _ = pca_reduce(x, 5)
     cov = np.cov(out, rowvar=False)
     off = cov - np.diag(np.diag(cov))
     assert np.max(np.abs(off)) < 1e-9 * cov[0, 0]

@@ -34,7 +34,7 @@ def score(provider, a, b) -> float:
 def scores_by_pair(provider, g) -> dict:
     """Every ordered pair's score, read off one similarity_matrix call."""
     order = g.sorted_nodes()
-    values = similarity_matrix(provider, order).values
+    values = similarity_matrix(provider, order)
     return {(a, b): values[i, j] for i, a in enumerate(order) for j, b in enumerate(order)}
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,7 @@ def test_ppmi_matches_dense_oracle():
     for _ in range(10):
         g = random_small_graph(rng)
         order = g.sorted_nodes()
-        mat = adjacency_matrix(g, order).values
+        mat = adjacency_matrix(g, order)
         total = mat.sum()
         marginal = mat.sum(axis=1) / total
         ppmi = scores_by_pair(ppmi_provider(g), g)
@@ -220,7 +220,7 @@ def test_ppmi_cosine_rows_mode():
 
 def test_random_walk_hand_profile():
     order = ["A", "B", "C"]
-    mat = adjacency_matrix(PATH_GRAPH, order).values
+    mat = adjacency_matrix(PATH_GRAPH, order)
     rowsum = mat.sum(axis=1, keepdims=True)
     p = mat / rowsum
     profile = 0.5 * p + 0.25 * (p @ p)
@@ -236,7 +236,7 @@ def test_random_walk_self_similarity():
 def test_random_walk_single_step_equals_row_cosine():
     g = random_small_graph(random.Random(11))
     order = g.sorted_nodes()
-    mat = adjacency_matrix(g, order).values
+    mat = adjacency_matrix(g, order)
     rowsum = mat.sum(axis=1, keepdims=True)
     p = np.divide(mat, rowsum, out=np.zeros_like(mat), where=rowsum > 0)
     walk = scores_by_pair(random_walk_provider(g, max_steps=1), g)
@@ -252,7 +252,7 @@ def test_random_walk_profiles_match_matrix_powers():
     for _ in range(10):
         g = random_small_graph(rng)
         order = g.sorted_nodes()
-        mat = adjacency_matrix(g, order).values
+        mat = adjacency_matrix(g, order)
         rowsum = mat.sum(axis=1, keepdims=True)
         p = np.divide(mat, rowsum, out=np.zeros_like(mat), where=rowsum > 0)
         expected = np.zeros_like(p)
@@ -376,7 +376,7 @@ def test_embedding_scores_equal_per_pair_cosine_bitwise(monkeypatch, make, chunk
     order = list(es.concepts)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        matrix = similarity_matrix(provider, order).values
+        matrix = similarity_matrix(provider, order)
     pairs = list(itertools.product(order, repeat=2))  # 8,100 pairs in the random set
     oracle = pair_cosine_oracle(es, [x for x, _ in pairs], [y for _, y in pairs])
     assert np.array_equal(matrix.view(np.int64), oracle.reshape(len(order), -1).view(np.int64))
@@ -398,9 +398,9 @@ def test_tied_fused_scores_stay_tied():
 def test_similarity_matrix_dump():
     provider = cosine_adjacency_provider(PATH_GRAPH)
     m = similarity_matrix(provider, ["A", "B", "C"])
-    assert m.values.shape == (3, 3)
-    assert m.values[0, 2] == pytest.approx(1.0)
-    assert np.allclose(m.values, m.values.T)
+    assert m.shape == (3, 3)
+    assert m[0, 2] == pytest.approx(1.0)
+    assert np.allclose(m, m.T)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +465,7 @@ def test_every_provider_matches_dense_oracle():
     ] + [graph_with_gaps(rng) for _ in range(40)]
     for g in graphs:
         order = g.sorted_nodes()
-        mat = adjacency_matrix(g, order).values
+        mat = adjacency_matrix(g, order)
         cases = [
             (shortest_path_provider(g), shortest_path_oracle(g, mat)),
             (cosine_adjacency_provider(g), cosine_oracle(mat)),
@@ -476,7 +476,7 @@ def test_every_provider_matches_dense_oracle():
             (ppmi_provider(g, mode="cosine_rows"), cosine_oracle(ppmi_oracle(mat))),
         ]
         for provider, oracle in cases:
-            got = similarity_matrix(provider, order).values
+            got = similarity_matrix(provider, order)
             np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12,
                                        err_msg=f"{provider.source} on {g}")
 
@@ -571,4 +571,4 @@ def test_sparse_tables_have_the_dense_bits(n, directed, density, top):
         (ppmi_provider(g), ppmi),
         (ppmi_provider(g, mode="cosine_rows"), _row_cosines(ppmi)),
     ):
-        assert same_bits(similarity_matrix(provider, order).values, want), provider.source
+        assert same_bits(similarity_matrix(provider, order), want), provider.source

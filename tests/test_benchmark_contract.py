@@ -9,9 +9,11 @@ from the default of its max_iter keyword;
 perfbench/checks.py re-derives colexify edges with
 wordlist.classify_pair(a, b, ColexParams()); perfbench/run.py records
 runtime.worker_count(); probes.combine_counts reads len(es.vectors) of
-combine's result and the dim of each input set. Removing or bypassing any of these crashes every
-benchmark run, or silently stops it from timing the baselines or counting
-the fit iterations.
+combine's result and the dim of each input set; probes.skipgram_counts
+reads len(pairs) and len(vocab) of train_skipgram's arguments, and
+probes.points reads .rows of tsne_project's first argument. Removing or
+bypassing any of these crashes every benchmark run, or silently stops it
+from timing the baselines or counting the fit iterations.
 """
 
 import dataclasses
@@ -21,6 +23,7 @@ import numpy as np
 
 import colexvec.cli as cli
 import colexvec.evaluation as evaluation
+import colexvec.node2vec as node2vec
 import colexvec.numerics as numerics
 from colexvec.baselines import PROVIDER_SOURCES
 from colexvec.combine import combine
@@ -105,8 +108,8 @@ def test_built_provider_score_can_be_swapped():
         swapped = dataclasses.replace(provider, score=counted)
         assert swapped.source == provider.source
         order = sorted(provider.covered)
-        assert np.array_equal(cli.similarity_matrix(swapped, order).values,
-                              cli.similarity_matrix(provider, order).values)
+        assert np.array_equal(cli.similarity_matrix(swapped, order),
+                              cli.similarity_matrix(provider, order))
         assert calls
 
 
@@ -158,3 +161,25 @@ def test_combine_result_exposes_the_counts_the_probe_reads():
     es = combine([TOY_EMBEDDING, other], 2)
     assert len(es.vectors) == len(es.concepts) == 4
     assert all(isinstance(s.dim, int) for s in (TOY_EMBEDDING, other, es))
+
+
+def test_skipgram_and_tsne_arguments_have_the_sizes_the_probes_read(tmp_path, monkeypatch):
+    seen = {}
+    for module, name in ((node2vec, "train_skipgram"), (cli, "tsne_project")):
+        original = getattr(module, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            seen[_name] = args
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    graph, emb = tmp_path / "g.tsv", tmp_path / "e.emb"
+    cli.save_graph(TOY_GRAPH, graph)
+    assert cli.run(["embed", "--graph", str(graph), "--method", "node2vec", "--seed", "1",
+                    "--dim", "2", "--epochs", "2", "--out", str(emb)]) == 0
+    pairs, vocab, cfg = seen["train_skipgram"]
+    # 3 covered nodes x 5 walks x 34 pairs in a walk of 10 at window 2
+    assert len(pairs) == 3 * 5 * 34 and len(vocab) == 3 and cfg.epochs == 2
+    assert cli.run(["viz", "--embedding", str(emb), "--perplexity", "1", "--iterations", "5",
+                    "--seed", "1", "--out", str(tmp_path / "v")]) == 0
+    assert seen["tsne_project"][0].rows == 3

@@ -2,7 +2,10 @@ import dataclasses
 import gc
 import json
 import logging
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 import weakref
 from importlib import resources
@@ -15,7 +18,7 @@ import colexvec.cli as cli
 from colexvec.cli import run
 from colexvec.embeddings import EmbeddingSet, load_embedding, save_embedding
 from colexvec.graph import load_graph, make_graph, save_graph
-from colexvec.node2vec import SkipGramConfig
+from colexvec.node2vec import SkipGramConfig, WalkConfig
 from colexvec.prone import ProneConfig
 
 DATA = resources.files("colexvec") / "data"
@@ -108,6 +111,27 @@ def test_embed_graph_without_edges_exits_1(tmp_path, capsys, method):
     assert code == 1
     assert capsys.readouterr().err == f"error: {graph}: no edges to embed\n"
     assert not (tmp_path / "e.txt").exists()
+
+
+def test_embed_node2vec_walk_length_one_exits_1_naming_the_option(tmp_path, capsys):
+    graph = toy_graph(tmp_path)
+    code = run(["embed", "--graph", str(graph), "--method", "node2vec", "--seed", "1",
+                "--dim", "2", "--walk-length", "1", "--out", str(tmp_path / "e.txt")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: walk_length must be >= 2 to yield skip-gram pairs, got 1\n")
+    assert not (tmp_path / "e.txt").exists()
+
+
+def test_embed_option_defaults_are_the_config_defaults(tmp_path):
+    ns = cli.build_parser().parse_args(["embed", "--graph", "g", "--method", "prone",
+                                        "--out", "o", "--seed", "3"])
+    for config in (WalkConfig, SkipGramConfig, ProneConfig):
+        for field in dataclasses.fields(config):
+            if field.name != "seed":
+                value = getattr(ns, field.name)
+                assert value == field.default and type(value) is type(field.default), field.name
+    assert ns.seed == 3
 
 
 def test_embed_prone_dim_above_the_node_count_names_the_graph(tmp_path, capsys):
@@ -482,6 +506,9 @@ def test_pipeline_keeps_every_metric_of_a_task(tmp_path):
     ({"report": "r.json", "steps": [None, {"command": "colexify", "args": {
         "wordlist": "w.tsv", "type": "full", "out": "g.tsv", "help": 1}}]},
      "steps[1]: unrecognized arguments: --help 1"),
+    ({"report": "r.json", "steps": [None, {"command": "colexify", "args": {
+        "wordlist": "w.tsv", "type": "full", "out": True}}]},
+     "steps[1]: args.out must be a string or a number"),
 ])
 def test_pipeline_rejects_malformed_config_before_any_step(tmp_path, capsys, config, message):
     graph = tmp_path / "full.tsv"
@@ -1051,3 +1078,15 @@ def test_protocol_config_declares_the_published_evaluation():
     baselines = {f"{method}:full.tsv" for method in cli.BASELINE_METHODS}
     assert evaluated == {(command, sim) for command in ("eval-lsim", "eval-shift", "eval-links")
                          for sim in spaces | baselines}
+
+
+def test_cli_import_skips_csgraph_and_linalg():
+    # csgraph costs about 0.16 s at import and pulls in scipy.linalg; only
+    # the shortest-path provider needs it, and imports it when it runs
+    code = ("import sys, colexvec.cli; "
+            "print(sorted(m for m in ('scipy.sparse.csgraph', 'scipy.linalg') "
+            "if m in sys.modules))")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "[]\n"

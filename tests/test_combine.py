@@ -10,7 +10,6 @@ from colexvec.combine import (
 )
 from colexvec.embeddings import EmbeddingSet, save_embedding
 from colexvec.errors import ParseError, ValidationError
-from colexvec.graph import DenseMatrix
 from colexvec.numerics import pca_reduce
 
 
@@ -63,7 +62,7 @@ def test_combine_duplicated_set_matches_single_set_pca():
     concepts = [f"C{i}" for i in range(9)]
     e = random_set(2, concepts, 3)
     fused = combine([e, e], 3)
-    solo = pca_reduce(DenseMatrix(values=as_matrix(e, concepts)), 3).values
+    solo, _ = pca_reduce(as_matrix(e, concepts), 3)
     assert np.max(np.abs(pairwise_cosines(as_matrix(fused, concepts)) - pairwise_cosines(solo))) < 1e-9
 
 
@@ -71,7 +70,7 @@ def test_stack_union_zero_fill_rule():
     e1 = EmbeddingSet(("X", "Y"), [[1.0, 2.0], [3.0, 4.0]])
     e2 = EmbeddingSet(("Y",), [[5.0, 6.0]])
     stacked = stack_union([e1, e2])
-    assert stacked.row_labels == ("X", "Y")
+    assert stacked.concepts == ("X", "Y")
     assert np.array_equal(stacked.values, [[1, 2, 0, 0], [3, 4, 5, 6]])
 
 

@@ -128,8 +128,8 @@ def test_values_are_one_read_only_matrix_in_sorted_concept_order():
 def test_matrix_ordering():
     es = sample_set()
     m = es.matrix(["TREE", "BARK"])
-    assert m.row_labels == ("TREE", "BARK")
-    assert np.allclose(m.values[0], es.vectors["TREE"])
+    assert np.allclose(m[0], es.vectors["TREE"])
+    assert np.allclose(m[1], es.vectors["BARK"])
     with pytest.raises(ValidationError):
         es.matrix(["TREE", "MISSING"])
 

@@ -188,14 +188,14 @@ def test_adjacency_hand_example():
 def test_adjacency_matrix_hand_example():
     g = make_graph([("A", "B", 2), ("B", "C", 1)], "full", False)
     m = adjacency_matrix(g, ["A", "B", "C"])
-    assert np.array_equal(m.values, [[0, 2, 0], [2, 0, 1], [0, 1, 0]])
+    assert np.array_equal(m, [[0, 2, 0], [2, 0, 1], [0, 1, 0]])
 
 
 def test_adjacency_matrix_empty_and_directed():
     g = make_graph([], "full", False, extra_nodes=["A", "B"])
-    assert np.array_equal(adjacency_matrix(g, ["A", "B"]).values, np.zeros((2, 2)))
+    assert np.array_equal(adjacency_matrix(g, ["A", "B"]), np.zeros((2, 2)))
     d = make_graph([("A", "B", 3)], "affix", True)
-    assert np.array_equal(adjacency_matrix(d, ["A", "B"]).values, [[0, 3], [0, 0]])
+    assert np.array_equal(adjacency_matrix(d, ["A", "B"]), [[0, 3], [0, 0]])
 
 
 def test_adjacency_matrix_bad_order():
@@ -272,7 +272,7 @@ def small_digraphs(draw):
 def test_to_undirected_symmetric_adjacency(g):
     u = to_undirected(g)
     order = u.sorted_nodes()
-    m = adjacency_matrix(u, order).values
+    m = adjacency_matrix(u, order)
     assert np.array_equal(m, m.T)
     assert to_undirected(u) == u
 
@@ -306,7 +306,7 @@ def test_adjacency_equals_per_edge_fill(g):
 def test_undirected_row_sum_is_weighted_degree(g):
     u = to_undirected(g)
     order = u.sorted_nodes()
-    m = adjacency_matrix(u, order).values
+    m = adjacency_matrix(u, order)
     degree = {node: 0.0 for node in order}
     for src, dst, w in u.edges:
         degree[src] += w

@@ -28,6 +28,11 @@ def star_pairs():
     return extract_pairs(walks, 2)
 
 
+def named(g, walks):
+    """The walks as lists of concept ids."""
+    return [[g.order[i] for i in walk] for walk in walks.tolist()]
+
+
 # ---------------------------------------------------------------------------
 # walk sampling
 
@@ -35,7 +40,7 @@ def star_pairs():
 def test_walks_follow_sole_neighbor():
     g = make_graph([("A", "B", 1), ("B", "C", 1)], "full", False)
     walks = sample_walks(g, WalkConfig(walks_per_node=3, walk_length=4, seed=0))
-    for walk in walks:
+    for walk in named(g, walks):
         if walk[0] == "A":
             assert walk[1] == "B"
 
@@ -50,14 +55,14 @@ def test_walk_count():
 
 def test_isolated_nodes_yield_no_walks():
     g = make_graph([("A", "B", 1)], "full", False, extra_nodes=["L"])
-    walks = sample_walks(g, WalkConfig(walks_per_node=4, walk_length=5, seed=2))
+    walks = named(g, sample_walks(g, WalkConfig(walks_per_node=4, walk_length=5, seed=2)))
     assert all(walk[0] in {"A", "B"} for walk in walks)
     assert len(walks) == 8
 
 
 def test_star_first_step_frequency():
     g = make_graph([("S", "H", 9), ("S", "L", 1)], "full", False)
-    walks = sample_walks(g, WalkConfig(walks_per_node=10_000, walk_length=2, seed=3))
+    walks = named(g, sample_walks(g, WalkConfig(walks_per_node=10_000, walk_length=2, seed=3)))
     first_steps = [walk[1] for walk in walks if walk[0] == "S"]
     assert len(first_steps) == 10_000
     heavy = sum(1 for s in first_steps if s == "H") / len(first_steps)
@@ -72,7 +77,7 @@ def test_walks_are_valid_paths():
     for src, dst, _ in g.edges:
         edge_set.add((src, dst))
         edge_set.add((dst, src))
-    walks = sample_walks(g, WalkConfig(walks_per_node=10, walk_length=8, seed=4))
+    walks = named(g, sample_walks(g, WalkConfig(walks_per_node=10, walk_length=8, seed=4)))
     for walk in walks:
         assert len(walk) <= 8
         for a, b in zip(walk, walk[1:]):
@@ -82,15 +87,15 @@ def test_walks_are_valid_paths():
 def test_walks_seed_reproducible():
     g = make_graph([("A", "B", 2), ("B", "C", 1), ("C", "A", 3)], "full", False)
     cfg = WalkConfig(walks_per_node=5, walk_length=6, seed=11)
-    assert sample_walks(g, cfg) == sample_walks(g, cfg)
+    assert np.array_equal(sample_walks(g, cfg), sample_walks(g, cfg))
     other = sample_walks(g, WalkConfig(walks_per_node=5, walk_length=6, seed=12))
-    assert sample_walks(g, cfg) != other
+    assert not np.array_equal(sample_walks(g, cfg), other)
 
 
 def test_high_return_parameter_avoids_backtracking():
     g = make_graph([("A", "B", 2), ("B", "C", 1)], "full", False)
     cfg = WalkConfig(walks_per_node=50, walk_length=3, p=1e9, q=1.0, seed=6)
-    for walk in sample_walks(g, cfg):
+    for walk in named(g, sample_walks(g, cfg)):
         if walk[0] == "A" and len(walk) == 3:
             assert walk[2] == "C"  # returning to A has probability ~0
 
@@ -133,8 +138,8 @@ def test_walks_equal_choice_reference(p, q):
     )
     cfg = WalkConfig(walks_per_node=30, walk_length=12, p=p, q=q, seed=9)
     walks = sample_walks(g, cfg)
-    assert len(walks) == 6 * 30
-    assert walks == choice_reference_walks(g, cfg)
+    assert walks.shape == (6 * 30, 12) and walks.dtype == np.intp
+    assert named(g, walks) == choice_reference_walks(g, cfg)
 
 
 @pytest.mark.parametrize("field, value", [("p", np.nan), ("q", np.inf)])
@@ -160,21 +165,45 @@ def test_sample_walks_rejects_directed():
 
 
 def test_extract_pairs_window_one():
-    assert extract_pairs([["A", "B", "C"]], 1) == [
-        ("A", "B"), ("B", "A"), ("B", "C"), ("C", "B"),
-    ]
+    assert extract_pairs([[0, 1, 2]], 1).tolist() == [[0, 1], [1, 0], [1, 2], [2, 1]]
 
 
 def test_extract_pairs_window_two():
-    pairs = extract_pairs([["A", "B", "C"]], 2)
-    assert set(pairs) == {
-        ("A", "B"), ("A", "C"), ("B", "A"), ("B", "C"), ("C", "A"), ("C", "B"),
-    }
+    pairs = extract_pairs([[0, 1, 2]], 2)
+    assert set(map(tuple, pairs.tolist())) == {(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)}
     assert len(pairs) == 6
 
 
 def test_extract_pairs_single_node_walk():
-    assert extract_pairs([["A"]], 2) == []
+    assert extract_pairs([[0]], 2).shape == (0, 2)
+
+
+def triple_loop_pairs(walks, window):
+    """Pairs walk by walk, then by center, then by context position."""
+    pairs = []
+    for walk in walks:
+        for i, center in enumerate(walk):
+            lo = max(0, i - window)
+            hi = min(len(walk), i + window + 1)
+            for j in range(lo, hi):
+                if j != i:
+                    pairs.append((center, walk[j]))
+    return pairs
+
+
+@pytest.mark.parametrize("length", range(1, 13))
+def test_extract_pairs_equals_triple_loop_reference(length):
+    rng = np.random.default_rng(length)
+    walks = rng.integers(0, 50, size=(7, length))
+    for window in range(1, 14):
+        pairs = extract_pairs(walks, window)
+        assert pairs.shape[1] == 2
+        assert list(map(tuple, pairs.tolist())) == triple_loop_pairs(walks.tolist(), window)
+
+
+def test_extract_pairs_rejects_ragged_walks():
+    with pytest.raises(ValidationError, match="2-D"):
+        extract_pairs(np.arange(5), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +332,7 @@ def test_mean_loss_peak_memory_is_a_few_blocks():
 
 def per_pair_training(pairs, vocab, cfg):
     """train_skipgram's random draws and batches with dense per-pair updates."""
-    index = {concept: i for i, concept in enumerate(vocab)}
-    centers = np.array([index[c] for c, _ in pairs])
-    contexts = np.array([index[t] for _, t in pairs])
+    centers, contexts = np.asarray(pairs).T
     rng = np.random.default_rng(cfg.seed)
     w_in = (rng.random((len(vocab), cfg.dim)) - 0.5) / cfg.dim
     w_out = (rng.random((len(vocab), cfg.dim)) - 0.5) / cfg.dim
@@ -335,7 +362,7 @@ def test_training_matches_per_pair_reference():
     w_in, train_losses, val_losses = per_pair_training(pairs, vocab, cfg)
     assert np.max(np.abs(np.subtract(trained.provenance["train_loss"], train_losses))) < 1e-12
     assert np.max(np.abs(np.subtract(trained.provenance["validation_loss"], val_losses))) < 1e-12
-    assert np.max(np.abs(trained.matrix(vocab).values - w_in)) < 1e-12
+    assert np.max(np.abs(trained.matrix(vocab) - w_in)) < 1e-12
     # the weights moved, so the comparison is not between two initialisations
     assert train_losses[-1] < train_losses[0]
 
@@ -443,8 +470,24 @@ def test_skipgram_empty_pairs_rejected():
 
 
 def test_skipgram_vocab_must_cover_pairs():
-    with pytest.raises(ValidationError):
-        train_skipgram([("A", "B")], ["A"], SkipGramConfig(dim=2, validation_split=0.0, seed=0))
+    cfg = SkipGramConfig(dim=2, validation_split=0.0, seed=0)
+    with pytest.raises(ValidationError, match=r"outside \[0, 1\)"):
+        train_skipgram([(0, 1)], ["A"], cfg)
+    with pytest.raises(ValidationError, match=r"outside \[0, 2\)"):
+        train_skipgram([(0, 1), (-1, 0)], ["A", "B"], cfg)
+
+
+def test_skipgram_rejects_duplicate_vocab():
+    with pytest.raises(ValidationError, match="duplicates"):
+        train_skipgram([(0, 1)], ["A", "A"], SkipGramConfig(dim=2, seed=0))
+
+
+def test_skipgram_rejects_pairs_that_are_not_rows():
+    cfg = SkipGramConfig(dim=2, seed=0)
+    with pytest.raises(ValidationError, match=r"\(n, 2\) integers"):
+        train_skipgram([("A", "B")], ["A", "B"], cfg)
+    with pytest.raises(ValidationError, match=r"\(n, 2\) integers"):
+        train_skipgram([0, 1], ["A", "B"], cfg)
 
 
 def test_node2vec_embed_end_to_end():
@@ -458,6 +501,12 @@ def test_node2vec_embed_end_to_end():
     assert es.provenance["uncovered"] == ("LONER",)
     assert es.provenance["method"] == "node2vec"
     assert es.provenance["colex_types"] == ("full",)
+
+
+def test_node2vec_embed_rejects_walk_length_one():
+    g = make_graph([("A", "B", 2), ("B", "C", 1)], "full", False)
+    with pytest.raises(ValidationError, match=r"^walk_length must be >= 2 .*, got 1$"):
+        node2vec_embed(g, WalkConfig(walk_length=1), SkipGramConfig(dim=2, epochs=1))
 
 
 def test_node2vec_embed_rejects_graph_without_edges():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import colexvec.numerics as numerics
 from colexvec.errors import ValidationError
-from colexvec.graph import DenseMatrix
 from colexvec.numerics import (
     ZeroVectorWarning,
     cosine_similarity,
@@ -60,16 +59,15 @@ def test_cosine_scaling_property(vec, c):
 
 
 def test_pca_line_example():
-    m = DenseMatrix(values=np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
-    out = pca_reduce(m, 1)
+    out, _ = pca_reduce(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]), 1)
     expected = np.array([-math.sqrt(2), 0.0, math.sqrt(2)])
-    assert np.allclose(out.values[:, 0], expected) or np.allclose(out.values[:, 0], -expected)
+    assert np.allclose(out[:, 0], expected) or np.allclose(out[:, 0], -expected)
 
 
 def test_pca_full_dim_preserves_distances():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((12, 4))
-    out = pca_reduce(DenseMatrix(values=x), 4).values
+    out, _ = pca_reduce(x, 4)
     orig = np.linalg.norm(x[:, None] - x[None, :], axis=2)
     proj = np.linalg.norm(out[:, None] - out[None, :], axis=2)
     assert np.max(np.abs(orig - proj)) < 1e-9
@@ -77,15 +75,15 @@ def test_pca_full_dim_preserves_distances():
 
 def test_pca_identical_rows_zero_output():
     x = np.tile([1.0, 2.0, 3.0], (5, 1))
-    out = pca_reduce(DenseMatrix(values=x), 2)
-    assert np.max(np.abs(out.values)) < 1e-12
-    assert out.meta.get("rank_deficient") is True
+    out, rank = pca_reduce(x, 2)
+    assert np.max(np.abs(out)) < 1e-12
+    assert rank == 0
 
 
 def test_pca_columns_uncorrelated():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((30, 6)) @ rng.standard_normal((6, 6))
-    out = pca_reduce(DenseMatrix(values=x), 4).values
+    out, _ = pca_reduce(x, 4)
     cov = np.cov(out, rowvar=False)
     leading = cov[0, 0]
     off = cov - np.diag(np.diag(cov))
@@ -95,15 +93,14 @@ def test_pca_columns_uncorrelated():
 def test_pca_sign_deterministic():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((10, 3))
-    a = pca_reduce(DenseMatrix(values=x), 3).values
-    b = pca_reduce(DenseMatrix(values=x.copy()), 3).values
+    a, _ = pca_reduce(x, 3)
+    b, _ = pca_reduce(x.copy(), 3)
     assert np.array_equal(a, b)
 
 
 def test_pca_bad_dimension():
-    m = DenseMatrix(values=np.zeros((3, 2)))
     with pytest.raises(ValidationError):
-        pca_reduce(m, 3)
+        pca_reduce(np.zeros((3, 2)), 3)
 
 
 # ---------------------------------------------------------------------------

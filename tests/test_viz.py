@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from colexvec.errors import ValidationError
-from colexvec.graph import DenseMatrix
 from colexvec.viz import (
+    DenseMatrix,
     conditional_gaussians,
     export_scatter,
     joint_probabilities,
