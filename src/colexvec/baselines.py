@@ -211,16 +211,17 @@ def random_walk_provider(
 def embedding_provider(es: EmbeddingSet) -> SimilarityProvider:
     """Cosine between embedding vectors, bit for bit `cosine_similarity`'s.
 
-    Each row's norm is the per-row `np.linalg.norm` of `cosine_similarity`
-    (`norm(axis=1)` sums in another order), and each pair's dot is
-    `np.vecdot` of the two rows, which gives `np.dot`'s bits. A matrix
-    product or `einsum` can move a score by an ulp and so break the exact
-    ties of fused embeddings, which rank statistics see. Pairs are scored
+    Each row's norm is the square root of `np.vecdot` of the row with
+    itself, which has the bits of `cosine_similarity`'s per-row
+    `np.linalg.norm` (`norm(axis=1)` sums in another order), and each
+    pair's dot is `np.vecdot` of the two rows, which gives `np.dot`'s
+    bits. A matrix product or `einsum` can move a score by an ulp and so
+    break the exact ties of fused embeddings, which rank statistics see. Pairs are scored
     in chunks of at most SCORE_CHUNK, so a full matrix never gathers n^2
     rows. A pair with a zero vector scores 0 with a ZeroVectorWarning.
     """
     vectors = es.values
-    norms = np.array([np.linalg.norm(row) for row in vectors])
+    norms = np.sqrt(np.vecdot(vectors, vectors))
 
     def score(ia, ib):
         ia, ib = np.broadcast_arrays(ia, ib)

@@ -31,7 +31,7 @@ from .baselines import (
 )
 from .combine import combine, map_external_vectors
 from .embeddings import load_embedding, save_embedding
-from .errors import ColexvecError, GraphTooSmallError, ParseError
+from .errors import ColexvecError, GraphTooSmallError, InsufficientDataError, ParseError
 from .evaluation import (
     eval_binary,
     eval_lsim,
@@ -319,46 +319,34 @@ def cmd_baseline(args) -> dict:
     return {"out": args.out, "nodes": len(order)}
 
 
-def cmd_eval_lsim(args) -> dict:
+def cmd_eval(args, task: str) -> dict:
     provider = provider_from_spec(args.sim)
-    pairs = load_rated_pairs(args.pairs)
-    report = eval_lsim(provider, pairs)
     config = {"sim": args.sim, "pairs": args.pairs}
-    doc = _write_report(
-        args.report, "eval-lsim", config,
-        [parse_sim(args.sim)[1], args.pairs], report.to_dict(),
-    )
-    print(report.table())
-    return doc
-
-
-def _binary_eval(args, task: str) -> dict:
-    provider = provider_from_spec(args.sim)
-    pairs = load_concept_pairs(args.pairs)
-    config = {"sim": args.sim, "pairs": args.pairs, "runs": args.runs, "seed": args.seed}
-    if task == "links":
-        config["min_weight"] = args.min_weight
-        pairs = filter_association_pairs(
-            pairs, min_weight=args.min_weight, space=provider.covered
-        )
-        print(f"filtered association network: {_pair_stats(pairs)}")
-    report = eval_binary(
-        provider, pairs, runs=args.runs, seed=args.seed, task=task
-    )
+    if task == "lsim":
+        try:
+            report = eval_lsim(provider, load_rated_pairs(args.pairs))
+        except InsufficientDataError as exc:
+            source = {"scores": args.sim, "ratings": args.pairs}.get(exc.constant)
+            if source is None:
+                raise
+            raise InsufficientDataError(f"{source}: {exc}", exc.constant) from exc
+    else:
+        pairs = load_concept_pairs(args.pairs)
+        config.update(runs=args.runs, seed=args.seed)
+        if task == "links":
+            config["min_weight"] = args.min_weight
+            pairs = filter_association_pairs(
+                pairs, min_weight=args.min_weight, space=provider.covered
+            )
+            concepts = {c for pair in pairs for c in (pair.a, pair.b)}
+            print(f"filtered association network: {len(concepts)} concepts, {len(pairs)} edges")
+        report = eval_binary(provider, pairs, runs=args.runs, seed=args.seed, task=task)
     doc = _write_report(
         args.report, f"eval-{task}", config,
         [parse_sim(args.sim)[1], args.pairs], report.to_dict(),
     )
     print(report.table())
     return doc
-
-
-def _pair_stats(pairs) -> str:
-    concepts = set()
-    for pair in pairs:
-        concepts.add(pair.a)
-        concepts.add(pair.b)
-    return f"{len(concepts)} concepts, {len(pairs)} edges"
 
 
 def cmd_viz(args) -> dict:
@@ -373,8 +361,8 @@ def cmd_viz(args) -> dict:
             print(f"skipping {missing} concepts not covered by the embedding")
     else:
         order = list(es.concepts)
-    coords = tsne_project(
-        DenseMatrix(es.matrix(order), tuple(order)),
+    coords, _ = tsne_project(
+        DenseMatrix(es.matrix(order)),
         perplexity=args.perplexity, iterations=args.iterations, seed=args.seed,
     )
     tsv_path, svg_path = export_scatter(coords, order, args.out)
@@ -480,9 +468,9 @@ HANDLERS = {
     "combine": cmd_combine,
     "map-external": cmd_map_external,
     "baseline": cmd_baseline,
-    "eval-lsim": cmd_eval_lsim,
-    "eval-shift": lambda args: _binary_eval(args, "shift"),
-    "eval-links": lambda args: _binary_eval(args, "links"),
+    "eval-lsim": lambda args: cmd_eval(args, "lsim"),
+    "eval-shift": lambda args: cmd_eval(args, "shift"),
+    "eval-links": lambda args: cmd_eval(args, "links"),
     "viz": cmd_viz,
     "pipeline": cmd_pipeline,
 }

@@ -37,8 +37,16 @@ class NoEdgesError(GraphTooSmallError):
 
 
 class InsufficientDataError(ColexvecError):
-    """Too little evaluable data to compute the requested statistic."""
+    """Too little evaluable data; `constant` names a correlation's one-valued side."""
+
+    def __init__(self, message, constant=None):
+        super().__init__(message)
+        self.constant = constant
 
 
 class SamplingError(ColexvecError):
-    """Negative sampling could not satisfy its constraints."""
+    """Negative sampling could not corrupt the positive at index `position`."""
+
+    def __init__(self, message, position=None):
+        super().__init__(message)
+        self.position = position

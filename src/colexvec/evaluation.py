@@ -4,9 +4,10 @@ LSIM correlates provider scores with human similarity ratings. The binary
 tasks (semantic-change and association-link prediction) share one negative
 -sampling scheme: each positive pair gets one corrupted copy, a logistic
 model on the score alone is fitted per sample, and in-sample accuracy is
-averaged over the sampling runs. Negative sets depend only on (positives,
-pool, seed), never on the scored provider, so they are shared across
-models by construction.
+averaged over the sampling runs. Pairs are mapped to provider rows once,
+and negatives are drawn as rows from the positives, the pool's concept
+order and the seed alone. Rows name concepts one to one, so negatives are
+shared across models as concepts.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ RATED_HEADER = "CONCEPT_A\tCONCEPT_B\tRATING"
 PAIR_HEADER = "CONCEPT_A\tCONCEPT_B"
 
 EVAL_TASKS = frozenset({"lsim", "shift", "links"})
+# candidates draw_negatives tries per positive before it gives up
+MAX_REDRAWS = 1000
 
 
 @dataclass(frozen=True)
@@ -47,9 +50,6 @@ class ConceptPair:
     def __post_init__(self):
         if self.a == self.b:
             raise ValidationError(f"concept pair with identical concepts: {self.a!r}")
-
-    def unordered(self) -> tuple:
-        return (self.a, self.b) if self.a <= self.b else (self.b, self.a)
 
 
 @dataclass(frozen=True)
@@ -111,60 +111,72 @@ def load_concept_pairs(path) -> list:
     return read_tsv(path, (PAIR_HEADER, PAIR_HEADER + "\tWEIGHT"), _concept_pair)
 
 
+def _covered_rows(sim: SimilarityProvider, pairs) -> tuple:
+    """The pairs whose two concepts `sim` covers, and their (n, 2) provider rows."""
+    covered = [p for p in pairs if p.a in sim.index and p.b in sim.index]
+    rows = np.array([(sim.index[p.a], sim.index[p.b]) for p in covered], dtype=np.intp)
+    return covered, rows.reshape(-1, 2)
+
+
 def eval_lsim(sim: SimilarityProvider, pairs) -> EvalReport:
     """Spearman correlation between ratings and provider scores.
 
     Pairs with a concept outside the provider's coverage are excluded and
     accounted for in the coverage figure. Distance providers are scored
-    raw, so their correlation is expected to come out negative.
+    raw, so their correlation is expected to come out negative. One rating
+    or one score on every covered pair raises InsufficientDataError.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValidationError("no rated pairs given")
-    evaluable = [p for p in pairs if p.a in sim.index and p.b in sim.index]
-    coverage = len(evaluable) / len(pairs)
-    if len(evaluable) < 3:
+    covered, rows = _covered_rows(sim, pairs)
+    coverage = len(covered) / len(pairs)
+    if len(covered) < 3:
         raise InsufficientDataError(
-            f"only {len(evaluable)} of {len(pairs)} pairs are covered "
+            f"only {len(covered)} of {len(pairs)} pairs are covered "
             f"(coverage {coverage:.3f}); need at least 3"
         )
-    ratings = [p.rating for p in evaluable]
-    scores = sim.score_pairs([p.a for p in evaluable], [p.b for p in evaluable])
+    ratings = np.array([p.rating for p in covered])
+    scores = sim.score(rows[:, 0], rows[:, 1])
+    for values, side, verb in ((ratings, "ratings", "have rating"), (scores, "scores", "score")):
+        if np.all(values == values[0]):
+            raise InsufficientDataError(
+                f"all {len(covered)} covered pairs {verb} {values[0]:g}; "
+                "Spearman's rho is undefined",
+                constant=side,
+            )
     rho = spearman_rho(ratings, scores)
     return EvalReport(task="lsim", metric=rho, coverage=coverage, runs=1)
 
 
-def draw_negatives(positives, pool, seed: int, max_redraws: int = 1000) -> list:
+def draw_negatives(positives, pool, seed: int, max_redraws: int = MAX_REDRAWS) -> np.ndarray:
     """One corrupted copy per positive: one side replaced by a pool draw.
 
-    Redraws until the candidate is neither a self-pair nor an attested
-    positive (as unordered pair). Deterministic for a given
-    (positives, pool, seed); the provider plays no role here.
+    Takes an (n, 2) array of positive rows and a sequence of pool rows,
+    returns an (n, 2) intp array of rows. Redraws until the candidate is
+    neither a self-pair nor an attested positive (as unordered pair).
+    Deterministic for a given (positives, pool, seed).
     """
-    positives = list(positives)
-    pool = list(pool)
+    positives = np.asarray(positives, dtype=np.intp).reshape(-1, 2)
+    pool = np.asarray(pool, dtype=np.intp).tolist()
     if len(pool) < 2:
         raise ValidationError(f"pool must have at least 2 concepts, got {len(pool)}")
-    positive_keys = {p.unordered() for p in positives}
+    positive_keys = set(zip(positives.min(axis=1).tolist(), positives.max(axis=1).tolist()))
     rng = np.random.default_rng(seed)
 
-    negatives = []
-    for pair in positives:
+    negatives = np.empty_like(positives)
+    for k, (a, b) in enumerate(positives.tolist()):
         for _ in range(max_redraws):
             keep_a = bool(rng.integers(2))
             replacement = pool[rng.integers(len(pool))]
-            cand = (pair.a, replacement) if keep_a else (replacement, pair.b)
-            if cand[0] == cand[1]:
+            x, y = (a, replacement) if keep_a else (replacement, b)
+            if x == y or ((x, y) if x <= y else (y, x)) in positive_keys:
                 continue
-            key = (cand[0], cand[1]) if cand[0] <= cand[1] else (cand[1], cand[0])
-            if key in positive_keys:
-                continue
-            negatives.append(ConceptPair(cand[0], cand[1]))
+            negatives[k] = x, y
             break
         else:
-            raise SamplingError(
-                f"could not corrupt pair ({pair.a}, {pair.b}) after {max_redraws} redraws"
-            )
+            raise SamplingError(f"could not corrupt the pair of rows ({a}, {b}) "
+                                f"after {max_redraws} redraws", position=k)
     return negatives
 
 
@@ -197,9 +209,9 @@ def eval_binary(
     if runs < 1:
         raise ValidationError("runs must be >= 1")
     check_seed(seed)
-    evaluable = [p for p in positives if p.a in sim.index and p.b in sim.index]
-    coverage = len(evaluable) / len(positives)
-    if not evaluable:
+    covered, rows = _covered_rows(sim, positives)
+    coverage = len(covered) / len(positives)
+    if not covered:
         raise InsufficientDataError("no positive pair is covered by the provider")
     pool = sorted(sim.index) if pool is None else list(pool)
     outside = [c for c in pool if c not in sim.index]
@@ -207,18 +219,21 @@ def eval_binary(
         raise ValidationError(
             f"pool contains concepts the provider cannot score, e.g. {outside[:3]}"
         )
+    pool_rows = sim.rows(pool)
 
     sign = 1.0 if sim.higher_is_more_similar else -1.0
-
-    def scored(pairs) -> np.ndarray:
-        return sign * sim.score_pairs([p.a for p in pairs], [p.b for p in pairs])
-
-    pos_features = scored(evaluable)
+    pos_features = sign * sim.score(rows[:, 0], rows[:, 1])
+    labels = np.repeat([1, 0], len(rows))
     accuracies = []
     for r in range(runs):
-        negatives = draw_negatives(evaluable, pool, seed + r)
-        features = np.concatenate([pos_features, scored(negatives)])
-        labels = [1] * len(evaluable) + [0] * len(negatives)
+        try:
+            negatives = draw_negatives(rows, pool_rows, seed + r)
+        except SamplingError as exc:
+            pair = covered[exc.position]
+            raise SamplingError(f"could not corrupt pair ({pair.a}, {pair.b}) after "
+                                f"{MAX_REDRAWS} redraws", exc.position) from None
+        neg_features = sign * sim.score(negatives[:, 0], negatives[:, 1])
+        features = np.concatenate([pos_features, neg_features])
         spread_f = features.std()
         if spread_f > 0:
             features = (features - features.mean()) / spread_f
@@ -246,7 +261,7 @@ def filter_association_pairs(edges, min_weight: int = 5, space=None) -> list:
             continue
         if space is not None and (pair.a not in space or pair.b not in space):
             continue
-        key = pair.unordered()
+        key = (pair.a, pair.b) if pair.a <= pair.b else (pair.b, pair.a)
         prev = filtered.get(key)
         if prev is None or pair.weight > prev:
             filtered[key] = pair.weight

@@ -54,11 +54,8 @@ def pca_reduce(x: np.ndarray, d: int) -> tuple:
     centered = x - x.mean(axis=0, keepdims=True)
     u, s, vt = np.linalg.svd(centered, full_matrices=False)
     # sign convention: per component, largest-|loading| entry positive
-    for k in range(len(s)):
-        pivot = np.argmax(np.abs(vt[k]))
-        if vt[k, pivot] < 0:
-            vt[k] = -vt[k]
-            u[:, k] = -u[:, k]
+    pivots = vt[np.arange(len(s)), np.argmax(np.abs(vt), axis=1)]
+    u[:, pivots < 0] *= -1.0
     tol = max(n, dim) * np.finfo(float).eps * (s[0] if len(s) else 0.0)
     return u[:, :d] * s[:d], int(np.sum(s > tol))
 

@@ -3,16 +3,15 @@
 Plotted concept subsets are small (tens of points), so the quadratic
 exact algorithm is used rather than Barnes-Hut. Everything is
 deterministic given the seed; the SVG is assembled by hand so output
-files are byte-stable. A point set is a DenseMatrix: one row per point,
-optionally labelled, with the projection's KL history in `meta`.
+files are byte-stable. t-SNE reads its points from a DenseMatrix and
+returns plain arrays: the n x 2 coordinates and the KL history.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional
 
 import numpy as np
 
@@ -30,11 +29,9 @@ _EPS = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class DenseMatrix:
-    """A t-SNE point set: row-major finite values with optional row labels."""
+    """t-SNE's input point set: one row of finite values per point."""
 
     values: np.ndarray
-    row_labels: Optional[tuple] = None
-    meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
@@ -43,19 +40,10 @@ class DenseMatrix:
         if not np.all(np.isfinite(arr)):
             raise ValidationError("DenseMatrix entries must be finite")
         object.__setattr__(self, "values", arr)
-        if self.row_labels is not None:
-            labels = tuple(self.row_labels)
-            if len(labels) != arr.shape[0]:
-                raise ValidationError(f"row_labels length {len(labels)} != rows {arr.shape[0]}")
-            object.__setattr__(self, "row_labels", labels)
 
     @property
     def rows(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
 
 
 def squared_distances(x: np.ndarray) -> np.ndarray:
@@ -123,19 +111,19 @@ def kl_divergence(p: np.ndarray, y: np.ndarray) -> float:
 
 
 def tsne_project(
-    vectors: DenseMatrix,
+    points: DenseMatrix,
     perplexity: float = 15.0,
     iterations: int = 1000,
     seed: int = 0,
     record_kl: bool = False,
-) -> DenseMatrix:
-    """Exact t-SNE with early exaggeration and momentum gradient descent.
+) -> tuple:
+    """(coords, kl_history): exact t-SNE with early exaggeration and momentum.
 
-    Deterministic per seed (Gaussian init with sigma 1e-4). With record_kl
-    the per-iteration KL divergence against the unexaggerated target lands
-    in the result's meta under "kl_history".
+    `coords` is the n x 2 array of points, deterministic per seed (Gaussian
+    init with sigma 1e-4). `kl_history` holds the per-iteration KL
+    divergence against the unexaggerated target with record_kl, else ().
     """
-    x = vectors.values
+    x = points.values
     n = x.shape[0]
     if n < 3:
         raise ValidationError(f"need at least 3 points, got {n}")
@@ -163,17 +151,17 @@ def tsne_project(
         if record_kl:
             kl_history.append(kl_divergence(p, y))
 
-    meta = {"kl_history": tuple(kl_history)} if record_kl else {}
-    return DenseMatrix(values=y, row_labels=vectors.row_labels, meta=meta)
+    return y, tuple(kl_history)
 
 
-def export_scatter(coords: DenseMatrix, labels, out) -> tuple:
-    """Write <out>.tsv and a labeled <out>.svg scatter; returns both paths."""
+def export_scatter(coords, labels, out) -> tuple:
+    """Write <out>.tsv and a labeled <out>.svg scatter of n x 2 coords; returns both paths."""
+    coords = np.asarray(coords, dtype=float)
     labels = list(labels)
-    if coords.cols != 2:
+    if coords.ndim != 2 or coords.shape[1] != 2:
         raise ValidationError("coordinates must be n x 2")
-    if len(labels) != coords.rows:
-        raise ValidationError(f"{len(labels)} labels for {coords.rows} points")
+    if len(labels) != len(coords):
+        raise ValidationError(f"{len(labels)} labels for {len(coords)} points")
     for label in labels:
         if not label or "\t" in label or "\n" in label:
             raise ValidationError(f"bad concept label {label!r}")
@@ -182,9 +170,9 @@ def export_scatter(coords: DenseMatrix, labels, out) -> tuple:
     tsv_path = out.with_name(out.name + ".tsv")
     svg_path = out.with_name(out.name + ".svg")
 
-    lines = (f"{label}\t{px:.6f}\t{py:.6f}" for label, (px, py) in zip(labels, coords.values))
+    lines = (f"{label}\t{px:.6f}\t{py:.6f}" for label, (px, py) in zip(labels, coords))
     write_lines(tsv_path, "CONCEPT\tX\tY", lines)
-    svg_path.write_text(_scatter_svg(coords.values, labels), encoding="utf-8")
+    svg_path.write_text(_scatter_svg(coords, labels), encoding="utf-8")
     return tsv_path, svg_path
 
 

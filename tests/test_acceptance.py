@@ -258,10 +258,13 @@ def test_criterion_6_evaluation_invariances():
     ]
     assert metrics[0] == metrics[1] == metrics[2]
 
-    pool = sorted(concepts)
+    order = sorted(concepts)  # rows of a provider over the concepts
+    rows = np.array([(order.index(p.a), order.index(p.b)) for p in positives])
     for r in range(5):
-        first = json.dumps([[n.a, n.b] for n in draw_negatives(positives, pool, 90 + r)])
-        second = json.dumps([[n.a, n.b] for n in draw_negatives(positives, pool, 90 + r)])
+        first = json.dumps([[order[a], order[b]] for a, b in
+                            draw_negatives(rows, range(len(order)), 90 + r).tolist()])
+        second = json.dumps([[order[a], order[b]] for a, b in
+                             draw_negatives(rows, range(len(order)), 90 + r).tolist()])
         assert first.encode() == second.encode()
 
     assert spearman_rho([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0)
@@ -333,9 +336,9 @@ def test_criterion_8_tsne_calibration_and_kl(tmp_path):
     entropy = -np.sum(p_cond * np.log2(np.maximum(p_cond, 1e-12)), axis=1)
     assert np.max(np.abs(2.0**entropy - 15.0)) < 1e-3
 
-    out = tsne_project(DenseMatrix(values=x), perplexity=15.0, iterations=1000,
-                       seed=1, record_kl=True)
-    kl = np.array(out.meta["kl_history"])
+    _, kl_history = tsne_project(DenseMatrix(values=x), perplexity=15.0, iterations=1000,
+                                 seed=1, record_kl=True)
+    kl = np.array(kl_history)
     assert np.all(np.diff(kl[500:]) <= 1e-9)
     report(8, "perplexity calibrated within 1e-3; KL non-increasing post-exaggeration")
 

@@ -17,7 +17,11 @@ from timing the baselines or counting the fit iterations.
 """
 
 import dataclasses
+import importlib
 import inspect
+import json
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -183,3 +187,41 @@ def test_skipgram_and_tsne_arguments_have_the_sizes_the_probes_read(tmp_path, mo
     assert cli.run(["viz", "--embedding", str(emb), "--perplexity", "1", "--iterations", "5",
                     "--seed", "1", "--out", str(tmp_path / "v")]) == 0
     assert seen["tsne_project"][0].rows == 3
+
+
+def test_probes_yield_every_per_layer_metric_through_the_cli(tmp_path, monkeypatch):
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    spans, probes = importlib.import_module("spans"), importlib.import_module("probes")
+    names = {m["name"] for m in json.loads((root / "BENCHMARK.json").read_text())["per_layer"]}
+    data = resources.files("colexvec") / "data"
+    graph, prone, n2v, fused = (tmp_path / n for n in ("g.tsv", "p.emb", "n.emb", "f.emb"))
+    steps = [
+        ["colexify", "--wordlist", data / "toy_wordlist.tsv", "--type", "affix", "--out", graph],
+        ["embed", "--graph", graph, "--method", "prone", "--seed", "1", "--dim", "2",
+         "--out", prone],
+        ["embed", "--graph", graph, "--method", "node2vec", "--seed", "1", "--dim", "2",
+         "--epochs", "1", "--out", n2v],
+        ["combine", "--inputs", f"{prone},{n2v}", "--dim", "2", "--out", fused],
+        ["baseline", "--graph", graph, "--method", "ppmi", "--out", tmp_path / "m.tsv"],
+        ["eval-lsim", "--sim", fused, "--pairs", data / "toy_rated_pairs.tsv",
+         "--report", tmp_path / "l.json"],
+        ["eval-shift", "--sim", fused, "--pairs", data / "toy_shift_pairs.tsv", "--runs", "2",
+         "--seed", "1", "--report", tmp_path / "s.json"],
+        ["eval-links", "--sim", fused, "--pairs", data / "toy_association_pairs.tsv",
+         "--runs", "2", "--seed", "1", "--report", tmp_path / "a.json"],
+        ["viz", "--embedding", fused, "--perplexity", "2", "--iterations", "5", "--seed", "1",
+         "--out", tmp_path / "v"],
+    ]
+    tracer = spans.Tracer("contract")
+    probes.install(tracer)
+    try:
+        for argv in steps:
+            with tracer.span(f"cli.step.{argv[0]}"):
+                assert cli.run([str(a) for a in argv]) == 0, argv[0]
+    finally:
+        tracer.restore()
+    metrics = probes.layer_metrics(tracer, 1.0, 1.0)
+    assert len(names) == 80 and set(metrics) == names
+    assert metrics["viz.points"] > 0 and metrics["numerics.fits"] > 0
+    assert metrics["node2vec.pairs"] > 0

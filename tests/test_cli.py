@@ -337,6 +337,29 @@ def test_eval_links_filters_and_reports(tmp_path, capsys):
     assert doc["report"]["task"] == "links"
 
 
+def test_eval_lsim_constant_ratings_exit_1_naming_the_pairs_file(tmp_path, capsys):
+    emb = separable_embedding(tmp_path)
+    pairs = tmp_path / "rated.tsv"
+    pairs.write_text("CONCEPT_A\tCONCEPT_B\tRATING\nTREE\tFOREST\t3\nMOON\tMONTH\t3\n"
+                     "BARK\tSKIN\t3\nFIRE\tWATER\t3\n", encoding="utf-8")
+    report = tmp_path / "r.json"
+    assert run(["eval-lsim", "--sim", str(emb), "--pairs", str(pairs),
+                "--report", str(report)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {pairs}: all 4 covered pairs have rating 3; Spearman's rho is undefined\n")
+    assert not report.exists()
+
+
+def test_eval_shift_uncorruptible_pair_exits_1_naming_its_concepts(tmp_path, capsys):
+    emb = tmp_path / "two.emb"
+    save_embedding(EmbeddingSet(["A", "B"], np.eye(2)), emb)
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("CONCEPT_A\tCONCEPT_B\nA\tB\n", encoding="utf-8")
+    assert run(["eval-shift", "--sim", str(emb), "--pairs", str(pairs), "--runs", "2",
+                "--seed", "1", "--report", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == "error: could not corrupt pair (A, B) after 1000 redraws\n"
+
+
 def test_viz_outputs(tmp_path):
     emb = separable_embedding(tmp_path)
     code = run(["viz", "--embedding", str(emb),
@@ -1078,6 +1101,38 @@ def test_protocol_config_declares_the_published_evaluation():
     baselines = {f"{method}:full.tsv" for method in cli.BASELINE_METHODS}
     assert evaluated == {(command, sim) for command in ("eval-lsim", "eval-shift", "eval-links")
                          for sim in spaces | baselines}
+
+
+def test_protocol_runs_at_toy_size(tmp_path, monkeypatch, capsys):
+    for name in ("wordlist", "rated_pairs", "shift_pairs", "association_pairs"):
+        (tmp_path / f"{name}.tsv").write_bytes((DATA / f"toy_{name}.tsv").read_bytes())
+    path = Path(__file__).resolve().parent.parent / "examples" / "protocol.json"
+    config = json.loads(path.read_text(encoding="utf-8"))
+    # the toy full graph's 3 edges give all 10 covered rated pairs cosine 0
+    flat = {"command": "eval-lsim", "args": {"sim": "cosine:full.tsv", "pairs": "rated_pairs.tsv",
+                                             "report": "cosine.lsim.json"}}
+    config["steps"].remove(flat)
+    for step in config["steps"]:
+        if step["command"] in ("embed", "combine"):
+            step["args"]["dim"] = 2
+        if step["args"].get("method") == "node2vec":
+            step["args"]["epochs"] = 2
+    (tmp_path / "toy_protocol.json").write_text(json.dumps(config), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+
+    assert run(["pipeline", "--config", "toy_protocol.json"]) == 0
+    first = (tmp_path / config["report"]).read_bytes()
+    assert run(["pipeline", "--config", "toy_protocol.json"]) == 0
+    assert (tmp_path / config["report"]).read_bytes() == first
+    metrics = json.loads(first)["metrics"]
+    assert {task: len(by_space) for task, by_space in metrics.items()} == {
+        "lsim": 13, "shift": 14, "links": 14}
+
+    capsys.readouterr()
+    assert run(["eval-lsim", *(f"--{key}={value}" for key, value in flat["args"].items())]) == 1
+    assert capsys.readouterr().err == ("error: cosine:full.tsv: all 10 covered pairs score 0; "
+                                       "Spearman's rho is undefined\n")
+    assert not (tmp_path / "cosine.lsim.json").exists()
 
 
 def test_cli_import_skips_csgraph_and_linalg():

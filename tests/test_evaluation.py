@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import colexvec.evaluation as evaluation
 from colexvec.baselines import SimilarityProvider, shortest_path_provider
 from colexvec.errors import (
     InsufficientDataError,
@@ -77,6 +78,24 @@ def test_eval_lsim_insufficient_coverage():
         eval_lsim(provider, pairs)
 
 
+def test_eval_lsim_names_the_constant_side():
+    pairs = [RatedPair("A", "B", 0.9), RatedPair("B", "C", 0.5), RatedPair("A", "C", 0.1)]
+    flat = make_provider(lambda a, b: 0.0, ["A", "B", "C"])
+    with pytest.raises(
+        InsufficientDataError,
+        match=r"^all 3 covered pairs score 0; Spearman's rho is undefined$",
+    ) as caught:
+        eval_lsim(flat, pairs)
+    assert caught.value.constant == "scores"
+    tied = [RatedPair(p.a, p.b, 2.5) for p in pairs]
+    with pytest.raises(
+        InsufficientDataError,
+        match=r"^all 3 covered pairs have rating 2.5; Spearman's rho is undefined$",
+    ) as caught:
+        eval_lsim(make_provider(stable_unit, ["A", "B", "C"]), tied)
+    assert caught.value.constant == "ratings"
+
+
 def test_eval_lsim_distance_provider_negative_rho():
     g = make_graph([("A", "B", 9), ("B", "C", 1), ("A", "D", 1)], "full", False)
     provider = shortest_path_provider(g)
@@ -95,35 +114,36 @@ def test_eval_lsim_distance_provider_negative_rho():
 
 
 def test_draw_negatives_contract():
-    positives = [ConceptPair("TREE", "FOREST")]
+    tree, forest = 0, 1  # rows of TREE, FOREST and BARK (2)
     for seed in range(20):
-        (neg,) = draw_negatives(positives, ["TREE", "FOREST", "BARK"], seed)
-        assert {neg.a, neg.b} != {"TREE", "FOREST"}
-        assert neg.a != neg.b
-        assert len({neg.a, neg.b} & {"TREE", "FOREST"}) == 1
+        negatives = draw_negatives(np.array([[tree, forest]]), [0, 1, 2], seed)
+        assert negatives.shape == (1, 2) and negatives.dtype == np.intp
+        a, b = negatives[0]
+        assert {a, b} != {tree, forest}
+        assert a != b
+        assert len({a, b} & {tree, forest}) == 1
 
 
 def test_draw_negatives_deterministic():
-    positives = [ConceptPair(f"A{i}", f"B{i}") for i in range(30)]
-    pool = [f"A{i}" for i in range(30)] + [f"B{i}" for i in range(30)]
+    positives = np.array([(i, 30 + i) for i in range(30)])
+    pool = range(60)
     first = draw_negatives(positives, pool, 7)
     second = draw_negatives(positives, pool, 7)
-    assert first == second
-    assert draw_negatives(positives, pool, 8) != first
+    assert np.array_equal(first, second)
+    assert not np.array_equal(draw_negatives(positives, pool, 8), first)
 
 
 def test_draw_negatives_count_matches_positdes():
-    concepts = [f"K{i:04d}" for i in range(1200)]
-    positives = [ConceptPair(concepts[2 * i], concepts[2 * i + 1]) for i in range(547)]
-    negatives = draw_negatives(positives, concepts, 3)
-    assert len(negatives) == 547
+    positives = np.array([(2 * i, 2 * i + 1) for i in range(547)])
+    negatives = draw_negatives(positives, range(1200), 3)
+    assert negatives.shape == (547, 2) and negatives.dtype == np.intp
 
 
 def test_draw_negatives_exhaustion():
     with pytest.raises(SamplingError):
-        draw_negatives([ConceptPair("A", "B")], ["A", "B"], 0)
+        draw_negatives(np.array([[0, 1]]), [0, 1], 0)
     with pytest.raises(ValidationError):
-        draw_negatives([ConceptPair("A", "B")], ["A"], 0)
+        draw_negatives(np.array([[0, 1]]), [0], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +201,38 @@ def test_logistic_accuracy_can_fall_short_of_best_threshold():
     assert accuracy < best
 
 
-def test_eval_binary_negatives_shared_across_providers():
+def drawn_negatives(monkeypatch, provider, positives, seed):
+    """The negatives eval_binary draws in each run, as (a, b) concept names."""
+    names = {row: concept for concept, row in provider.index.items()}
+    runs = []
+
+    def recording(*args, **kwargs):
+        rows = draw_negatives(*args, **kwargs)
+        runs.append([(names[a], names[b]) for a, b in rows.tolist()])
+        return rows
+
+    monkeypatch.setattr(evaluation, "draw_negatives", recording)
+    eval_binary(provider, positives, runs=5, seed=seed)
+    monkeypatch.undo()
+    return runs
+
+
+def test_eval_binary_negatives_shared_across_providers(monkeypatch):
     concepts = [f"C{i}" for i in range(50)]
     positives = [ConceptPair(concepts[2 * i], concepts[2 * i + 1]) for i in range(12)]
-    pool = sorted(concepts)
-    serialized = [
-        json.dumps([[n.a, n.b] for n in draw_negatives(positives, pool, 40 + r)])
-        for r in range(5)
-    ]
-    # a second "provider" changes nothing: the draw never sees the provider
-    again = [
-        json.dumps([[n.a, n.b] for n in draw_negatives(positives, pool, 40 + r)])
-        for r in range(5)
-    ]
+    sorted_rows = make_provider(stable_unit, concepts)
+    # the same concepts with reversed rows and other scores
+    order = sorted(concepts, reverse=True)
+    reversed_rows = SimilarityProvider(
+        source="shortest_path",
+        score=np.vectorize(lambda i, j: float(i + j), otypes=[float]),
+        index={concept: i for i, concept in enumerate(order)},
+    )
+    serialized, again = (
+        [json.dumps(run) for run in drawn_negatives(monkeypatch, provider, positives, 40)]
+        for provider in (sorted_rows, reversed_rows)
+    )
+    assert len(serialized) == 5 and len(set(serialized)) == 5
     assert serialized == again
 
 
@@ -203,10 +242,12 @@ def test_eval_binary_seed_derivation_is_seed_plus_run():
     provider = make_provider(stable_unit, concepts)
     report = eval_binary(provider, positives, runs=1, seed=21)
 
-    negatives = draw_negatives(positives, sorted(concepts), 21)  # run 0 -> seed + 0
+    order = sorted(concepts)  # the provider's rows
+    rows = np.array([(provider.index[p.a], provider.index[p.b]) for p in positives])
+    negatives = draw_negatives(rows, range(len(order)), 21)  # run 0 -> seed + 0
     features = np.array(
         [stable_unit(p.a, p.b) for p in positives]
-        + [stable_unit(n.a, n.b) for n in negatives]
+        + [stable_unit(order[a], order[b]) for a, b in negatives]
     )
     features = (features - features.mean()) / features.std()
     labels = np.array([1] * 15 + [0] * 15)

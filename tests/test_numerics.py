@@ -103,6 +103,30 @@ def test_pca_bad_dimension():
         pca_reduce(np.zeros((3, 2)), 3)
 
 
+def loop_sign_pca(x, d):
+    """pca_reduce with the per-component sign loop it replaced: the reference."""
+    centered = x - x.mean(axis=0, keepdims=True)
+    u, s, vt = np.linalg.svd(centered, full_matrices=False)
+    for k in range(len(s)):
+        pivot = np.argmax(np.abs(vt[k]))
+        if vt[k, pivot] < 0:
+            vt[k] = -vt[k]
+            u[:, k] = -u[:, k]
+    return u[:, :d] * s[:d]
+
+
+def test_pca_sign_convention_bitwise_equal_to_loop_reference():
+    rng = np.random.default_rng(12)
+    for trial in range(200):
+        n, dim = rng.integers(1, 40, size=2)
+        x = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3)
+        if trial % 3 == 0:
+            x = np.round(x)  # tied loadings, repeated rows, rank deficiency
+        d = int(rng.integers(1, min(n, dim) + 1))
+        got, _ = pca_reduce(x, d)
+        assert np.array_equal(got.view(np.uint64), loop_sign_pca(x, d).view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # randomized truncated SVD
 

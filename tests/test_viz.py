@@ -17,8 +17,7 @@ def swadesh_like_fixture():
     rng = np.random.default_rng(101)
     centers = rng.standard_normal((4, 8)) * 3
     x = np.vstack([c + rng.standard_normal((11, 8)) for c in centers])
-    labels = tuple(f"CONCEPT{i:02d}" for i in range(44))
-    return DenseMatrix(values=x, row_labels=labels)
+    return DenseMatrix(values=x)
 
 
 def row_perplexities(p_cond):
@@ -49,8 +48,8 @@ def test_perplexity_calibration_within_tolerance():
 
 def test_kl_non_increasing_post_exaggeration():
     m = swadesh_like_fixture()
-    out = tsne_project(m, perplexity=15.0, iterations=1000, seed=1, record_kl=True)
-    kl = np.array(out.meta["kl_history"])
+    _, kl_history = tsne_project(m, perplexity=15.0, iterations=1000, seed=1, record_kl=True)
+    kl = np.array(kl_history)
     tail = kl[500:]  # well past the 250-iteration exaggeration phase
     assert np.all(np.diff(tail) <= 1e-9)
     assert kl[-1] < kl[250]
@@ -58,20 +57,21 @@ def test_kl_non_increasing_post_exaggeration():
 
 def test_tsne_deterministic_per_seed():
     m = swadesh_like_fixture()
-    a = tsne_project(m, perplexity=10.0, iterations=300, seed=4)
-    b = tsne_project(m, perplexity=10.0, iterations=300, seed=4)
-    assert np.array_equal(a.values, b.values)
-    c = tsne_project(m, perplexity=10.0, iterations=300, seed=5)
-    assert not np.array_equal(a.values, c.values)
+    a, kl_history = tsne_project(m, perplexity=10.0, iterations=300, seed=4)
+    assert a.shape == (44, 2) and kl_history == ()
+    b, _ = tsne_project(m, perplexity=10.0, iterations=300, seed=4)
+    assert np.array_equal(a, b)
+    c, _ = tsne_project(m, perplexity=10.0, iterations=300, seed=5)
+    assert not np.array_equal(a, c)
 
 
 def test_tsne_invariant_under_rigid_motion():
     m = swadesh_like_fixture()
     # negation is a rigid motion that keeps the computed distances bit-exact,
     # so the whole trajectory must match
-    a = tsne_project(m, perplexity=12.0, iterations=300, seed=2)
-    b = tsne_project(DenseMatrix(values=-m.values), perplexity=12.0, iterations=300, seed=2)
-    assert np.array_equal(a.values, b.values)
+    a, _ = tsne_project(m, perplexity=12.0, iterations=300, seed=2)
+    b, _ = tsne_project(DenseMatrix(values=-m.values), perplexity=12.0, iterations=300, seed=2)
+    assert np.array_equal(a, b)
     # a numerically computed rotation + translation perturbs distances at
     # float precision; the affinity target P is still preserved
     rng = np.random.default_rng(7)
@@ -93,7 +93,7 @@ def test_tsne_argument_errors():
 
 
 def test_export_scatter_tsv(tmp_path):
-    coords = DenseMatrix(values=np.array([[0.0, 0.0], [1.0, 1.0]]))
+    coords = np.array([[0.0, 0.0], [1.0, 1.0]])
     tsv_path, svg_path = export_scatter(coords, ["A", "B"], tmp_path / "plot")
     lines = tsv_path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 3
@@ -103,12 +103,12 @@ def test_export_scatter_tsv(tmp_path):
 
 def test_export_scatter_round_trip(tmp_path):
     rng = np.random.default_rng(3)
-    coords = DenseMatrix(values=rng.standard_normal((5, 2)))
+    coords = rng.standard_normal((5, 2))
     labels = [f"C{i}" for i in range(5)]
     tsv_path, _ = export_scatter(coords, labels, tmp_path / "plot")
     lines = tsv_path.read_text(encoding="utf-8").splitlines()[1:]
     for (label, x, y), (expected_label, coord) in zip(
-        (line.split("\t") for line in lines), zip(labels, coords.values)
+        (line.split("\t") for line in lines), zip(labels, coords)
     ):
         assert label == expected_label
         assert float(x) == pytest.approx(coord[0], abs=1e-6)
@@ -116,9 +116,11 @@ def test_export_scatter_round_trip(tmp_path):
 
 
 def test_export_scatter_rejects_bad_labels(tmp_path):
-    coords = DenseMatrix(values=np.zeros((2, 2)))
+    coords = np.zeros((2, 2))
     with pytest.raises(ValidationError):
         export_scatter(coords, ["A", ""], tmp_path / "plot")
     with pytest.raises(ValidationError):
         export_scatter(coords, ["A"], tmp_path / "plot")
+    with pytest.raises(ValidationError, match="^coordinates must be n x 2$"):
+        export_scatter(np.zeros((2, 3)), ["A", "B"], tmp_path / "plot")
     assert not (tmp_path / "plot.tsv").exists()
