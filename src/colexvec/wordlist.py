@@ -3,7 +3,9 @@
 Forms are compared as sequences of segment tokens (space-separated in the
 TSV), never as raw strings, so a match cannot start inside a multi-character
 segment. Edge weights count the distinct language families attesting a
-colexification at least once.
+colexification at least once. Each type's index of a language's forms
+(forms, proper prefixes and suffixes, or k-grams) yields exactly the form
+pairs of that type; `classify_pair` is the reference rule it is tested against.
 """
 
 from __future__ import annotations
@@ -82,9 +84,9 @@ class ColexParams:
 
     def __post_init__(self):
         if self.min_form_len < 1:
-            raise ValidationError("min_form_len must be >= 1")
+            raise ValidationError(f"min_form_len must be >= 1, got {self.min_form_len}")
         if self.min_overlap_len < 1:
-            raise ValidationError("min_overlap_len must be >= 1")
+            raise ValidationError(f"min_overlap_len must be >= 1, got {self.min_overlap_len}")
 
 
 @dataclass(frozen=True)
@@ -139,9 +141,11 @@ def _longest_common_block(a: Sequence, b: Sequence) -> int:
 def classify_pair(a: Sequence, b: Sequence, params: ColexParams = ColexParams()) -> ColexMatch:
     """Classify two forms as full, affix, or overlap colexification.
 
-    Precedence is full > affix > overlap. An affix match means the shorter
-    form is a token-wise prefix or suffix of the longer one; its direction
-    points from the derived (longer) form to the stem.
+    This is the reference rule that network inference is tested against;
+    inference itself never calls it. Precedence is full > affix > overlap.
+    An affix match means the shorter form is a token-wise prefix or suffix
+    of the longer one; its direction points from the derived (longer) form
+    to the stem.
     """
     a = tuple(a)
     b = tuple(b)
@@ -161,33 +165,35 @@ def classify_pair(a: Sequence, b: Sequence, params: ColexParams = ColexParams())
     return ColexMatch(kind="none")
 
 
-def _candidate_form_pairs(forms, params: ColexParams) -> set:
-    """Sorted pairs of one language's forms that can classify as anything but
-    none: equal forms, a form and each proper prefix or suffix of length >=
-    min_form_len, and forms sharing a k-gram (k = min_overlap_len), which is
-    exactly when they share a block of length >= k.
+def _form_pairs(forms, params: ColexParams, kind: str) -> set:
+    """The pairs of one language's forms that colexify as `kind`.
+
+    "full" pairs each form with itself; "affix" gives (derived, stem) for
+    every proper prefix or suffix of >= min_form_len segments that is itself
+    a form; "overlap" gives the sorted pairs sharing a k-gram (k =
+    min_overlap_len), which is exactly when they share a block of length >=
+    k, less the affix pairs, since affix takes precedence over overlap.
     """
-    pairs = {(f, f) for f in forms}
-    for f in forms:
-        for n in range(params.min_form_len, len(f)):
-            for stem in (f[:n], f[-n:]):
-                if stem in forms:
-                    pairs.add((min(stem, f), max(stem, f)))
+    if kind == "full":
+        return {(f, f) for f in forms}
+    affix = {(f, stem) for f in forms for n in range(params.min_form_len, len(f))
+             for stem in (f[:n], f[-n:]) if stem in forms}
+    if kind == "affix":
+        return affix
     k = params.min_overlap_len
     grams = {}
     for f in sorted(forms):  # so every bucket, and each pair from it, is sorted
         for gram in {f[s: s + k] for s in range(len(f) - k + 1)}:
             grams.setdefault(gram, []).append(f)
-    for bucket in grams.values():
-        pairs.update(combinations(bucket, 2))
-    return pairs
+    pairs = {pair for bucket in grams.values() for pair in combinations(bucket, 2)}
+    return pairs - {(min(pair), max(pair)) for pair in affix}
 
 
-def _attestations(wordlist: Wordlist, params: ColexParams) -> dict:
-    """Attesting families per edge key for every network type, in one pass.
+def _attestations(wordlist: Wordlist, kind: str, params: ColexParams) -> dict:
+    """Attesting families per edge key of one network type.
 
-    Keys are (derived, stem) concepts in "affix" and sorted concept pairs in
-    "full", "overlap" and "affix_undirected".
+    Keys are (derived, stem) concepts for "affix" and sorted concept pairs
+    for "full" and "overlap".
     """
     concepts_by_form = {}  # language -> form -> concepts with that form
     for entry in wordlist.entries:
@@ -195,30 +201,20 @@ def _attestations(wordlist: Wordlist, params: ColexParams) -> dict:
         forms.setdefault(entry.form, []).append(entry.concept)
 
     families = wordlist.families
-    tables = {kind: {} for kind in ("full", "affix", "affix_undirected", "overlap")}
+    table = {}
     for language, forms in concepts_by_form.items():
         family = families[language]
-        for fa, fb in _candidate_form_pairs(forms, params):
-            match = classify_pair(fa, fb, params)
-            if match.kind == "none":
-                continue
+        for fa, fb in _form_pairs(forms, params, kind):
             for ca, cb in product(forms[fa], forms[fb]):
-                if ca == cb:
-                    continue
-                pair = (min(ca, cb), max(ca, cb))
-                if match.kind == "affix":
-                    derived = (ca, cb) if match.direction == "a_derived_from_b" else (cb, ca)
-                    tables["affix"].setdefault(derived, set()).add(family)
-                    tables["affix_undirected"].setdefault(pair, set()).add(family)
-                else:
-                    tables[match.kind].setdefault(pair, set()).add(family)
-    return tables
+                if ca != cb:
+                    key = (ca, cb) if kind == "affix" else (min(ca, cb), max(ca, cb))
+                    table.setdefault(key, set()).add(family)
+    return table
 
 
 def _family_count_graph(wordlist: Wordlist, attesting: dict, kind: str, directed: bool) -> ColexGraph:
     edges = [(src, dst, len(fams)) for (src, dst), fams in sorted(attesting.items())]
-    concepts = {e.concept for e in wordlist.entries}
-    return make_graph(edges, kind, directed, extra_nodes=concepts)
+    return make_graph(edges, kind, directed, extra_nodes=wordlist.concepts())
 
 
 def infer_network(
@@ -231,12 +227,12 @@ def infer_network(
     families with at least one attestation. Affix networks are directed
     (derived-form concept -> stem concept); full and overlap networks are
     undirected. All wordlist concepts stay in the node set, so concepts
-    without edges remain as isolated nodes. Only form pairs that an index
-    of forms, affixes and k-grams finds are classified, each once.
+    without edges remain as isolated nodes. The type's own index (of forms,
+    affixes or k-grams) yields its form pairs; none is classified again.
     """
     if kind not in ("full", "affix", "overlap"):
         raise ValidationError(f"unknown colexification type {kind!r}")
-    attesting = _attestations(wordlist, params)[kind]
+    attesting = _attestations(wordlist, kind, params)
     return _family_count_graph(wordlist, attesting, kind, directed=(kind == "affix"))
 
 
@@ -245,12 +241,14 @@ def infer_undirected_network(
 ) -> ColexGraph:
     """Undirected network with exact family counts over both edge directions.
 
-    For affix colexifications this recounts from the raw attestations, so a
-    family attesting only A->B and another attesting only B->A yield weight
-    2, where max-merging the directed graph after the fact would give 1.
-    For full and overlap networks it equals infer_network.
+    For affix colexifications this unites the attesting families of both
+    directions, so a family attesting only A->B and another attesting only
+    B->A yield weight 2, where max-merging the directed graph after the fact
+    would give 1. For full and overlap networks it equals infer_network.
     """
     if kind != "affix":
         return infer_network(wordlist, kind, params)
-    attesting = _attestations(wordlist, params)["affix_undirected"]
+    attesting = {}
+    for (derived, stem), fams in _attestations(wordlist, "affix", params).items():
+        attesting.setdefault((min(derived, stem), max(derived, stem)), set()).update(fams)
     return _family_count_graph(wordlist, attesting, "affix", directed=False)

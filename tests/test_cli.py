@@ -66,6 +66,18 @@ def test_colexify_writes_expected_graph(tmp_path, capsys):
     assert "11 nodes, 3 edges" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--min-form-len", "min_form_len must be >= 1, got 0"),
+    ("--min-overlap-len", "min_overlap_len must be >= 1, got 0"),
+])
+def test_colexify_rejects_bad_thresholds(tmp_path, capsys, flag, message):
+    code = run(["colexify", "--wordlist", data_path("toy_wordlist.tsv"), "--type", "full",
+                flag, "0", "--out", str(tmp_path / "g.tsv")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "g.tsv").exists()
+
+
 def test_colexify_affix_is_directed(tmp_path):
     g = load_graph(toy_graph(tmp_path, "affix"))
     assert g.directed and g.colex_type == "affix"

@@ -328,6 +328,20 @@ def assert_networks_match_oracle(wl, params):
     assert got == {k: float(v) for k, v in expected.items()}
 
 
+def test_inference_does_not_classify_pairs_again(monkeypatch):
+    # each type's index yields exactly its form pairs, so neither the
+    # reference classifier nor its block search runs during inference
+    def unreachable(*args):
+        raise AssertionError("inference classified a form pair")
+
+    monkeypatch.setattr("colexvec.wordlist.classify_pair", unreachable)
+    monkeypatch.setattr("colexvec.wordlist._longest_common_block", unreachable)
+    rng = random.Random(11)
+    params = ColexParams(min_form_len=2, min_overlap_len=1)
+    for _ in range(10):
+        assert_networks_match_oracle(random_wordlist(rng), params)
+
+
 @st.composite
 def wordlists_and_params(draw):
     alphabet = draw(st.lists(st.sampled_from(["a", "b", "c", "ŋ", "tʰ"]), min_size=1, max_size=3, unique=True))
@@ -350,6 +364,14 @@ def wordlists_and_params(draw):
 def test_indexed_networks_match_oracle_for_any_thresholds(case):
     # covers min_form_len > min_overlap_len and min_overlap_len = 1
     assert_networks_match_oracle(*case)
+    # a concept per entry names one (language, form), so every edge has a
+    # single attesting form pair and a wrong pair cannot hide behind a right one
+    wl, params = case
+    renamed = tuple(
+        WordlistEntry(e.language, e.family, f"{e.language}/{e.concept}/{' '.join(e.form)}", e.form)
+        for e in wl.entries
+    )
+    assert_networks_match_oracle(Wordlist(entries=renamed), params)
 
 
 def test_indexed_networks_match_oracle_on_skewed_segments():
