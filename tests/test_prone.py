@@ -1,13 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special
 
+import colexvec.runtime as runtime
 from colexvec.errors import GraphTooSmallError, ValidationError
-from colexvec.graph import adjacency_matrix, make_graph
+from colexvec.graph import adjacency_matrix, make_graph, save_graph
 from colexvec.prone import (
     ProneConfig,
     bessel_i,
@@ -237,6 +242,37 @@ def test_prone_bit_reproducible():
     b = prone_embed(g, cfg)
     for node in a.vectors:
         assert np.array_equal(a.vectors[node], b.vectors[node])
+
+
+def fragmented_graph(rng):
+    """A 200-node random component plus 70 isomorphic weighted triangles.
+
+    Many equal small components, as in the fragmented benchmark graphs:
+    before the tSVD ran on one BLAS thread, this graph's dim-128 ProNE
+    bytes differed between 1 and 2 OpenBLAS threads.
+    """
+    g = random_graph(rng, 200, 400)
+    triangles = [(f"T{c:02d}{a}", f"T{c:02d}{b}", w)
+                 for c in range(70) for a, b, w in (("a", "b", 1), ("b", "c", 1), ("a", "c", 2))]
+    return make_graph(list(g.edges) + triangles, "full", False)
+
+
+def test_prone_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    if runtime._numpy_openblas() is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS with a thread-count API")
+    graph = tmp_path / "fragmented.tsv"
+    save_graph(fragmented_graph(np.random.default_rng(0)), graph)
+    src = str(Path(runtime.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}.emb"
+        argv = ["embed", "--graph", str(graph), "--method", "prone", "--out", str(out),
+                "--seed", "1", "--dim", "128"]
+        code = f"import sys; from colexvec import cli; sys.exit(cli.run({argv!r}))"
+        subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                       env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads)})
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_prone_isolated_nodes_uncovered():
