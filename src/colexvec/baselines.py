@@ -27,6 +27,9 @@ PROVIDER_SOURCES = frozenset(
 )
 # pairs an embedding provider scores per gathered block of rows
 SCORE_CHUNK = 4096
+# the random-walk profile sums WALK_DECAY^k P^k over k = 1..WALK_STEPS
+WALK_DECAY = 0.5
+WALK_STEPS = 5
 
 
 @dataclass(frozen=True)
@@ -57,11 +60,11 @@ class SimilarityProvider:
         return frozenset(self.index)
 
     def rows(self, concepts) -> np.ndarray:
-        """Row indices of `concepts`; an unknown concept raises KeyError naming it."""
+        """Row indices of `concepts`; an unknown concept raises ValidationError naming it."""
         try:
             return np.array([self.index[c] for c in concepts], dtype=np.intp)
         except KeyError as exc:
-            raise KeyError(
+            raise ValidationError(
                 f"concept {exc.args[0]!r} not covered by the {self.source} provider"
             ) from None
 
@@ -99,8 +102,8 @@ def _row_cosines(rows: np.ndarray) -> np.ndarray:
     """Cosine of every pair of rows; a zero row scores 0 against everything.
 
     Each cell is gram / (|u||v|), the Gram matrix divided in place, so no
-    third n x n array is made. It sees float rows (random-walk profiles
-    and PPMI rows), whose Gram entries the BLAS may sum in any order.
+    third n x n array is made. It sees float rows (random-walk profiles),
+    whose Gram entries the BLAS may sum in any order.
     """
     norms = np.linalg.norm(rows, axis=1)
     denom = np.outer(norms, norms)
@@ -158,7 +161,7 @@ def shortest_path_provider(g: ColexGraph) -> SimilarityProvider:
     finite = np.isfinite(dist)
     fill = 2.0 * dist[finite].max() if finite.any() else 0.0
     dist[~finite] = fill
-    return _table_provider("shortest_path", g.sorted_nodes(), dist)
+    return _table_provider("shortest_path", g.order, dist)
 
 
 def cosine_adjacency_provider(g: ColexGraph) -> SimilarityProvider:
@@ -178,34 +181,24 @@ def cosine_adjacency_provider(g: ColexGraph) -> SimilarityProvider:
     rows, cols = gram.coords
     cells = gram.data / (norms[rows] * norms[cols])
     table = sp.coo_array((cells, gram.coords), shape=a.shape)
-    return _table_provider("cosine_adjacency", g.sorted_nodes(), table)
+    return _table_provider("cosine_adjacency", g.order, table)
 
 
-def ppmi_provider(g: ColexGraph, mode: str = "pairwise") -> SimilarityProvider:
-    """Positive pointwise mutual information under adjacency mass.
+def ppmi_provider(g: ColexGraph) -> SimilarityProvider:
+    """Pairwise positive pointwise mutual information under adjacency mass.
 
     On a directed graph a pair's source marginal is its out-weight and its
-    target marginal its in-weight. `mode` picks the pairwise PPMI value or
-    the cosine between PPMI rows. Only an edge's cell can be positive, so
-    the pairwise table is computed on the edges alone.
+    target marginal its in-weight. Only an edge's cell can be positive, so
+    the table is computed on the edges alone.
     """
-    if mode not in ("pairwise", "cosine_rows"):
-        raise ValidationError(f"unknown ppmi mode {mode!r}")
-    ppmi = _ppmi(g.adjacency)
-    table = _row_cosines(ppmi.toarray()) if mode == "cosine_rows" else ppmi
-    return _table_provider("ppmi", g.sorted_nodes(), table)
+    return _table_provider("ppmi", g.order, _ppmi(g.adjacency))
 
 
-def random_walk_provider(
-    g: ColexGraph, alpha: float = 0.5, max_steps: int = 5
-) -> SimilarityProvider:
-    """Cosine of decay-weighted visit profiles over walks of up to max_steps."""
-    if not (0.0 < alpha < 1.0):
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    if max_steps < 1:
-        raise ValidationError(f"max_steps must be >= 1, got {max_steps}")
-    profiles = _walk_profiles(g.adjacency.toarray(), alpha, max_steps)
-    return _table_provider("random_walk", g.sorted_nodes(), _row_cosines(profiles))
+def random_walk_provider(g: ColexGraph) -> SimilarityProvider:
+    """Cosine of visit profiles over walks of up to WALK_STEPS steps, step k
+    weighted by WALK_DECAY^k."""
+    profiles = _walk_profiles(g.adjacency.toarray(), WALK_DECAY, WALK_STEPS)
+    return _table_provider("random_walk", g.order, _row_cosines(profiles))
 
 
 def embedding_provider(es: EmbeddingSet) -> SimilarityProvider:

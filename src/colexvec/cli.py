@@ -115,9 +115,6 @@ def build_parser(add_help: bool = True) -> _Parser:
     p.add_argument("--method", required=True, choices=BASELINE_METHODS)
     p.add_argument("--out", required=True)
     p.add_argument("--pairs", help="pair TSV to score; omit to dump the full matrix")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--max-steps", type=int, default=5)
-    p.add_argument("--ppmi-mode", choices=("pairwise", "cosine_rows"), default="pairwise")
 
     p = add_command("eval-lsim", "rank correlation against similarity ratings")
     p.add_argument("--sim", required=True, help="embedding file or '<method>:<graph.tsv>'")
@@ -184,36 +181,28 @@ def _input_key(path) -> tuple:
     )
 
 
-def _graph_provider(
-    method: str, path, alpha: float = 0.5, max_steps: int = 5, ppmi_mode: str = "pairwise"
-) -> SimilarityProvider:
-    """`method`'s provider on the undirected graph at `path`, built once per key."""
+def _provider(method, path) -> SimilarityProvider:
+    """`method`'s topology baseline on the undirected graph at `path`, or,
+    for method None, the cosines of the embedding file at `path`.
+
+    Asking again for the source the last call built, with the same input
+    bytes, sidecar included, returns that provider without reading or
+    building anything.
+    """
 
     def build():
+        if method is None:
+            return embedding_provider(load_embedding(path))
         g = to_undirected(load_graph(path))
         if method == "shortest-path":
             return shortest_path_provider(g)
         if method == "cosine":
             return cosine_adjacency_provider(g)
         if method == "ppmi":
-            return ppmi_provider(g, mode=ppmi_mode)
-        return random_walk_provider(g, alpha=alpha, max_steps=max_steps)
+            return ppmi_provider(g)
+        return random_walk_provider(g)
 
-    return _memoised((method, alpha, max_steps, ppmi_mode, *_input_key(path)), build)
-
-
-def provider_from_spec(spec: str) -> SimilarityProvider:
-    """A topology baseline for '<method>:<graph.tsv>', else an embedding file's cosines.
-
-    Asking again for the source the last call built, with the same input
-    bytes, returns that provider without reading or building anything.
-    """
-    method, path = parse_sim(spec)
-    if method:
-        return _graph_provider(method, path)
-    return _memoised(
-        ("embedding", *_input_key(path)), lambda: embedding_provider(load_embedding(path))
-    )
+    return _memoised((method, *_input_key(path)), build)
 
 
 def _write_report(path, command: str, config: dict, inputs: list, report: dict) -> dict:
@@ -300,9 +289,7 @@ def cmd_map_external(args) -> dict:
 
 
 def cmd_baseline(args) -> dict:
-    provider = _graph_provider(
-        args.method, args.graph, args.alpha, args.max_steps, args.ppmi_mode
-    )
+    provider = _provider(args.method, args.graph)
     out = Path(args.out)
     if args.pairs:
         pairs = load_concept_pairs(args.pairs)
@@ -320,7 +307,11 @@ def cmd_baseline(args) -> dict:
 
 
 def cmd_eval(args, task: str) -> dict:
-    provider = provider_from_spec(args.sim)
+    method, path = parse_sim(args.sim)
+    provider = _provider(method, path)
+    # the report hashes every input the provider was keyed on
+    sidecar = sidecar_path(path)
+    inputs = [path, sidecar, args.pairs] if sidecar.exists() else [path, args.pairs]
     config = {"sim": args.sim, "pairs": args.pairs}
     if task == "lsim":
         try:
@@ -341,10 +332,7 @@ def cmd_eval(args, task: str) -> dict:
             concepts = {c for pair in pairs for c in (pair.a, pair.b)}
             print(f"filtered association network: {len(concepts)} concepts, {len(pairs)} edges")
         report = eval_binary(provider, pairs, runs=args.runs, seed=args.seed, task=task)
-    doc = _write_report(
-        args.report, f"eval-{task}", config,
-        [parse_sim(args.sim)[1], args.pairs], report.to_dict(),
-    )
+    doc = _write_report(args.report, f"eval-{task}", config, inputs, report.to_dict())
     print(report.table())
     return doc
 
@@ -438,6 +426,10 @@ def cmd_pipeline(args) -> dict:
                 # intermediates even if a previous run left them behind
                 if cand not in produced and Path(cand).exists():
                     external[cand] = file_sha256(cand)
+                    # a graph is read with its sidecar, and --sim keys on it
+                    sidecar = sidecar_path(cand)
+                    if key in ("graph", "sim") and sidecar.exists():
+                        external[str(sidecar)] = file_sha256(sidecar)
 
     summaries = []
     metrics = {}
@@ -506,10 +498,6 @@ def run(argv) -> int:
         return 0
     except UsageError as exc:
         print(exc.args[1], file=sys.stderr)
-        return 1
-    except KeyError as exc:
-        # str() of a KeyError is the repr of its argument, quotes included
-        print("error:", *exc.args, file=sys.stderr)
         return 1
     except (ColexvecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -149,12 +149,13 @@ def eval_lsim(sim: SimilarityProvider, pairs) -> EvalReport:
     return EvalReport(task="lsim", metric=rho, coverage=coverage, runs=1)
 
 
-def draw_negatives(positives, pool, seed: int, max_redraws: int = MAX_REDRAWS) -> np.ndarray:
+def draw_negatives(positives, pool, seed: int) -> np.ndarray:
     """One corrupted copy per positive: one side replaced by a pool draw.
 
     Takes an (n, 2) array of positive rows and a sequence of pool rows,
-    returns an (n, 2) intp array of rows. Redraws until the candidate is
-    neither a self-pair nor an attested positive (as unordered pair).
+    returns an (n, 2) intp array of rows. Redraws, at most MAX_REDRAWS
+    times, until the candidate is neither a self-pair nor an attested
+    positive (as unordered pair).
     Deterministic for a given (positives, pool, seed).
     """
     positives = np.asarray(positives, dtype=np.intp).reshape(-1, 2)
@@ -166,7 +167,7 @@ def draw_negatives(positives, pool, seed: int, max_redraws: int = MAX_REDRAWS) -
 
     negatives = np.empty_like(positives)
     for k, (a, b) in enumerate(positives.tolist()):
-        for _ in range(max_redraws):
+        for _ in range(MAX_REDRAWS):
             keep_a = bool(rng.integers(2))
             replacement = pool[rng.integers(len(pool))]
             x, y = (a, replacement) if keep_a else (replacement, b)
@@ -176,21 +177,21 @@ def draw_negatives(positives, pool, seed: int, max_redraws: int = MAX_REDRAWS) -
             break
         else:
             raise SamplingError(f"could not corrupt the pair of rows ({a}, {b}) "
-                                f"after {max_redraws} redraws", position=k)
+                                f"after {MAX_REDRAWS} redraws", position=k)
     return negatives
 
 
 def eval_binary(
     sim: SimilarityProvider,
     positives,
-    pool=None,
     runs: int = 50,
     seed: int = 0,
     task: str = "shift",
 ) -> EvalReport:
     """Mean in-sample accuracy of a one-feature logistic fit over `runs` samples.
 
-    Run r draws its negatives with seed + r. Positives with uncovered
+    Run r draws its negatives with seed + r from the pool of every
+    concept the provider covers, in sorted order. Positives with uncovered
     concepts are excluded up front (reported as coverage). Scores of
     distance providers are negated so that higher always means more
     similar. Accuracy is measured in-sample, following the paper's
@@ -213,13 +214,7 @@ def eval_binary(
     coverage = len(covered) / len(positives)
     if not covered:
         raise InsufficientDataError("no positive pair is covered by the provider")
-    pool = sorted(sim.index) if pool is None else list(pool)
-    outside = [c for c in pool if c not in sim.index]
-    if outside:
-        raise ValidationError(
-            f"pool contains concepts the provider cannot score, e.g. {outside[:3]}"
-        )
-    pool_rows = sim.rows(pool)
+    pool_rows = sim.rows(sorted(sim.index))
 
     sign = 1.0 if sim.higher_is_more_similar else -1.0
     pos_features = sign * sim.score(rows[:, 0], rows[:, 1])

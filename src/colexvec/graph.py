@@ -124,9 +124,6 @@ class ColexGraph:
     def n_edges(self) -> int:
         return self.adjacency.nnz if self.directed else self.adjacency.nnz // 2
 
-    def sorted_nodes(self) -> list:
-        return list(self.order)
-
     def isolated_nodes(self) -> frozenset:
         touched = np.diff(self.adjacency.indptr) > 0
         touched[self.adjacency.indices] = True  # a directed edge's target

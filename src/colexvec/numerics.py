@@ -135,11 +135,10 @@ def spearman_rho(xs, ys) -> float:
 
 @dataclass(frozen=True)
 class LogisticModel:
-    """One-feature logistic classifier: predict 1 iff sigmoid(w*x + b) >= threshold."""
+    """One-feature logistic classifier: predict 1 iff sigmoid(w*x + b) >= 0.5."""
 
     weight: float
     bias: float
-    threshold: float = 0.5
 
     def __post_init__(self):
         if not (np.isfinite(self.weight) and np.isfinite(self.bias)):
@@ -150,7 +149,7 @@ class LogisticModel:
         return _sigmoid(z)
 
     def predict(self, features) -> np.ndarray:
-        return (self.predict_proba(features) >= self.threshold).astype(int)
+        return (self.predict_proba(features) >= 0.5).astype(int)
 
     def accuracy(self, features, labels) -> float:
         labels = np.asarray(labels, dtype=int)

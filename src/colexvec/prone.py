@@ -55,17 +55,17 @@ class ProneConfig:
         check_seed(self.seed)
 
 
-def bessel_i(k: int, x: float, terms: int = _BESSEL_TERMS) -> float:
+def bessel_i(k: int, x: float) -> float:
     """Modified Bessel function of the first kind by series expansion.
 
-    30 terms are exact to ~1e-12 for x <= 5, which covers any sensible
-    filter bandwidth.
+    Its _BESSEL_TERMS = 30 terms are exact to ~1e-12 for x <= 5, which
+    covers any sensible filter bandwidth.
     """
     if k < 0:
         raise ValidationError("order must be non-negative")
     half = x / 2.0
     total = 0.0
-    for m in range(terms):
+    for m in range(_BESSEL_TERMS):
         total += half ** (2 * m + k) / (math.factorial(m) * math.factorial(m + k))
     return total
 

@@ -24,6 +24,10 @@ MOMENTUM_EARLY = 0.5
 MOMENTUM_LATE = 0.8
 LEARNING_RATE = 10.0
 INIT_SCALE = 1e-4
+PERPLEXITY_TOL = 1e-5
+PERPLEXITY_MAX_ITER = 200
+SVG_WIDTH = 800
+SVG_HEIGHT = 600
 _EPS = 1e-12
 
 
@@ -62,14 +66,13 @@ def _row_entropy_probs(dist_row: np.ndarray, beta: float):
     return h, p
 
 
-def conditional_gaussians(
-    dist_sq: np.ndarray, perplexity: float, tol: float = 1e-5, max_iter: int = 200
-) -> np.ndarray:
+def conditional_gaussians(dist_sq: np.ndarray, perplexity: float) -> np.ndarray:
     """Per-point Gaussian conditionals calibrated to the target perplexity.
 
-    Bisection on the precision beta until the row's log2-perplexity is
-    within tol of log2(target); rows whose entropy cannot move (e.g. all
-    neighbors equidistant) keep their limit distribution.
+    Bisection on the precision beta, at most PERPLEXITY_MAX_ITER steps,
+    until the row's log2-perplexity is within PERPLEXITY_TOL of
+    log2(target); rows whose entropy cannot move (e.g. all neighbors
+    equidistant) keep their limit distribution.
     """
     n = dist_sq.shape[0]
     target = math.log2(perplexity)
@@ -78,8 +81,8 @@ def conditional_gaussians(
         row = np.delete(dist_sq[i], i)
         beta, beta_lo, beta_hi = 1.0, 0.0, math.inf
         h, p = _row_entropy_probs(row, beta)
-        for _ in range(max_iter):
-            if abs(h - target) < tol:
+        for _ in range(PERPLEXITY_MAX_ITER):
+            if abs(h - target) < PERPLEXITY_TOL:
                 break
             if h > target:
                 beta_lo = beta
@@ -176,7 +179,8 @@ def export_scatter(coords, labels, out) -> tuple:
     return tsv_path, svg_path
 
 
-def _scatter_svg(points: np.ndarray, labels, width: int = 800, height: int = 600) -> str:
+def _scatter_svg(points: np.ndarray, labels) -> str:
+    width, height = SVG_WIDTH, SVG_HEIGHT
     xs, ys = points[:, 0], points[:, 1]
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(ys.min()), float(ys.max())

@@ -103,7 +103,7 @@ def test_criterion_2_baseline_oracles():
     rng = random.Random(77)
     for _ in range(25):
         g = tb.random_small_graph(rng)
-        nodes = g.sorted_nodes()
+        nodes = g.order
         dist = tb.scores_by_pair(shortest_path_provider(g), g)
         oracle = {(a, b): tb.all_simple_paths_min(g, a, b)
                   for a, b in itertools.combinations(nodes, 2)}
@@ -196,7 +196,7 @@ def test_criterion_4_tsvd_and_propagation_oracles():
 
     gen = np.random.default_rng(8)
     g = tp.random_graph(gen, 10, 7)
-    order = g.sorted_nodes()
+    order = g.order
     base_values = gen.standard_normal((10, 4))
     adj = adjacency_matrix(g, order)
     cfg = ProneConfig(dim=4, step=10, mu=0.2, theta=0.5, seed=0)

@@ -21,6 +21,7 @@ from colexvec.baselines import (
 )
 from colexvec.combine import combine
 from colexvec.embeddings import EmbeddingSet
+from colexvec.errors import ValidationError
 from colexvec.graph import MAX_FAMILY_COUNT, adjacency_matrix, make_graph
 from colexvec.numerics import ZeroVectorWarning, cosine_similarity
 
@@ -33,7 +34,7 @@ def score(provider, a, b) -> float:
 
 def scores_by_pair(provider, g) -> dict:
     """Every ordered pair's score, read off one similarity_matrix call."""
-    order = g.sorted_nodes()
+    order = g.order
     values = similarity_matrix(provider, order)
     return {(a, b): values[i, j] for i, a in enumerate(order) for j, b in enumerate(order)}
 
@@ -91,7 +92,7 @@ def test_shortest_path_disconnected_marker():
 
 
 def test_shortest_path_absent_node():
-    with pytest.raises(KeyError, match="'Z'"):
+    with pytest.raises(ValidationError, match="'Z'"):
         score(shortest_path_provider(PATH_GRAPH), "A", "Z")
 
 
@@ -99,7 +100,7 @@ def test_shortest_path_matches_all_paths_oracle():
     rng = random.Random(42)
     for _ in range(30):
         g = random_small_graph(rng)
-        nodes = g.sorted_nodes()
+        nodes = g.order
         dist = scores_by_pair(shortest_path_provider(g), g)
         oracle = {(a, b): all_simple_paths_min(g, a, b)
                   for a, b in itertools.combinations(nodes, 2)}
@@ -115,7 +116,7 @@ def test_shortest_path_triangle_inequality():
         g = random_small_graph(rng)
         # the disconnection fill (2x the largest distance) keeps the inequality
         dist = scores_by_pair(shortest_path_provider(g), g)
-        for a, b, c in itertools.permutations(g.sorted_nodes(), 3):
+        for a, b, c in itertools.permutations(g.order, 3):
             assert dist[a, c] <= dist[a, b] + dist[b, c] + 1e-9
 
 
@@ -125,7 +126,7 @@ def test_shortest_path_rank_order_scale_invariant():
     scaled = make_graph(
         [(s, t, w * 3) for s, t, w in g.edges], "full", False, extra_nodes=g.nodes
     )
-    pairs = list(itertools.combinations(g.sorted_nodes(), 2))
+    pairs = list(itertools.combinations(g.order, 2))
     p1 = shortest_path_provider(g)
     p2 = shortest_path_provider(scaled)
     d1 = [score(p1, a, b) for a, b in pairs]
@@ -172,7 +173,7 @@ def test_ppmi_symmetric_and_nonnegative():
     for _ in range(10):
         g = random_small_graph(rng)
         ppmi = scores_by_pair(ppmi_provider(g), g)
-        for a, b in itertools.combinations(g.sorted_nodes(), 2):
+        for a, b in itertools.combinations(g.order, 2):
             assert ppmi[a, b] >= 0.0
             assert ppmi[a, b] == pytest.approx(ppmi[b, a])
 
@@ -181,7 +182,7 @@ def test_ppmi_matches_dense_oracle():
     rng = random.Random(6)
     for _ in range(10):
         g = random_small_graph(rng)
-        order = g.sorted_nodes()
+        order = g.order
         mat = adjacency_matrix(g, order)
         total = mat.sum()
         marginal = mat.sum(axis=1) / total
@@ -208,12 +209,6 @@ def test_ppmi_directed_uses_column_sums_for_the_target():
     assert score(provider, "N0", "N2") == 0.0
 
 
-def test_ppmi_cosine_rows_mode():
-    provider = ppmi_provider(PATH_GRAPH, mode="cosine_rows")
-    # A and C have identical PPMI rows (sole neighbor B)
-    assert score(provider, "A", "C") == pytest.approx(1.0)
-
-
 # ---------------------------------------------------------------------------
 # random walks
 
@@ -225,8 +220,11 @@ def test_random_walk_hand_profile():
     p = mat / rowsum
     profile = 0.5 * p + 0.25 * (p @ p)
     assert np.allclose(profile[0], [1 / 6, 1 / 2, 1 / 12])
-    provider = random_walk_provider(PATH_GRAPH, alpha=0.5, max_steps=2)
-    assert score(provider, "A", "C") == pytest.approx(1.0)
+    profiles = _walk_profiles(mat.copy(), 0.5, 2)
+    assert np.allclose(profiles, profile)
+    assert _row_cosines(profiles)[0, 2] == pytest.approx(1.0)
+    # A and C share their sole neighbour B, so their profiles agree at any length
+    assert score(random_walk_provider(PATH_GRAPH), "A", "C") == pytest.approx(1.0)
 
 
 def test_random_walk_self_similarity():
@@ -235,23 +233,23 @@ def test_random_walk_self_similarity():
 
 def test_random_walk_single_step_equals_row_cosine():
     g = random_small_graph(random.Random(11))
-    order = g.sorted_nodes()
+    order = g.order
     mat = adjacency_matrix(g, order)
     rowsum = mat.sum(axis=1, keepdims=True)
     p = np.divide(mat, rowsum, out=np.zeros_like(mat), where=rowsum > 0)
-    walk = scores_by_pair(random_walk_provider(g, max_steps=1), g)
-    for i, a in enumerate(order):
-        for j, b in enumerate(order):
+    walk = _row_cosines(_walk_profiles(mat.copy(), 0.5, 1))
+    for i in range(len(order)):
+        for j in range(len(order)):
             ni, nj = np.linalg.norm(p[i]), np.linalg.norm(p[j])
             expected = 0.0 if ni == 0 or nj == 0 else float(p[i] @ p[j] / (ni * nj))
-            assert walk[a, b] == pytest.approx(expected)
+            assert walk[i, j] == pytest.approx(expected)
 
 
 def test_random_walk_profiles_match_matrix_powers():
     rng = random.Random(13)
     for _ in range(10):
         g = random_small_graph(rng)
-        order = g.sorted_nodes()
+        order = g.order
         mat = adjacency_matrix(g, order)
         rowsum = mat.sum(axis=1, keepdims=True)
         p = np.divide(mat, rowsum, out=np.zeros_like(mat), where=rowsum > 0)
@@ -285,7 +283,7 @@ def test_all_providers_symmetric_on_undirected():
         ppmi_provider(g),
         random_walk_provider(g),
     ]
-    nodes = g.sorted_nodes()
+    nodes = g.order
     for provider in providers:
         for a, b in itertools.combinations(nodes, 2):
             assert score(provider, a, b) == pytest.approx(score(provider, b, a))
@@ -297,7 +295,7 @@ def test_embedding_provider_scores():
     assert score(provider, "A", "C") == pytest.approx(1.0)
     assert score(provider, "A", "B") == pytest.approx(0.0)
     assert provider.covered == frozenset({"A", "B", "C"})
-    with pytest.raises(KeyError, match="'Z'"):
+    with pytest.raises(ValidationError, match="'Z'"):
         score(provider, "A", "Z")
 
 
@@ -464,21 +462,23 @@ def test_every_provider_matches_dense_oracle():
                    extra_nodes=["L"]),
     ] + [graph_with_gaps(rng) for _ in range(40)]
     for g in graphs:
-        order = g.sorted_nodes()
+        order = g.order
         mat = adjacency_matrix(g, order)
         cases = [
             (shortest_path_provider(g), shortest_path_oracle(g, mat)),
             (cosine_adjacency_provider(g), cosine_oracle(mat)),
             (random_walk_provider(g), walk_oracle(mat, 0.5, 5)),
-            (random_walk_provider(g, alpha=0.2, max_steps=1), walk_oracle(mat, 0.2, 1)),
-            (random_walk_provider(g, alpha=0.9, max_steps=3), walk_oracle(mat, 0.9, 3)),
             (ppmi_provider(g), ppmi_oracle(mat)),
-            (ppmi_provider(g, mode="cosine_rows"), cosine_oracle(ppmi_oracle(mat))),
         ]
         for provider, oracle in cases:
             got = similarity_matrix(provider, order)
             np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12,
                                        err_msg=f"{provider.source} on {g}")
+        # the provider's walk at other decays and lengths
+        for alpha, steps in ((0.2, 1), (0.9, 3)):
+            got = _row_cosines(_walk_profiles(mat.copy(), alpha, steps))
+            np.testing.assert_allclose(got, walk_oracle(mat, alpha, steps), rtol=0, atol=1e-12,
+                                       err_msg=f"random walk ({alpha}, {steps}) on {g}")
 
 
 # ---------------------------------------------------------------------------
@@ -563,12 +563,10 @@ def random_count_graph(rng, n, directed, density, top):
 def test_sparse_tables_have_the_dense_bits(n, directed, density, top):
     rng = np.random.default_rng(n + 1000 * directed)
     g = random_count_graph(rng, n, directed, density, top)
-    order = g.sorted_nodes()
+    order = g.order
     mat = g.adjacency.toarray()
-    ppmi = dense_ppmi(mat)
     for provider, want in (
         (cosine_adjacency_provider(g), _row_cosines(mat)),
-        (ppmi_provider(g), ppmi),
-        (ppmi_provider(g, mode="cosine_rows"), _row_cosines(ppmi)),
+        (ppmi_provider(g), dense_ppmi(mat)),
     ):
         assert same_bits(similarity_matrix(provider, order), want), provider.source

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import gc
 import json
@@ -269,20 +270,6 @@ def test_baseline_pair_scores_match_matrix_dump(tmp_path, method):
         assert value == cells[a, b]
 
 
-@pytest.mark.parametrize("flag, value, message", [
-    ("--alpha", "1.5", "alpha must be in (0, 1)"),
-    ("--alpha", "0", "alpha must be in (0, 1)"),
-    ("--max-steps", "0", "max_steps must be >= 1"),
-])
-def test_baseline_random_walk_rejects_bad_parameters(tmp_path, capsys, flag, value, message):
-    graph = toy_graph(tmp_path)
-    code = run(["baseline", "--graph", str(graph), "--method", "random-walk",
-                flag, value, "--out", str(tmp_path / "m.tsv")])
-    assert code == 1
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "m.tsv").exists()
-
-
 def test_eval_lsim_embedding_and_baseline_spec(tmp_path):
     graph = toy_graph(tmp_path)
     emb = separable_embedding(tmp_path)
@@ -544,6 +531,9 @@ def test_pipeline_keeps_every_metric_of_a_task(tmp_path):
     ({"report": "r.json", "steps": [None, {"command": "colexify", "args": {
         "wordlist": "w.tsv", "type": "full", "out": True}}]},
      "steps[1]: args.out must be a string or a number"),
+    ({"report": "r.json", "steps": [None, {"command": "baseline", "args": {
+        "graph": "g.tsv", "method": "random-walk", "out": "m.tsv", "alpha": 0.3}}]},
+     "steps[1]: unrecognized arguments: --alpha 0.3"),
 ])
 def test_pipeline_rejects_malformed_config_before_any_step(tmp_path, capsys, config, message):
     graph = tmp_path / "full.tsv"
@@ -798,11 +788,46 @@ def test_memo_keys_on_parameters(tmp_path, built):
     lsim(f"random-walk:{graph}", tmp_path / "r.json")
     assert run(["baseline", "--graph", str(graph), "--method", "random-walk",
                 "--out", str(tmp_path / "default.tsv")]) == 0
-    assert len(built) == 1  # --sim builds with the default parameters
-    assert run(["baseline", "--graph", str(graph), "--method", "random-walk",
-                "--alpha", "0.3", "--out", str(tmp_path / "alpha.tsv")]) == 0
-    assert len(built) == 2
-    assert (tmp_path / "alpha.tsv").read_bytes() != (tmp_path / "default.tsv").read_bytes()
+    assert len(built) == 1  # the memo keys on the method and the input, not the command
+
+
+@pytest.mark.parametrize("method", ["shortest-path", "cosine", "ppmi", "random-walk"])
+def test_baseline_and_sim_spec_build_one_table(tmp_path, built, method):
+    graph = toy_graph(tmp_path, "affix")
+    assert run(["baseline", "--graph", str(graph), "--method", method,
+                "--out", str(tmp_path / "m.tsv")]) == 0
+    lsim(f"{method}:{graph}", tmp_path / "r.json")
+    assert len(built) == 1
+
+
+def test_eval_and_pipeline_hash_the_graph_sidecar(tmp_path):
+    graph = tmp_path / "g.tsv"
+    graph.write_text("SOURCE\tTARGET\tWEIGHT\nTREE\tFOREST\t2\nBARK\tSKIN\t1\n"
+                     "FIRE\tSUN\t1\nTREE\tBARK\t1\n", encoding="utf-8")
+    sidecar = tmp_path / "g.tsv.json"
+    report = tmp_path / "r.json"
+    step = {"command": "eval-lsim", "args": {"sim": f"ppmi:{graph}", "report": str(report),
+                                             "pairs": data_path("toy_rated_pairs.tsv")}}
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"report": str(tmp_path / "p.json"), "steps": [step]}),
+                      encoding="utf-8")
+
+    def hashes():
+        assert run(["pipeline", "--config", str(config)]) == 0
+        inputs = json.loads(report.read_text(encoding="utf-8"))["inputs"]
+        pipeline = json.loads((tmp_path / "p.json").read_text(encoding="utf-8"))
+        return inputs, pipeline["input_hashes"]
+
+    inputs, external = hashes()
+    assert str(sidecar) not in inputs and inputs == external
+    sidecar.write_text('{"directed": false}', encoding="utf-8")
+    undirected, _ = hashes()
+    sidecar.write_text('{"directed": true}', encoding="utf-8")
+    directed, external = hashes()
+    assert set(directed) == {str(graph), str(sidecar), data_path("toy_rated_pairs.tsv")}
+    assert directed == external
+    assert directed[str(sidecar)] != undirected[str(sidecar)]
+    assert directed[str(graph)] == undirected[str(graph)]
 
 
 def test_memo_holds_one_provider(tmp_path, built, monkeypatch):
@@ -994,20 +1019,58 @@ def test_one_cached_parser_leaks_no_state_between_runs(tmp_path, monkeypatch, ca
         colexify + ["--min-form-len", "4"],
         colexify,
         ["embed", "--graph", graph, "--method", "prone", "--out", str(tmp_path / "e.emb")],
-        walk + ["--alpha", "0.25", "--max-steps", "2", "--out", str(tmp_path / "tuned.tsv")],
         ["pipeline", "--config", str(config)],
         walk + ["--out", str(tmp_path / "plain.tsv")],
     ]
-    assert [run(argv) for argv in runs] == [0, 0, 1, 0, 0, 0]
+    assert [run(argv) for argv in runs] == [0, 0, 1, 0, 0]
     assert "the following arguments are required: --seed" in capsys.readouterr().err
     fresh = cli.build_parser.__wrapped__
     expected = [vars(fresh().parse_args(argv)) for argv in runs if argv[0] != "embed"]
     step_argv = walk + ["--out", step["out"]]
-    expected.insert(4, vars(fresh(add_help=False).parse_args(step_argv)))
+    expected.insert(3, vars(fresh(add_help=False).parse_args(step_argv)))
     assert seen == expected
-    assert seen[1]["min_form_len"] == 3 and seen[4]["alpha"] == seen[5]["alpha"] == 0.5
+    assert seen[1]["min_form_len"] == 3
     # the pipeline step, parsed without -h, scores as the plain run does
     assert (tmp_path / "step.tsv").read_bytes() == (tmp_path / "plain.tsv").read_bytes()
+
+
+def test_handler_key_error_propagates_out_of_run(monkeypatch):
+    def broken(args):
+        raise KeyError("x")
+
+    monkeypatch.setitem(cli.HANDLERS, "pipeline", broken)
+    with pytest.raises(KeyError, match="'x'"):
+        run(["pipeline", "--config", "run.json"])
+
+
+# every command's options; a new knob must show up here
+OPTIONS = {
+    "colexvec": ["--version", "--log-level"],
+    "colexify": ["--wordlist", "--type", "--out", "--min-form-len", "--min-overlap-len"],
+    "embed": ["--graph", "--method", "--out", "--seed", "--walks-per-node", "--walk-length",
+              "--p", "--q", "--dim", "--window", "--learning-rate", "--epochs",
+              "--validation-split", "--batch-size", "--step", "--mu", "--theta",
+              "--exponent", "--shift"],
+    "combine": ["--inputs", "--out", "--dim"],
+    "map-external": ["--vectors", "--concept-map", "--out", "--dim"],
+    "baseline": ["--graph", "--method", "--out", "--pairs"],
+    "eval-lsim": ["--sim", "--pairs", "--report"],
+    "eval-shift": ["--sim", "--pairs", "--report", "--runs", "--seed"],
+    "eval-links": ["--sim", "--pairs", "--report", "--runs", "--seed", "--min-weight"],
+    "viz": ["--embedding", "--concepts", "--out", "--perplexity", "--iterations", "--seed"],
+    "pipeline": ["--config"],
+}
+
+
+def test_option_surface():
+    def options(parser):
+        return [s for a in parser._actions for s in a.option_strings if s not in ("-h", "--help")]
+
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {"colexvec": options(parser)}
+    got.update({name: options(p) for name, p in commands.choices.items()})
+    assert got == OPTIONS
 
 
 def test_unknown_flag_exit_1(capsys):

@@ -271,7 +271,7 @@ def small_digraphs(draw):
 @given(small_digraphs())
 def test_to_undirected_symmetric_adjacency(g):
     u = to_undirected(g)
-    order = u.sorted_nodes()
+    order = u.order
     m = adjacency_matrix(u, order)
     assert np.array_equal(m, m.T)
     assert to_undirected(u) == u
@@ -291,7 +291,7 @@ def test_to_undirected_equals_max_merge_reference(g):
 @given(small_digraphs())
 def test_adjacency_equals_per_edge_fill(g):
     for graph in (g, to_undirected(g)):
-        index = {node: i for i, node in enumerate(graph.sorted_nodes())}
+        index = {node: i for i, node in enumerate(graph.order)}
         expected = np.zeros((len(index), len(index)))
         for src, dst, w in graph.edges:
             expected[index[src], index[dst]] = w
@@ -305,7 +305,7 @@ def test_adjacency_equals_per_edge_fill(g):
 @given(small_digraphs())
 def test_undirected_row_sum_is_weighted_degree(g):
     u = to_undirected(g)
-    order = u.sorted_nodes()
+    order = u.order
     m = adjacency_matrix(u, order)
     degree = {node: 0.0 for node in order}
     for src, dst, w in u.edges:

@@ -102,7 +102,7 @@ def test_high_return_parameter_avoids_backtracking():
 
 def choice_reference_walks(g, cfg):
     """Walks drawn step by step with `rng.choice(len(nbrs), p=...)`."""
-    neighbors = {node: [] for node in g.sorted_nodes()}
+    neighbors = {node: [] for node in g.order}
     for src, dst, w in g.edges:
         neighbors[src].append((dst, w))
         neighbors[dst].append((src, w))

@@ -107,7 +107,7 @@ def test_bessel_positive_decreasing_for_small_theta():
 def test_shifted_matrix_hand_value():
     cfg = ProneConfig(dim=2, exponent=0.75, shift=1.0, seed=0)
     m = build_shifted_matrix(PATH_GRAPH, cfg)
-    order = PATH_GRAPH.sorted_nodes()  # [A, B, C]
+    order = PATH_GRAPH.order  # [A, B, C]
     q_b = 3**0.75 / (2**0.75 + 3**0.75 + 1.0)
     assert q_b == pytest.approx(0.4595, abs=1e-4)
     dense = m.toarray()
@@ -130,7 +130,7 @@ def test_shifted_matrix_pattern_matches_adjacency():
     g = random_graph(rng, 12, 8)
     cfg = ProneConfig(dim=4, seed=0)
     m = build_shifted_matrix(g, cfg)
-    adj = adjacency_matrix(g, g.sorted_nodes())
+    adj = adjacency_matrix(g, g.order)
     assert np.array_equal(m.toarray() != 0, adj != 0)
 
 
@@ -139,7 +139,7 @@ def test_shifted_matrix_matches_dense_oracle():
     g = random_graph(rng, 10, 6)
     cfg = ProneConfig(dim=4, exponent=0.75, shift=1.0, seed=0)
     got = build_shifted_matrix(g, cfg).toarray()
-    adj = adjacency_matrix(g, g.sorted_nodes())
+    adj = adjacency_matrix(g, g.order)
     degree = adj.sum(axis=1)
     q = degree**0.75 / (degree**0.75).sum()
     for i in range(10):
@@ -203,7 +203,7 @@ def test_propagate_rows_unit_norm():
 def test_propagate_matches_transcription_oracle():
     rng = np.random.default_rng(8)
     g = random_graph(rng, 10, 7)
-    order = g.sorted_nodes()
+    order = g.order
     base_values = rng.standard_normal((10, 4))
     adj = adjacency_matrix(g, order)
     for step in (1, 2, 3, 10):
