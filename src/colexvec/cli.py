@@ -43,7 +43,7 @@ from .graph import load_graph, save_graph, sidecar_path, to_undirected
 from .node2vec import SkipGramConfig, WalkConfig, node2vec_embed
 from .prone import ProneConfig, prone_embed
 from .runtime import config_digest, file_sha256
-from .tsv import format_floats, open_text, write_json, write_lines
+from .tsv import format_rows, open_text, write_json, write_lines
 from .viz import DenseMatrix, export_scatter, tsne_project
 from .wordlist import ColexParams, infer_network, load_wordlist
 
@@ -294,13 +294,14 @@ def cmd_baseline(args) -> dict:
     if args.pairs:
         pairs = load_concept_pairs(args.pairs)
         scores = provider.score_pairs([p.a for p in pairs], [p.b for p in pairs])
-        lines = (f"{pair.a}\t{pair.b}\t{score:.8g}" for pair, score in zip(pairs, scores))
+        texts = format_rows(scores.reshape(-1, 1), "")
+        lines = (f"{pair.a}\t{pair.b}\t{text}" for pair, text in zip(pairs, texts))
         write_lines(out, "CONCEPT_A\tCONCEPT_B\tSCORE", lines)
         print(f"wrote {out}: {len(pairs)} scored pairs ({args.method})")
         return {"out": args.out, "pairs": len(pairs)}
     order = sorted(provider.covered)
     matrix = similarity_matrix(provider, order)
-    lines = (node + "\t" + format_floats(row, "\t") for node, row in zip(order, matrix))
+    lines = (node + "\t" + row for node, row in zip(order, format_rows(matrix, "\t")))
     write_lines(out, "CONCEPT\t" + "\t".join(order), lines)
     print(f"wrote {out}: {len(order)}x{len(order)} similarity matrix ({args.method})")
     return {"out": args.out, "nodes": len(order)}
@@ -392,7 +393,8 @@ def _check_pipeline_config(path, config) -> list:
         for key, value in step_args.items():
             if isinstance(value, bool) or not isinstance(value, (str, int, float)):
                 raise ColexvecError(f"{where}: args.{key} must be a string or a number")
-            argv += ["--" + str(key).replace("_", "-"), str(value)]
+            # one word, so a value that starts with "-" is not read as an option
+            argv.append(f"--{str(key).replace('_', '-')}={value}")
         try:
             parsed.append(parser.parse_args(argv))
         except UsageError as exc:

@@ -1,10 +1,12 @@
 """Concept embedding container and the shared plain-text vector format.
 
 The file format is word2vec-style text: a `<count> <dim>` header line, then
-one `<concept> <v1> ... <vdim>` line per concept with 8 significant digits.
-Concept ids may contain spaces; the trailing `dim` fields of a line are the
-vector, everything before them is the id. Trailing whitespace on a line
-(word2vec and fastText write a space before the newline) is ignored.
+one `<concept> <v1> ... <vdim>` line per concept with 8 significant digits,
+each value as Python's `%.8g` writes it (`tsv.format_rows` formats the
+whole matrix as an array). Concept ids may contain spaces; the trailing
+`dim` fields of a line are the vector, everything before them is the id.
+Trailing whitespace on a line (word2vec and fastText write a space before
+the newline) is ignored.
 
 The vector fields are separated by single spaces, and each must be a number
 as numpy's text parser reads it: ASCII digits with an optional sign, point
@@ -24,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .tsv import format_floats, open_text, write_lines
+from .tsv import format_rows, open_text, write_lines
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +103,7 @@ class _Rows(Mapping):
 
 
 def save_embedding(es: EmbeddingSet, path) -> None:
-    lines = (f"{c} " + format_floats(row, " ") for c, row in zip(es.concepts, es.values))
+    lines = (f"{c} {row}" for c, row in zip(es.concepts, format_rows(es.values, " ")))
     write_lines(path, f"{len(es.concepts)} {es.dim}", lines)
 
 

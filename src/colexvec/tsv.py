@@ -4,14 +4,19 @@ A table is UTF-8 text: one header line, then one row per line with exactly
 as many tab-separated cells as the header. Blank lines are skipped, numbers
 must be finite, and every failure is a ParseError naming `path:line`.
 Every text input of the package, table or not, is read through `open_text`.
+Every number the package writes into a table or an embedding file goes
+through `format_rows`, one array kernel whose bytes are those of Python's
+`%.8g` on each value.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -80,26 +85,189 @@ def number(text: str, what: str, kind=float):
     return value
 
 
-def format_floats(values, sep: str) -> str:
-    """The values at 8 significant digits joined by `sep`.
+# Cells per `_pack` call. A block's temporaries come to about 0.7 MB;
+# 8,192-cell blocks took 3-6% less time and twice the memory.
+BLOCK = 4096
+# Cells per chunk of rows: `format_rows` tells dense rows from mostly-zero
+# ones a chunk at a time, and the formatted cells of a chunk's mostly-zero
+# rows go through `_pack` together, so a sparse table's calls are not
+# mostly numpy's per-call overhead.
+CHUNK = 16 * BLOCK
+# |x| in [1e-280, 1e280] scales to eight digits through `_POW10` without
+# overflow or subnormals; the kernel leaves every other cell to Python
+_LOW, _HIGH = 1e-280, 1e280
+# _POW10[k + 300] is float("1e<k>"), the correctly rounded 10**k
+_POW10 = np.array([float(f"1e{k}") for k in range(-300, 301)])
 
-    One `%` operation over the row; the bytes equal
-    `sep.join(format(v, ".8g") for v in values)`. In a row that is more
-    than half +0.0, such as a sparse baseline's table row, the format
-    string holds a literal "0" for each +0.0 cell, so only the other
-    cells are formatted; -0.0 keeps its "%.8g", which prints "-0".
+
+def _word(text: str) -> int:
+    """The ASCII `text`, at most 8 characters, as a little-endian uint64 word."""
+    return int.from_bytes(text.encode("ascii"), "little")
+
+
+def _keep(n: int) -> int:
+    """The mask of a word's first `n` bytes."""
+    return (1 << 8 * n) - 1
+
+
+def _quads() -> np.ndarray:
+    """Entry i, for i in 0..9999: the word "%04d" % i in the low half and,
+    in the high half, the mask of its digits up to the last nonzero one."""
+    twos = [f"{i:02d}" for i in range(100)]
+    words = np.array([_word(two) for two in twos], dtype="<u8")
+    masks = np.array([_keep(len(two.rstrip("0"))) for two in twos], dtype="<u8")
+    # entry 100 * a + b: a's mask where b is "00", else all of a and b's mask
+    quads = np.where(masks > 0, masks << 16 | 0xFFFF, masks[:, None]) << 32
+    return (quads | words[:, None] | words << 16).reshape(-1)
+
+
+_QUADS = _quads()
+# By decimal exponent x, at x + 300: the head is the digits before the
+# point, one in scientific notation and x + 1 in fixed notation from 1 up;
+# below 1 there is none, and the head text "0." with -x - 1 zeros stands
+# in its place. The fraction, the digits after the head, is shifted into
+# the cell's first word by 16 bits (by 48 below 1, where it starts at
+# byte 6); the exponent suffix, "e+XX" or "e-XXX", sits at bytes 10-14.
+_EXPONENTS = range(-300, 301)
+_HEAD_DIGITS = [0 if -4 <= x < 0 else x + 1 if 0 <= x < 8 else 1 for x in _EXPONENTS]
+_HEAD_MASK = np.array([_keep(h) for h in _HEAD_DIGITS], dtype="<u8")
+_HEAD_TEXT = np.array([_word("0." + "0" * (-x - 1)) if -4 <= x < 0 else 0 for x in _EXPONENTS],
+                      dtype="<u8")
+_FRACTION_SHIFT = np.array([48 if -4 <= x < 0 else 16 for x in _EXPONENTS], dtype="<u8")
+_SUFFIX = np.array([0 if -4 <= x < 8 else _word(f"e{x:+03d}") << 16 for x in _EXPONENTS],
+                   dtype="<u8")
+_POINTS = np.uint64(_word("." * 8))
+
+
+def _pack(cells: np.ndarray, ends: np.ndarray) -> bytes:
+    """Each of the float64 `cells` at `%.8g`, followed by its separator.
+
+    `ends[i]` holds cell i's separator byte in its top byte (0 for none).
+    A cell is written into two uint64 words, 16 bytes, with 0 in every
+    byte it leaves empty: the sign at byte 0, the head from byte 1, then
+    the point and the fraction, the exponent suffix at bytes 10-14 and the
+    separator at byte 15. The fraction's digits stay in their places in
+    the 8-digit word, up to its last nonzero one, and the point goes into
+    the byte before the first of them when one is left. One
+    `bytes.translate` then drops the 0 bytes.
+
+    A finite cell with |x| in [1e-280, 1e280] is rounded here. It takes
+    x * 10**(7 - e) with e = floor(log10 x) and rounds it to the integer
+    mantissa; a mantissa of 10**8 becomes 10**7 and e + 1. The scaled
+    value is within 2.3e-8 of the exact one (two roundings of at most half
+    an ulp each, below 1e8), so the mantissa is the correctly rounded one
+    wherever the scaled value is more than 1e-6 from a half-integer. Cells
+    in that band, non-finite cells and cells outside the range are
+    formatted by Python's `format`; +0.0 and -0.0 are the literals "0" and
+    "-0".
     """
-    values = np.asarray(values, dtype=float)
-    zero = (values == 0.0) & ~np.signbit(values)
-    # a row of few zeros keeps the plain format: on the 1,246-cell rows of
-    # a shortest-path table, whose only zero is the diagonal, the literal
-    # form took about 30% longer
-    if 2 * np.count_nonzero(zero) > len(values):
-        cells = ["0"] * len(values)
-        for i in np.flatnonzero(~zero).tolist():
-            cells[i] = "%.8g"
-        return sep.join(cells) % tuple(values[~zero].tolist())
-    return sep.join(["%.8g"] * len(values)) % tuple(values.tolist())
+    x = np.abs(cells)
+    regular = (x >= _LOW) & (x <= _HIGH)
+    # the other cells go through the arithmetic as 1.0 and are overwritten below
+    x = np.where(regular, x, 1.0)
+    # log10 rounds across a power of ten only for x a few ulps from it,
+    # where the scaled value rounds to 10**7, or to 10**8 and carries
+    exponent = np.floor(np.log10(x)).astype(np.intp)
+    x *= _POW10[307 - exponent]
+    mantissa = np.rint(x)
+    tie_band = np.abs(x - mantissa) >= 0.5 - 1e-6
+    carry = mantissa >= 1e8  # rounded up to 10**8: one digit more
+    if carry.any():
+        mantissa[carry] = 1e7
+        exponent += carry
+    low = mantissa.astype(np.intp)
+    high = low // 10_000
+    low -= high * 10_000
+    quad_high, quad_low = _QUADS[high], _QUADS[low]
+    digits = quad_high & 0xFFFFFFFF | quad_low << 32
+    # the mask of the eight digits up to the last nonzero one
+    significant = np.where(low > 0, quad_low | 0xFFFFFFFF, quad_high >> 32)
+    exponent += 300
+    head_mask = _HEAD_MASK[exponent]
+    head = (digits & head_mask | _HEAD_TEXT[exponent]) ^ (cells == 0)  # a 1.0's "1" becomes "0"
+    fraction = digits & significant & ~head_mask
+    # a point in the head's last byte, where no fraction digit stands
+    fraction |= (head_mask ^ head_mask >> 8) & _POINTS * (fraction != 0)
+    shift = _FRACTION_SHIFT[exponent]
+    words = np.empty((len(cells), 2), dtype="<u8")
+    words[:, 0] = np.signbit(cells) * np.uint64(ord("-")) | head << 8 | fraction << shift
+    words[:, 1] = ends | head >> 56 | fraction >> 64 - shift | _SUFFIX[exponent]
+    # nan, inf, subnormal, tiny or huge, or in the tie band
+    for i in np.flatnonzero(~regular & (cells != 0) | tie_band).tolist():
+        text = format(float(cells[i]), ".8g").encode("ascii")
+        words[i] = np.frombuffer(text.ljust(15, b"\0") + bytes([int(ends[i]) >> 56]), "<u8")
+    return words.tobytes().translate(None, b"\0")
+
+
+def _packed_rows(values: np.ndarray, sep: str) -> Iterator[str]:
+    """The rows of the 2-D `values` as `_pack` writes them, cells joined by `sep`.
+
+    Each row's last cell gets a newline for separator, so splitting the
+    text yields the rows; a row may span blocks.
+    """
+    width = values.shape[1]
+    cells = values.reshape(-1)
+    text = ""
+    for start in range(0, cells.size, BLOCK):
+        block = cells[start : start + BLOCK]
+        ends = np.full(len(block), ord(sep or "\0") << 56, dtype="<u8")
+        ends[(width - 1 - start) % width :: width] = ord("\n") << 56
+        text += _pack(block, ends).decode("ascii")
+        *done, text = text.split("\n")
+        yield from done
+
+
+def _spliced_rows(values: np.ndarray, literal: np.ndarray, rows: np.ndarray, sep: str) -> list:
+    """The rows of `values` in the row mask `rows`, each a row of literal
+    "0" cells with its cells outside the mask `literal` formatted in.
+
+    The rows are cut from one text, their "0" rows end to end, into which
+    each formatted cell is spliced at its "0".
+    """
+    if not rows.any():
+        return []
+    spliced = ~literal & rows[:, None]
+    zero_row = sep.join(["0"] * values.shape[1]) + "\n"
+    row_at, col = np.nonzero(spliced)
+    rank = np.cumsum(rows) - 1  # a row's place among `rows`
+    starts = (rank[row_at] * len(zero_row) + col * (1 + len(sep))).tolist()
+    text = zero_row * np.count_nonzero(rows)
+    pieces = [None] * (2 * len(starts) + 1)
+    pieces[0::2] = [text[a + 1 : b] for a, b in zip([-1] + starts, starts + [len(text)])]
+    pieces[1::2] = list(_packed_rows(values[spliced].reshape(-1, 1), ""))
+    return "".join(pieces).split("\n")[:-1]
+
+
+def _chunk_rows(values: np.ndarray, sep: str) -> Iterator[str]:
+    """The rows of `values` formatted by `format_rows`, in order."""
+    literal = (values == 0) & ~np.signbit(values)  # +0.0
+    sparse = 2 * np.count_nonzero(literal, axis=1) > values.shape[1]
+    dense = _packed_rows(values[~sparse] if sparse.any() else values, sep)
+    spliced = iter(_spliced_rows(values, literal, sparse, sep))
+    return (next(spliced) if s else next(dense) for s in sparse.tolist())
+
+
+def format_rows(matrix, sep: str) -> Iterator[str]:
+    """Each row of the 2-D `matrix` at 8 significant digits, joined by `sep`.
+
+    The strings are byte for byte `sep.join(format(v, ".8g") for v in row)`
+    for every row, made as they are iterated, a `CHUNK` of cells at a
+    time. `sep` is one ASCII character other than NUL and newline, or
+    empty. The cells are formatted as arrays (see `_pack`). A row that is
+    more than half +0.0, such as a sparse baseline's table row, formats
+    only its other cells and writes a literal "0" for each +0.0 cell.
+    """
+    values = np.asarray(matrix, dtype=np.float64)
+    if values.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {values.shape}")
+    if len(sep) > 1 or sep in ("\0", "\n") or not sep.isascii():
+        raise ValueError(f"sep must be one ASCII character or empty, got {sep!r}")
+    n_rows, width = values.shape
+    if width == 0:
+        return iter([""] * n_rows)
+    step = max(1, CHUNK // width)
+    return itertools.chain.from_iterable(
+        _chunk_rows(values[start : start + step], sep) for start in range(0, n_rows, step))
 
 
 def write_lines(path, header: str, lines) -> None:

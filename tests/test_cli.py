@@ -18,6 +18,7 @@ import pytest
 import colexvec.cli as cli
 from colexvec.cli import run
 from colexvec.embeddings import EmbeddingSet, load_embedding, save_embedding
+from colexvec.evaluation import load_concept_pairs
 from colexvec.graph import load_graph, make_graph, save_graph
 from colexvec.node2vec import SkipGramConfig, WalkConfig
 from colexvec.prone import ProneConfig
@@ -270,6 +271,19 @@ def test_baseline_pair_scores_match_matrix_dump(tmp_path, method):
         assert value == cells[a, b]
 
 
+@pytest.mark.parametrize("method", ["shortest-path", "cosine", "ppmi", "random-walk"])
+def test_baseline_pair_dump_bytes_equal_per_value_format(tmp_path, method):
+    graph = toy_graph(tmp_path)
+    out = tmp_path / "pairs.tsv"
+    assert run(["baseline", "--graph", str(graph), "--method", method,
+                "--pairs", data_path("toy_shift_pairs.tsv"), "--out", str(out)]) == 0
+    pairs = load_concept_pairs(data_path("toy_shift_pairs.tsv"))
+    scores = cli._provider(method, graph).score_pairs([p.a for p in pairs], [p.b for p in pairs])
+    expected = "CONCEPT_A\tCONCEPT_B\tSCORE\n" + "".join(
+        f"{p.a}\t{p.b}\t{format(float(s), '.8g')}\n" for p, s in zip(pairs, scores))
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
 def test_eval_lsim_embedding_and_baseline_spec(tmp_path):
     graph = toy_graph(tmp_path)
     emb = separable_embedding(tmp_path)
@@ -519,7 +533,7 @@ def test_pipeline_keeps_every_metric_of_a_task(tmp_path):
      "steps[1]: the following arguments are required: --method, --out, --seed"),
     ({"report": "r.json", "steps": [None, {"command": "colexify", "args": {
         "wordlist": "w.tsv", "type": "full", "out": "g.tsv", "bogus": 3}}]},
-     "steps[1]: unrecognized arguments: --bogus 3"),
+     "steps[1]: unrecognized arguments: --bogus=3"),
     ({"report": "r.json", "steps": [None, {"command": "colexify", "args": {
         "wordlist": "w.tsv", "type": "full", "out": "g.tsv", "min_form_len": "x"}}]},
      "steps[1]: argument --min-form-len: invalid int value: 'x'"),
@@ -527,13 +541,13 @@ def test_pipeline_keeps_every_metric_of_a_task(tmp_path):
      "steps[1]: the following arguments are required: --wordlist, --type, --out"),
     ({"report": "r.json", "steps": [None, {"command": "colexify", "args": {
         "wordlist": "w.tsv", "type": "full", "out": "g.tsv", "help": 1}}]},
-     "steps[1]: unrecognized arguments: --help 1"),
+     "steps[1]: unrecognized arguments: --help=1"),
     ({"report": "r.json", "steps": [None, {"command": "colexify", "args": {
         "wordlist": "w.tsv", "type": "full", "out": True}}]},
      "steps[1]: args.out must be a string or a number"),
     ({"report": "r.json", "steps": [None, {"command": "baseline", "args": {
         "graph": "g.tsv", "method": "random-walk", "out": "m.tsv", "alpha": 0.3}}]},
-     "steps[1]: unrecognized arguments: --alpha 0.3"),
+     "steps[1]: unrecognized arguments: --alpha=0.3"),
 ])
 def test_pipeline_rejects_malformed_config_before_any_step(tmp_path, capsys, config, message):
     graph = tmp_path / "full.tsv"
@@ -549,6 +563,19 @@ def test_pipeline_rejects_malformed_config_before_any_step(tmp_path, capsys, con
     assert captured.err == f"error: {config_path}: {message}\n"
     assert captured.out == ""
     assert not graph.exists()
+
+
+def test_pipeline_step_value_may_start_with_a_dash(tmp_path, monkeypatch):
+    # each argument is one "--key=value" word, so "-w.tsv" is a value, not an option
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-w.tsv").write_bytes(Path(data_path("toy_wordlist.tsv")).read_bytes())
+    config = {"report": "r.json", "steps": [
+        {"command": "colexify", "args": {"wordlist": "-w.tsv", "type": "full", "out": "-g.tsv"}}]}
+    (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+    assert run(["pipeline", "--config", "run.json"]) == 0
+    assert (tmp_path / "-g.tsv").read_bytes() == toy_graph(tmp_path).read_bytes()
+    report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+    assert list(report["input_hashes"]) == ["-w.tsv"]
 
 
 @pytest.mark.parametrize("weight", ["1e-10", "5e-324"])

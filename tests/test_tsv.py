@@ -9,7 +9,8 @@ from colexvec.combine import load_concept_map
 from colexvec.errors import ParseError, ValidationError
 from colexvec.evaluation import load_concept_pairs, load_rated_pairs
 from colexvec.graph import load_graph
-from colexvec.tsv import format_floats, number, read_tsv, write_json, write_lines
+from colexvec import tsv
+from colexvec.tsv import format_rows, number, read_tsv, write_json, write_lines
 from colexvec.wordlist import load_wordlist
 
 # loader, header and one valid row; in NUMBER_LOADERS the row's last cell
@@ -121,6 +122,16 @@ def test_number_kinds():
 VALUES = [-0.0, 0.0, 5e-324, 1e-300, 1e20, 123456789.123, 3.0, -42.0, 1e16, 0.1, 1 / 3, -2.5e-7]
 
 
+def format_floats(values, sep):
+    """One row through the matrix kernel."""
+    return next(format_rows([values], sep))
+
+
+def per_value(matrix, sep):
+    """The reference: Python's own `%.8g`, one cell at a time."""
+    return [sep.join(format(float(v), ".8g") for v in row) for row in np.asarray(matrix)]
+
+
 @pytest.mark.parametrize("sep", ["\t", " ", ""])
 def test_format_floats_equals_per_value_format(sep):
     assert format_floats(VALUES, sep) == sep.join(format(v, ".8g") for v in VALUES)
@@ -140,6 +151,120 @@ def test_format_floats_equals_per_value_format(sep):
 def test_format_floats_of_zero_heavy_rows_equals_per_value_format(row, sep):
     assert format_floats(row, sep) == sep.join(format(v, ".8g") for v in row)
     assert format_floats(np.array(row), sep) == sep.join(format(v, ".8g") for v in row)
+
+
+SEPS = pytest.mark.parametrize("sep", ["\t", " ", ""])
+
+
+@SEPS
+def test_format_rows_of_random_bit_patterns(sep):
+    rng = np.random.default_rng(20)
+    cells = rng.integers(0, 2**64, size=40_000, dtype=np.uint64).view(np.float64)
+    # about one cell in 2**11 of random bits is subnormal; add more, and the specials
+    tiny = rng.integers(1, 2**52, size=400, dtype=np.uint64).view(np.float64)
+    specials = [np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 5e-324, -5e-324,
+                2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0),
+                1.7976931348623157e308, -1.7976931348623157e308]
+    cells = np.concatenate([cells, tiny, -tiny, specials])
+    rng.shuffle(cells)
+    matrix = cells.reshape(-1, 12)
+    assert list(format_rows(matrix, sep)) == per_value(matrix, sep)
+
+
+@SEPS
+def test_format_rows_of_powers_of_ten_and_their_neighbours(sep):
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    cells = np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, 0)])
+    cells = np.concatenate([cells, -cells]).reshape(-1, 6)
+    assert list(format_rows(cells, sep)) == per_value(cells, sep)
+
+
+def test_format_rows_of_every_four_digit_group():
+    # each 4-digit group as the low half of the mantissa, then as the high
+    # half with a low half of 0001 and of 0000, in fixed and scientific notation
+    k = np.arange(10_000)
+    high = np.arange(1000, 10_000)
+    mantissas = np.concatenate([12_340_000 + k, high * 10_000 + 1, high * 10_000])
+    cells = np.concatenate([mantissas / 1e7, mantissas * 1e-12]).reshape(-1, 4)
+    assert list(format_rows(cells, " ")) == per_value(cells, " ")
+
+
+# exact decimal ties at the 9th significant digit: %.8g rounds them half to even
+TIES = [100000005.0, 123456785.0, 100000015.0, 12345678.5, 99999999.5, 999999995.0,
+        1000000050.0, 2.5e16 + 4.0, 0.5, 2.5]
+
+
+@SEPS
+def test_format_rows_of_exact_ties(sep):
+    cells = np.array(TIES + [-v for v in TIES]).reshape(-1, 4)
+    assert list(format_rows(cells, sep)) == per_value(cells, sep)
+
+
+def test_format_rows_sends_the_tie_band_and_specials_to_python(monkeypatch):
+    seen = []
+
+    def spy(value, spec):
+        seen.append(value)
+        return format(value, spec)
+
+    # within 1e-6 of a half-integer once scaled to eight digits
+    band = [100000005.0, np.nextafter(100000005.0, np.inf), np.nextafter(100000005.0, 0),
+            0.123456785, 1.00000005, 7.7777777500000001e-100]
+    special = [np.inf, np.nan, 5e-324, 1e-290, 1e290]
+    regular = [2.5, 0.1, 1 / 3, 1e-5, 123456.78, 0.0, -0.0]
+    monkeypatch.setattr(tsv, "format", spy, raising=False)
+    cells = np.array(band + special + regular)
+    assert list(format_rows(cells[None], "\t")) == per_value(cells[None], "\t")
+    assert [str(v) for v in seen] == [str(float(v)) for v in band + special]
+
+
+@SEPS
+def test_format_rows_of_zero_rows(sep):
+    z = np.zeros((6, 9))
+    z[1] = -0.0
+    z[2, 3] = -0.0
+    z[3, [0, 8]] = [1.5, -2e-9]
+    z[4, :5] = 0.125  # four +0.0 of nine: the dense path, zeros and all
+    z[5, 4:] = -7.0
+    assert list(format_rows(z, sep)) == per_value(z, sep)
+    assert list(format_rows(z[[0]], sep)) == ["0" + (sep + "0") * 8]
+    assert list(format_rows(z[[1]], sep)) == ["-0" + (sep + "-0") * 8]
+
+
+def test_format_rows_shapes_and_layouts():
+    assert list(format_rows(np.zeros((0, 5)), "\t")) == []
+    assert list(format_rows(np.zeros((3, 0)), "\t")) == ["", "", ""]
+    column = np.array([[0.5], [-1e-7], [0.0], [3e300]])
+    assert list(format_rows(column, "\t")) == ["0.5", "-1e-07", "0", "3e+300"]
+    rng = np.random.default_rng(5)
+    square = rng.standard_normal((30, 40)) * 10.0 ** rng.integers(-9, 9, (30, 40))
+    square[::3, ::2] = 0.0
+    for view in (square.T, square[::2, 1::3], np.asfortranarray(square)):
+        assert not view.flags["C_CONTIGUOUS"]
+        assert list(format_rows(view, " ")) == per_value(view, " ")
+    assert list(format_rows([[1, 2], [3, 4]], " ")) == ["1 2", "3 4"]
+
+
+@pytest.mark.parametrize("block, chunk", [(1, 1), (7, 30), (16, 60), (40, 1000)])
+def test_format_rows_with_blocks_that_split_rows(monkeypatch, block, chunk):
+    rng = np.random.default_rng(block)
+    matrix = rng.random((9, 25)) * 10.0 ** rng.integers(-6, 10, (9, 25))
+    matrix[2] = 0.0  # a spliced row
+    matrix[5, :20] = 0.0  # a spliced row with five cells
+    matrix[6, 1::2] = 0.0  # a dense row with twelve zeros of 25
+    matrix[7, 3] = np.nan
+    monkeypatch.setattr(tsv, "BLOCK", block)
+    monkeypatch.setattr(tsv, "CHUNK", chunk)
+    for sep in ("\t", ""):
+        assert list(format_rows(matrix, sep)) == per_value(matrix, sep)
+
+
+@pytest.mark.parametrize("sep", ["\n", "\0", ", ", "é"])
+def test_format_rows_rejects_a_separator_it_cannot_write(sep):
+    with pytest.raises(ValueError, match="sep must be one ASCII character or empty"):
+        format_rows(np.ones((2, 2)), sep)  # raised at the call, before any row is made
+    with pytest.raises(ValueError, match="expected a 2-D matrix"):
+        format_rows(np.ones(3), "\t")
 
 
 def test_writers_bytes(tmp_path):
