@@ -153,68 +153,72 @@ def parse_sim(spec: str) -> tuple:
     return None, spec
 
 
+# Every option that names a file a step reads, and every one that names a
+# file it writes; each other option is a value. --graph and --sim sources
+# are read with their <path>.json sidecar.
+READS = ("wordlist", "graph", "pairs", "embedding", "vectors", "concept_map",
+         "concepts", "sim", "inputs", "config")
+WRITES = ("out", "report")
+
+
+def _reads(ns) -> list:
+    """(path, with_sidecar) for each file the parsed step `ns` reads, in READS
+    order; --sim names its source, and an empty --inputs entry names no file."""
+    reads = []
+    for key in READS:
+        value = getattr(ns, key, None) or ""
+        if key == "sim":
+            value = parse_sim(value)[1]
+        for path in value.split(",") if key == "inputs" else [value]:
+            if path:
+                reads.append((path, key in ("graph", "sim")))
+    return reads
+
+
+def _hashes(reads) -> dict:
+    """{path: SHA-256} of each (path, with_sidecar) read, and of its sidecar
+    when asked for and present."""
+    hashes = {}
+    for path, with_sidecar in reads:
+        hashes[str(path)] = file_sha256(path)
+        sidecar = sidecar_path(path)
+        if with_sidecar and sidecar.exists():
+            hashes[str(sidecar)] = file_sha256(sidecar)
+    return hashes
+
+
 # The provider the last similarity step built, under the key it was built for.
 _slot = {}
 
 
-def _memoised(key: tuple, build) -> SimilarityProvider:
-    """The stored provider if it was built under `key`, else `build()`'s.
-
-    One slot, because consecutive steps that score one source (eval-lsim,
-    eval-shift and eval-links in a row) are the repeats worth catching. A
-    miss drops the stored provider before building, so at most one n x n
-    table is ever alive.
-    """
-    if _slot.get("key") != key:
-        _slot.clear()
-        _slot.update(key=key, provider=build())
-    return _slot["provider"]
-
-
-def _input_key(path) -> tuple:
-    """The resolved path plus the SHA-256 of the file and of its sidecar, if any."""
-    sidecar = sidecar_path(path)
-    return (
-        str(Path(path).resolve()),
-        file_sha256(path),
-        file_sha256(sidecar) if sidecar.exists() else None,
-    )
-
-
-def _provider(method, path) -> SimilarityProvider:
+def _provider(method, path, hashes=None) -> SimilarityProvider:
     """`method`'s topology baseline on the undirected graph at `path`, or,
     for method None, the cosines of the embedding file at `path`.
 
-    Asking again for the source the last call built, with the same input
-    bytes, sidecar included, returns that provider without reading or
-    building anything.
+    A one-slot memo keys on the method, the resolved path and the hashes of
+    the file and its sidecar, looked up in `hashes` (a `_hashes` dict that
+    holds them) or taken here. Asking again for the source the last call
+    built, with the same bytes, returns that provider without reading or
+    building anything. One slot, because consecutive steps that score one
+    source (eval-lsim, eval-shift and eval-links in a row) are the repeats
+    worth catching; a miss drops the stored provider before building, so
+    at most one n x n table is ever alive.
     """
-
-    def build():
-        if method is None:
-            return embedding_provider(load_embedding(path))
-        g = to_undirected(load_graph(path))
-        if method == "shortest-path":
-            return shortest_path_provider(g)
-        if method == "cosine":
-            return cosine_adjacency_provider(g)
-        if method == "ppmi":
-            return ppmi_provider(g)
-        return random_walk_provider(g)
-
-    return _memoised((method, *_input_key(path)), build)
-
-
-def _write_report(path, command: str, config: dict, inputs: list, report: dict) -> dict:
-    doc = {
-        "command": command,
-        "config": config,
-        "config_digest": config_digest(config),
-        "inputs": {str(p): file_sha256(p) for p in inputs},
-        "report": report,
-    }
-    write_json(path, doc)
-    return doc
+    hashes = hashes or _hashes([(path, True)])
+    key = (method, str(Path(path).resolve()), hashes[str(path)],
+           hashes.get(str(sidecar_path(path))))
+    if _slot.get("key") == key:
+        return _slot["provider"]
+    _slot.clear()
+    if method is None:
+        provider = embedding_provider(load_embedding(path))
+    else:
+        # built per call, so each factory is looked up as a module global
+        factory = {"shortest-path": shortest_path_provider, "cosine": cosine_adjacency_provider,
+                   "ppmi": ppmi_provider, "random-walk": random_walk_provider}[method]
+        provider = factory(to_undirected(load_graph(path)))
+    _slot.update(key=key, provider=provider)
+    return provider
 
 
 def cmd_colexify(args) -> dict:
@@ -269,8 +273,8 @@ def cmd_embed(args) -> dict:
 
 
 def cmd_combine(args) -> dict:
-    paths = [p for p in args.inputs.split(",") if p]
-    sets = [load_embedding(p) for p in paths]
+    # --inputs is combine's one read; an empty entry names no file
+    sets = [load_embedding(path) for path, _ in _reads(args)]
     fused = combine(sets, args.dim)
     save_embedding(fused, args.out)
     print(f"wrote {args.out}: {len(fused.concepts)} concepts, dim {fused.dim}")
@@ -309,10 +313,9 @@ def cmd_baseline(args) -> dict:
 
 def cmd_eval(args, task: str) -> dict:
     method, path = parse_sim(args.sim)
-    provider = _provider(method, path)
-    # the report hashes every input the provider was keyed on
-    sidecar = sidecar_path(path)
-    inputs = [path, sidecar, args.pairs] if sidecar.exists() else [path, args.pairs]
+    # the hashes of every file the step reads: the provider's key and the report's inputs
+    inputs = _hashes(_reads(args))
+    provider = _provider(method, path, inputs)
     config = {"sim": args.sim, "pairs": args.pairs}
     if task == "lsim":
         try:
@@ -333,7 +336,14 @@ def cmd_eval(args, task: str) -> dict:
             concepts = {c for pair in pairs for c in (pair.a, pair.b)}
             print(f"filtered association network: {len(concepts)} concepts, {len(pairs)} edges")
         report = eval_binary(provider, pairs, runs=args.runs, seed=args.seed, task=task)
-    doc = _write_report(args.report, f"eval-{task}", config, inputs, report.to_dict())
+    doc = {
+        "command": f"eval-{task}",
+        "config": config,
+        "config_digest": config_digest(config),
+        "inputs": inputs,
+        "report": report.to_dict(),
+    }
+    write_json(args.report, doc)
     print(report.table())
     return doc
 
@@ -413,25 +423,13 @@ def cmd_pipeline(args) -> dict:
     steps = config["steps"]
     report_path = config["report"]
 
-    input_keys = ("wordlist", "graph", "pairs", "embedding", "vectors",
-                  "concept_map", "concepts", "sim", "inputs")
-    produced = {getattr(ns, key, None) for ns in parsed for key in ("out", "report")}
-    external = {}
-    for ns in parsed:
-        for key in input_keys:
-            value = getattr(ns, key, None)
-            if not value:
-                continue
-            candidates = value.split(",") if key == "inputs" else [parse_sim(value)[1] if key == "sim" else value]
-            for cand in candidates:
-                # hash true externals only; files another step writes are
-                # intermediates even if a previous run left them behind
-                if cand not in produced and Path(cand).exists():
-                    external[cand] = file_sha256(cand)
-                    # a graph is read with its sidecar, and --sim keys on it
-                    sidecar = sidecar_path(cand)
-                    if key in ("graph", "sim") and sidecar.exists():
-                        external[str(sidecar)] = file_sha256(sidecar)
+    # hash true externals only: a file another step writes is an intermediate,
+    # under any spelling, even if a previous run left it behind
+    produced = {Path(getattr(ns, key)).resolve()
+                for ns in parsed for key in WRITES if getattr(ns, key, None)}
+    external = _hashes((path, with_sidecar)
+                       for ns in parsed for path, with_sidecar in _reads(ns)
+                       if Path(path).resolve() not in produced and Path(path).exists())
 
     summaries = []
     metrics = {}

@@ -45,15 +45,18 @@ def pca_reduce(x: np.ndarray, d: int) -> tuple:
 
     Components are ordered by decreasing explained variance with a fixed
     sign convention (largest-magnitude loading positive), so the result is
-    deterministic. `rank` is the numerical rank of the centered input; if
-    d exceeds it, the trailing components are null-space directions with
-    zero variance.
+    deterministic. The SVD runs with numpy's OpenBLAS on one thread
+    (`runtime.one_blas_thread`), so the scores are bit-identical at any
+    OpenBLAS thread count on the same numpy and BLAS build. `rank` is the
+    numerical rank of the centered input; if d exceeds it, the trailing
+    components are null-space directions with zero variance.
     """
     n, dim = x.shape
     if d < 1 or d > min(n, dim):
         raise ValidationError(f"target dimension {d} not in [1, min(n={n}, D={dim})]")
     centered = x - x.mean(axis=0, keepdims=True)
-    u, s, vt = np.linalg.svd(centered, full_matrices=False)
+    with one_blas_thread():
+        u, s, vt = np.linalg.svd(centered, full_matrices=False)
     # sign convention: per component, largest-|loading| entry positive
     pivots = vt[np.arange(len(s)), np.argmax(np.abs(vt), axis=1)]
     u[:, pivots < 0] *= -1.0

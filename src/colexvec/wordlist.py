@@ -64,9 +64,6 @@ class Wordlist:
         """Map language -> family, derived from the entries."""
         return dict(self._families)
 
-    def languages(self) -> list:
-        return sorted(self._families)
-
     def concepts(self) -> list:
         return sorted({e.concept for e in self.entries})
 

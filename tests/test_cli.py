@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,7 @@ import weakref
 from importlib import resources
 from pathlib import Path
 
+import golden
 import numpy as np
 import pytest
 
@@ -421,23 +423,28 @@ def test_parse_sim(spec, parsed):
     assert cli.parse_sim(spec) == parsed
 
 
-def test_readme_cli_block_runs(tmp_path, monkeypatch):
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
-    commands = [shlex.split(line.replace("$TOY", str(DATA)), comments=True)
+    # a relative copy of the toy data, so no output depends on where the run happens
+    commands = [shlex.split(line.replace("$TOY", "toy"), comments=True)
                 for line in block.replace("\\\n", " ").splitlines()
                 if line.startswith("colexvec ")]
     assert len(commands) == 11
     monkeypatch.chdir(tmp_path)
+    shutil.copytree(str(DATA), "toy")
+    stdouts = []
     for argv in commands:
         assert run(argv[1:]) == 0, argv
+        stdouts.append(capsys.readouterr().out)
+    golden.check("readme_cli", tmp_path, stdouts)
 
 
 # ---------------------------------------------------------------------------
 # pipeline
 
 
-def pipeline_config(tmp_path):
+def pipeline_config(tmp_path, toy=DATA):
     graph = tmp_path / "full.tsv"
     emb = tmp_path / "full.emb"
     return {
@@ -445,19 +452,19 @@ def pipeline_config(tmp_path):
         "report": str(tmp_path / "pipeline.json"),
         "steps": [
             {"command": "colexify",
-             "args": {"wordlist": data_path("toy_wordlist.tsv"),
+             "args": {"wordlist": str(toy / "toy_wordlist.tsv"),
                       "type": "full", "out": str(graph)}},
             {"command": "embed",
              "args": {"graph": str(graph), "method": "prone", "seed": 1,
                       "dim": 4, "out": str(emb)}},
             {"command": "eval-lsim",
-             "args": {"sim": str(emb), "pairs": data_path("toy_rated_pairs.tsv"),
+             "args": {"sim": str(emb), "pairs": str(toy / "toy_rated_pairs.tsv"),
                       "report": str(tmp_path / "lsim.json")}},
             {"command": "eval-shift",
-             "args": {"sim": str(emb), "pairs": data_path("toy_shift_pairs.tsv"),
+             "args": {"sim": str(emb), "pairs": str(toy / "toy_shift_pairs.tsv"),
                       "runs": 5, "seed": 3, "report": str(tmp_path / "shift.json")}},
             {"command": "eval-links",
-             "args": {"sim": str(emb), "pairs": data_path("toy_association_pairs.tsv"),
+             "args": {"sim": str(emb), "pairs": str(toy / "toy_association_pairs.tsv"),
                       "runs": 5, "seed": 3, "min_weight": 5,
                       "report": str(tmp_path / "links.json")}},
         ],
@@ -476,14 +483,19 @@ def test_pipeline_consolidated_report(tmp_path):
     assert str(tmp_path / "full.tsv") not in doc["input_hashes"]  # intermediate
 
 
-def test_pipeline_byte_identical_reruns(tmp_path):
-    config = pipeline_config(tmp_path)
+def test_pipeline_byte_identical_reruns(tmp_path, monkeypatch, capsys):
+    # relative paths, so no output depends on where the run happens
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(str(DATA), "toy")
+    config = pipeline_config(Path(), Path("toy"))
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
     assert run(["pipeline", "--config", str(config_path)]) == 0
     first = (tmp_path / "pipeline.json").read_bytes()
+    stdout = capsys.readouterr().out
     assert run(["pipeline", "--config", str(config_path)]) == 0
     assert (tmp_path / "pipeline.json").read_bytes() == first
+    golden.check("pipeline_config", tmp_path, [stdout])
 
 
 def test_readme_pipeline_example_runs(tmp_path, monkeypatch):
@@ -576,6 +588,43 @@ def test_pipeline_step_value_may_start_with_a_dash(tmp_path, monkeypatch):
     assert (tmp_path / "-g.tsv").read_bytes() == toy_graph(tmp_path).read_bytes()
     report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
     assert list(report["input_hashes"]) == ["-w.tsv"]
+
+
+def test_pipeline_combine_skips_an_empty_inputs_entry(tmp_path):
+    emb = separable_embedding(tmp_path)
+    other = tmp_path / "other.emb"
+    save_embedding(EmbeddingSet(["TREE", "MOON", "FIRE"], np.eye(3, 8)), other)
+    args = {"inputs": f"{emb},{other},", "dim": 8}
+    assert run(["combine", *(f"--{k}={v}" for k, v in args.items()),
+                "--out", str(tmp_path / "alone.emb")]) == 0
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"report": str(tmp_path / "p.json"), "steps": [
+        {"command": "combine", "args": {**args, "out": str(tmp_path / "step.emb")}}]}),
+        encoding="utf-8")
+    assert run(["pipeline", "--config", str(config)]) == 0
+    assert (tmp_path / "step.emb").read_bytes() == (tmp_path / "alone.emb").read_bytes()
+    report = json.loads((tmp_path / "p.json").read_text(encoding="utf-8"))
+    assert set(report["input_hashes"]) == {str(emb), str(other)}
+
+
+def test_pipeline_intermediate_under_another_spelling_is_not_an_input(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("wl.tsv").write_bytes((DATA / "toy_wordlist.tsv").read_bytes())
+    Path("shift.tsv").write_bytes((DATA / "toy_shift_pairs.tsv").read_bytes())
+    config = {"report": "p.json", "steps": [
+        {"command": "colexify", "args": {"wordlist": "wl.tsv", "type": "full", "out": "full.tsv"}},
+        {"command": "embed", "args": {"graph": "./full.tsv", "method": "prone", "seed": 1,
+                                      "dim": 4, "out": "full.emb"}},
+        {"command": "eval-shift", "args": {"sim": "cosine:./full.tsv", "pairs": "shift.tsv",
+                                           "runs": 3, "seed": 2, "report": "shift.json"}},
+    ]}
+    Path("run.json").write_text(json.dumps(config), encoding="utf-8")
+    outputs = []
+    for _ in range(2):
+        assert run(["pipeline", "--config", "run.json"]) == 0
+        outputs.append([Path(name).read_bytes() for name in ("p.json", "shift.json", "full.emb")])
+    assert outputs[0] == outputs[1]
+    assert list(json.loads(outputs[1][0])["input_hashes"]) == ["shift.tsv", "wl.tsv"]
 
 
 @pytest.mark.parametrize("weight", ["1e-10", "5e-324"])
@@ -1088,6 +1137,12 @@ OPTIONS = {
     "pipeline": ["--config"],
 }
 
+# the options that take a value, not a path (the dests argparse gives them)
+VALUES = {"version", "log_level", "type", "min_form_len", "min_overlap_len", "method", "seed",
+          "walks_per_node", "walk_length", "p", "q", "dim", "window", "learning_rate", "epochs",
+          "validation_split", "batch_size", "step", "mu", "theta", "exponent", "shift", "runs",
+          "min_weight", "perplexity", "iterations"}
+
 
 def test_option_surface():
     def options(parser):
@@ -1098,6 +1153,16 @@ def test_option_surface():
     got = {"colexvec": options(parser)}
     got.update({name: options(p) for name, p in commands.choices.items()})
     assert got == OPTIONS
+    # each option names a file the step reads (hashed into its reports), a
+    # file it writes, or a value; a new file option must join cli.READS
+    kinds = {}
+    for p in [parser, *commands.choices.values()]:
+        for action in p._actions:
+            if action.option_strings and action.dest != "help":
+                kinds[action.dest] = [action.dest in group
+                                      for group in (cli.READS, cli.WRITES, VALUES)]
+    assert {dest: kind.count(True) for dest, kind in kinds.items()} == dict.fromkeys(kinds, 1)
+    assert set(kinds) == {*cli.READS, *cli.WRITES, *VALUES}
 
 
 def test_unknown_flag_exit_1(capsys):
@@ -1224,6 +1289,7 @@ def test_protocol_runs_at_toy_size(tmp_path, monkeypatch, capsys):
 
     assert run(["pipeline", "--config", "toy_protocol.json"]) == 0
     first = (tmp_path / config["report"]).read_bytes()
+    stdout = capsys.readouterr().out
     assert run(["pipeline", "--config", "toy_protocol.json"]) == 0
     assert (tmp_path / config["report"]).read_bytes() == first
     metrics = json.loads(first)["metrics"]
@@ -1235,6 +1301,7 @@ def test_protocol_runs_at_toy_size(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == ("error: cosine:full.tsv: all 10 covered pairs score 0; "
                                        "Spearman's rho is undefined\n")
     assert not (tmp_path / "cosine.lsim.json").exists()
+    golden.check("toy_protocol", tmp_path, [stdout])
 
 
 def test_cli_import_skips_csgraph_and_linalg():
