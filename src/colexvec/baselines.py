@@ -21,6 +21,7 @@ from .embeddings import EmbeddingSet
 from .errors import ValidationError
 from .graph import ColexGraph
 from .numerics import ZeroVectorWarning
+from .runtime import one_blas_thread
 
 PROVIDER_SOURCES = frozenset(
     {"shortest_path", "cosine_adjacency", "ppmi", "random_walk", "embedding"}
@@ -103,7 +104,8 @@ def _row_cosines(rows: np.ndarray) -> np.ndarray:
 
     Each cell is gram / (|u||v|), the Gram matrix divided in place, so no
     third n x n array is made. It sees float rows (random-walk profiles),
-    whose Gram entries the BLAS may sum in any order.
+    whose Gram entries the BLAS may sum in any order: an order that
+    depends on its thread count unless the caller pins it to one thread.
     """
     norms = np.linalg.norm(rows, axis=1)
     denom = np.outer(norms, norms)
@@ -131,19 +133,28 @@ def _ppmi(adj: sp.csr_array) -> sp.coo_array:
     return sp.coo_array((np.maximum(pmi, 0.0), coo.coords), shape=adj.shape)
 
 
-def _walk_profiles(mat: np.ndarray, alpha: float, max_steps: int) -> np.ndarray:
-    """sum_{k=1..K} alpha^k P^k with P the row-normalized adjacency.
+def _walk_profiles(adj, alpha: float, max_steps: int) -> np.ndarray:
+    """sum_{k=1..K} alpha^k P^k with P the row-normalized adjacency `adj`.
 
-    `mat` is overwritten by P; an isolated node's row stays all zero.
+    `adj`, dense or sparse, is left as it is; each stored cell of P is
+    w / rowsum, and an isolated node's row stays all zero. P stays sparse:
+    the sum is built transposed, (P^k)^T = P^T (P^(k-1))^T, one sparse
+    times C-contiguous dense product per step, and returned as the
+    transposed view. Each cell of such a product sums the stored cells of
+    a row of P^T in index order, one multiply then one add each, on one
+    thread, so the profiles have the same bits at any BLAS thread count.
     """
-    rowsum = mat.sum(axis=1, keepdims=True)
-    p = np.divide(mat, rowsum, out=mat, where=rowsum > 0)
-    power = p
-    acc = alpha * p
+    a = sp.csr_array(adj)
+    rowsum = a.sum(axis=1)
+    a_t = a.T.tocsr()
+    p_t = sp.csr_array((a_t.data / rowsum[a_t.indices], a_t.indices, a_t.indptr),
+                       shape=a.shape)
+    power = p_t.toarray()
+    acc = alpha * power
     for k in range(2, max_steps + 1):
-        power = power @ p
+        power = p_t @ power
         acc += alpha**k * power
-    return acc
+    return acc.T
 
 
 def shortest_path_provider(g: ColexGraph) -> SimilarityProvider:
@@ -196,9 +207,17 @@ def ppmi_provider(g: ColexGraph) -> SimilarityProvider:
 
 def random_walk_provider(g: ColexGraph) -> SimilarityProvider:
     """Cosine of visit profiles over walks of up to WALK_STEPS steps, step k
-    weighted by WALK_DECAY^k."""
-    profiles = _walk_profiles(g.adjacency.toarray(), WALK_DECAY, WALK_STEPS)
-    return _table_provider("random_walk", g.order, _row_cosines(profiles))
+    weighted by WALK_DECAY^k.
+
+    The profiles come from single-threaded sparse products and their Gram
+    matrix runs with numpy's OpenBLAS on one thread
+    (`runtime.one_blas_thread`), so the table is bit-identical at any
+    OpenBLAS thread count on the same numpy, scipy and BLAS build.
+    """
+    profiles = _walk_profiles(g.adjacency, WALK_DECAY, WALK_STEPS)
+    with one_blas_thread():
+        table = _row_cosines(profiles)
+    return _table_provider("random_walk", g.order, table)
 
 
 def embedding_provider(es: EmbeddingSet) -> SimilarityProvider:

@@ -2,9 +2,11 @@
 
 Plotted concept subsets are small (tens of points), so the quadratic
 exact algorithm is used rather than Barnes-Hut. Everything is
-deterministic given the seed; the SVG is assembled by hand so output
-files are byte-stable. t-SNE reads its points from a DenseMatrix and
-returns plain arrays: the n x 2 coordinates and the KL history.
+deterministic given the seed at a fixed BLAS thread count, because the
+distance and gradient products run on every BLAS thread; the SVG is
+assembled by hand so output files are byte-stable. t-SNE reads its
+points from a DenseMatrix and returns plain arrays: the n x 2
+coordinates and the KL history.
 """
 
 from __future__ import annotations
@@ -122,9 +124,10 @@ def tsne_project(
 ) -> tuple:
     """(coords, kl_history): exact t-SNE with early exaggeration and momentum.
 
-    `coords` is the n x 2 array of points, deterministic per seed (Gaussian
-    init with sigma 1e-4). `kl_history` holds the per-iteration KL
-    divergence against the unexaggerated target with record_kl, else ().
+    `coords` is the n x 2 array of points, deterministic per seed at a
+    fixed BLAS thread count (Gaussian init with sigma 1e-4). `kl_history`
+    holds the per-iteration KL divergence against the unexaggerated target
+    with record_kl, else ().
     """
     x = points.values
     n = x.shape[0]

@@ -1,12 +1,18 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.csgraph import floyd_warshall
 
+import colexvec.runtime as runtime
 from colexvec import baselines
 from colexvec.baselines import (
     SCORE_CHUNK,
@@ -22,7 +28,7 @@ from colexvec.baselines import (
 from colexvec.combine import combine
 from colexvec.embeddings import EmbeddingSet
 from colexvec.errors import ValidationError
-from colexvec.graph import MAX_FAMILY_COUNT, adjacency_matrix, make_graph
+from colexvec.graph import MAX_FAMILY_COUNT, adjacency_matrix, make_graph, save_graph
 from colexvec.numerics import ZeroVectorWarning, cosine_similarity
 
 PATH_GRAPH = make_graph([("A", "B", 2), ("B", "C", 1)], "full", False)
@@ -482,18 +488,33 @@ def test_every_provider_matches_dense_oracle():
 
 
 # ---------------------------------------------------------------------------
-# the in-place tables against the out-of-place formulas they replaced
+# the in-place tables against the out-of-place formulas they replaced, and
+# the walk profiles against a sum in CSR index order
 
 
-def out_of_place_walk_profiles(mat, alpha, max_steps):
+def csr_times_dense(m, x):
+    """m @ x for a CSR m, each row of the product summing that row's stored
+    cells in index order, one multiply then one add per cell."""
+    out = np.zeros((m.shape[0], x.shape[1]))
+    counts = np.diff(m.indptr)
+    for t in range(counts.max(initial=0)):
+        rows = np.flatnonzero(counts > t)
+        cells = m.indptr[rows] + t
+        out[rows] += m.data[cells, None] * x[m.indices[cells]]
+    return out
+
+
+def reference_walk_profiles(mat, alpha, max_steps):
+    """The walk profiles, each (P^k)^T = P^T (P^(k-1))^T summed by csr_times_dense."""
     rowsum = mat.sum(axis=1, keepdims=True)
     p = np.divide(mat, rowsum, out=np.zeros_like(mat), where=rowsum > 0)
-    power = np.eye(mat.shape[0])
-    acc = np.zeros_like(mat)
-    for k in range(1, max_steps + 1):
-        power = power @ p
+    p_t = sp.csr_array(p.T)
+    power = p.T.copy()
+    acc = alpha * power
+    for k in range(2, max_steps + 1):
+        power = csr_times_dense(p_t, power)
         acc += alpha**k * power
-    return acc
+    return acc.T
 
 
 def out_of_place_row_cosines(rows):
@@ -532,9 +553,10 @@ def test_in_place_tables_have_the_out_of_place_bits(n, directed):
     for rows in (mat, dense_ppmi(mat)):
         assert same_bits(_row_cosines(rows), out_of_place_row_cosines(rows))
     for alpha, steps in ((0.5, 5), (0.2, 1), (0.9, 3)):
-        want = out_of_place_walk_profiles(mat, alpha, steps)
+        want = reference_walk_profiles(mat, alpha, steps)
         work = mat.copy()
         assert same_bits(_walk_profiles(work, alpha, steps), want)
+        assert same_bits(work, mat)
         assert same_bits(_row_cosines(want), out_of_place_row_cosines(want))
 
 
@@ -570,3 +592,45 @@ def test_sparse_tables_have_the_dense_bits(n, directed, density, top):
         (ppmi_provider(g), dense_ppmi(mat)),
     ):
         assert same_bits(similarity_matrix(provider, order), want), provider.source
+
+
+# ---------------------------------------------------------------------------
+# the topology tables at any BLAS thread count
+
+
+def test_tables_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # before the walk profiles became sparse products and their Gram matrix
+    # ran on one thread, 1 and 2 threads built different random-walk tables
+    if runtime._numpy_openblas() is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS with a thread-count API")
+    rng = np.random.default_rng(5)
+    n = 1200
+    names = [f"N{i:04d}" for i in range(n)]
+    # a spanning tree plus random chords: connected, about 4,000 edges
+    heads = (rng.random(n - 1) * np.arange(1, n)).astype(int)
+    pairs = list(zip(heads, range(1, n))) + list(zip(*rng.integers(0, n, (2, 2900))))
+    edges = {(min(i, j), max(i, j)): int(w) for (i, j), w in
+             zip(pairs, rng.integers(1, 9, len(pairs))) if i != j}
+    graph = tmp_path / "graph.tsv"
+    save_graph(make_graph([(names[i], names[j], w) for (i, j), w in edges.items()],
+                          "full", False), graph)
+    methods = ("random_walk", "cosine_adjacency", "shortest_path")
+    code = (
+        "import hashlib\n"
+        "from colexvec import baselines\n"
+        "from colexvec.graph import load_graph\n"
+        f"g = load_graph({str(graph)!r})\n"
+        f"for method in {methods!r}:\n"
+        "    table = baselines.similarity_matrix(\n"
+        "        getattr(baselines, method + '_provider')(g), g.order)\n"
+        "    print(method, hashlib.sha256(table.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(runtime.__file__).resolve().parent.parent)
+    hashes = []
+    for threads in (1, 2):
+        run = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src,
+                                             "OPENBLAS_NUM_THREADS": str(threads)})
+        hashes.append(dict(line.split() for line in run.stdout.splitlines()))
+    assert sorted(hashes[0]) == sorted(methods)
+    assert [m for m in methods if hashes[0][m] != hashes[1][m]] == []
