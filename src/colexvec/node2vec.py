@@ -186,18 +186,6 @@ def batch_loss_and_row_grads(w_in, w_out, centers, contexts):
     return loss, rows, dlogits @ w_out, dlogits.T @ h
 
 
-def batch_loss_and_grads(w_in, w_out, centers, contexts):
-    """Dense view of `batch_loss_and_row_grads`: (loss, grad_w_in, grad_w_out).
-
-    The softmax is still computed once per distinct center; grad_w_in is
-    dense over the vocabulary, with zero rows for absent centers.
-    """
-    loss, rows, grad_rows, grad_w_out = batch_loss_and_row_grads(w_in, w_out, centers, contexts)
-    grad_w_in = np.zeros_like(w_in)
-    grad_w_in[rows] = grad_rows
-    return loss, grad_w_in, grad_w_out
-
-
 def _mean_loss(w_in, w_out, centers, contexts) -> float:
     """Mean softmax cross-entropy of the pairs, one logsumexp per distinct center.
 

@@ -83,8 +83,8 @@ def build_shifted_matrix(g: ColexGraph, cfg: ProneConfig) -> sp.csr_array:
     adj = g.adjacency.tocoo()
 
     n = g.n_nodes
-    degree = np.zeros(n)
-    np.add.at(degree, adj.row, adj.data)
+    # family counts are whole numbers, so every degree is exact in any order
+    degree = g.adjacency.sum(axis=1)
     powered = degree**cfg.exponent  # the exponent is positive, so 0 stays 0
     q = powered / powered.sum()
 

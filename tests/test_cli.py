@@ -253,6 +253,21 @@ def test_baseline_matrix_dump(tmp_path):
 
 
 @pytest.mark.parametrize("method", ["shortest-path", "cosine", "ppmi", "random-walk"])
+def test_baseline_on_a_graph_without_nodes_dumps_the_header(tmp_path, capsys, method):
+    graph = tmp_path / "empty.tsv"  # header only, no sidecar: a 0 x 0 table
+    graph.write_text("SOURCE\tTARGET\tWEIGHT\n", encoding="utf-8")
+    out = tmp_path / "matrix.tsv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["baseline", "--graph", str(graph), "--method", method, "--out", str(out)])
+    assert code == 0
+    assert "0x0 similarity matrix" in capsys.readouterr().out
+    header, *rows = out.read_text(encoding="utf-8").splitlines()
+    first, *columns = header.split("\t")
+    assert first == "CONCEPT" and not any(columns) and rows == []
+
+
+@pytest.mark.parametrize("method", ["shortest-path", "cosine", "ppmi", "random-walk"])
 def test_baseline_pair_scores_match_matrix_dump(tmp_path, method):
     graph = toy_graph(tmp_path)
     pairs, matrix = tmp_path / "pairs.tsv", tmp_path / "matrix.tsv"

@@ -10,7 +10,6 @@ from colexvec.graph import make_graph
 from colexvec.node2vec import (
     SkipGramConfig,
     WalkConfig,
-    batch_loss_and_grads,
     batch_loss_and_row_grads,
     extract_pairs,
     node2vec_embed,
@@ -269,9 +268,6 @@ def test_row_kernel_matches_per_pair_reference(name):
     assert np.max(np.abs(grad_rows - ref_grad_in[rows])) < 1e-12
     assert not np.any(np.delete(ref_grad_in, rows, axis=0))
     assert np.max(np.abs(grad_out - ref_grad_out)) < 1e-12
-    dense_loss, dense_grad_in, dense_grad_out = batch_loss_and_grads(w_in, w_out, centers, contexts)
-    assert dense_loss == loss and np.array_equal(dense_grad_out, grad_out)
-    assert np.max(np.abs(dense_grad_in - ref_grad_in)) < 1e-12
 
 
 @pytest.mark.parametrize("name", KERNEL_CASES)
@@ -374,16 +370,18 @@ def test_skipgram_gradients_match_finite_differences():
     w_out = rng.standard_normal((n_vocab, dim)) * 0.5
     centers = np.array([0, 1, 2, 3, 4, 0, 2])
     contexts = np.array([1, 0, 3, 2, 0, 4, 1])
-    _, grad_in, grad_out = batch_loss_and_grads(w_in, w_out, centers, contexts)
+    _, rows, grad_rows, grad_out = batch_loss_and_row_grads(w_in, w_out, centers, contexts)
+    grad_in = np.zeros_like(w_in)
+    grad_in[rows] = grad_rows
 
     h = 1e-6
     for grad, mat in ((grad_in, w_in), (grad_out, w_out)):
         for i in range(n_vocab):
             for j in range(dim):
                 mat[i, j] += h
-                up, _, _ = batch_loss_and_grads(w_in, w_out, centers, contexts)
+                up = batch_loss_and_row_grads(w_in, w_out, centers, contexts)[0]
                 mat[i, j] -= 2 * h
-                down, _, _ = batch_loss_and_grads(w_in, w_out, centers, contexts)
+                down = batch_loss_and_row_grads(w_in, w_out, centers, contexts)[0]
                 mat[i, j] += h
                 fd = (up - down) / (2 * h)
                 assert abs(grad[i, j] - fd) < 1e-5
