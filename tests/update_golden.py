@@ -4,9 +4,10 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/update_golden.py
 
-It runs the tests that call `golden.check`, records what each workflow
-wrote instead of comparing it, and writes the manifest with this host's
-numpy, scipy and OpenBLAS. A change that means to alter output bytes runs
+It runs the tests that call `golden.check`, the opt-in
+tests/golden_opt_in.py included, records what each workflow wrote instead
+of comparing it, and writes the manifest with this host's numpy, scipy and
+OpenBLAS. A change that means to alter output bytes runs
 it and lists each changed file, with its reason, in CHANGES.md.
 """
 
@@ -25,19 +26,22 @@ TESTS = [
     "test_cli.py::test_readme_cli_block_runs",
     "test_cli.py::test_pipeline_byte_identical_reruns",
     "test_cli.py::test_protocol_runs_at_toy_size",
+    "test_benchmark_bytes.py",
+    "golden_opt_in.py",
 ]
+WORKFLOWS = 3 + len(golden.BENCH_RUNS) + len(golden.OPT_IN_BENCH_RUNS)
 
 
 def main() -> int:
     runs = {}
 
-    def record(name, run_dir, stdouts):
-        runs[name] = golden.digests(run_dir, stdouts)
+    def record(name, run_dir, stdouts, stderrs=(), codes=()):
+        runs[name] = golden.digests(run_dir, stdouts, stderrs, codes)
 
     golden.check = record
     code = pytest.main(["-q", "-p", "no:cacheprovider", *(str(HERE / t) for t in TESTS)])
-    if code != 0 or len(runs) != len(TESTS):
-        print(f"not written: exit {code}, {len(runs)} of {len(TESTS)} workflows recorded",
+    if code != 0 or len(runs) != WORKFLOWS:
+        print(f"not written: exit {code}, {len(runs)} of {WORKFLOWS} workflows recorded",
               file=sys.stderr)
         return 1
     manifest = {"host": golden.host(), "runs": runs}
