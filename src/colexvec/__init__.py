@@ -35,7 +35,6 @@ from .evaluation import (
 )
 from .graph import (
     ColexGraph,
-    adjacency_matrix,
     load_graph,
     make_graph,
     save_graph,

@@ -306,7 +306,7 @@ def cmd_baseline(args) -> dict:
     order = sorted(provider.covered)
     matrix = similarity_matrix(provider, order)
     lines = (node + "\t" + row for node, row in zip(order, format_rows(matrix, "\t")))
-    write_lines(out, "CONCEPT\t" + "\t".join(order), lines)
+    write_lines(out, "\t".join(["CONCEPT", *order]), lines)
     print(f"wrote {out}: {len(order)}x{len(order)} similarity matrix ({args.method})")
     return {"out": args.out, "nodes": len(order)}
 

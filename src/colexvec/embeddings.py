@@ -18,6 +18,7 @@ may contain one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -36,7 +37,7 @@ class EmbeddingSet:
     The constructor sorts ids and rows together. A float64 C-contiguous
     array already in sorted id order is kept without a copy and made
     read-only. `index` maps a concept to its row; `vectors` is a read-only
-    concept -> row view.
+    concept -> row mapping.
     """
 
     concepts: tuple
@@ -73,9 +74,11 @@ class EmbeddingSet:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    @property
+    @functools.cached_property
     def vectors(self) -> Mapping:
-        return _Rows(self)
+        """Read-only concept -> row mapping, built on first use; the rows are
+        views of `values`. Kept for tests and the benchmark's probes."""
+        return MappingProxyType(dict(zip(self.concepts, self.values)))
 
     def matrix(self, order: Sequence = None) -> np.ndarray:
         """A copy of the rows in the given (default: sorted) concept order."""
@@ -84,22 +87,6 @@ class EmbeddingSet:
         if missing:
             raise ValidationError(f"concepts not covered: {missing[:5]}")
         return self.values[[self.index[c] for c in order]]
-
-
-class _Rows(Mapping):
-    """Read-only concept -> row view of an EmbeddingSet."""
-
-    def __init__(self, es: EmbeddingSet):
-        self._es = es
-
-    def __getitem__(self, concept) -> np.ndarray:
-        return self._es.values[self._es.index[concept]]
-
-    def __iter__(self):
-        return iter(self._es.concepts)
-
-    def __len__(self) -> int:
-        return len(self._es.concepts)
 
 
 def save_embedding(es: EmbeddingSet, path) -> None:

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -244,12 +244,3 @@ def to_undirected(g: ColexGraph) -> ColexGraph:
     adj = g.adjacency
     return ColexGraph(g.order, adj.maximum(adj.T), g.colex_type, directed=False)
 
-
-def adjacency_matrix(g: ColexGraph, order: Sequence) -> np.ndarray:
-    """Dense `g.adjacency` with rows and columns in the given node order."""
-    order = list(order)
-    if len(order) != len(set(order)) or set(order) != set(g.nodes):
-        raise ValidationError("order must be a permutation of the graph's nodes")
-    index = {node: i for i, node in enumerate(g.order)}
-    perm = [index[node] for node in order]
-    return g.adjacency.toarray()[np.ix_(perm, perm)]

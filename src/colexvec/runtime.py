@@ -1,4 +1,4 @@
-"""Runtime support: worker budget, canonical config digests, file hashes,
+"""Runtime support: the core count, canonical config digests, file hashes,
 and a one-thread scope for numpy's OpenBLAS."""
 
 import contextlib
@@ -27,21 +27,12 @@ def file_sha256(path) -> str:
 
 
 def worker_count() -> int:
-    """Worker cap from COLEXVEC_THREADS, defaulting to the available cores.
+    """The available cores, at least 1.
 
     No package code runs a worker pool; the benchmark harness records this
     value in every run's environment.
     """
-    raw = os.environ.get("COLEXVEC_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"COLEXVEC_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValueError(f"COLEXVEC_THREADS must be >= 1, got {n}")
-    return n
+    return os.cpu_count() or 1
 
 
 @functools.cache

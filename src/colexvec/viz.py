@@ -2,9 +2,9 @@
 
 Plotted concept subsets are small (tens of points), so the quadratic
 exact algorithm is used rather than Barnes-Hut. Everything is
-deterministic given the seed at a fixed BLAS thread count, because the
-distance and gradient products run on every BLAS thread; the SVG is
-assembled by hand so output files are byte-stable. t-SNE reads its
+deterministic given the seed, at any OpenBLAS thread count: the distance
+and gradient products run on one BLAS thread. The SVG is assembled by
+hand so output files are byte-stable. t-SNE reads its
 points from a DenseMatrix and returns plain arrays: the n x 2
 coordinates and the KL history.
 """
@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError, check_seed
+from .runtime import one_blas_thread
 from .tsv import write_lines
 
 EXAGGERATION = 12.0
@@ -124,8 +125,8 @@ def tsne_project(
 ) -> tuple:
     """(coords, kl_history): exact t-SNE with early exaggeration and momentum.
 
-    `coords` is the n x 2 array of points, deterministic per seed at a
-    fixed BLAS thread count (Gaussian init with sigma 1e-4). `kl_history`
+    `coords` is the n x 2 array of points, deterministic per seed at any
+    OpenBLAS thread count (Gaussian init with sigma 1e-4). `kl_history`
     holds the per-iteration KL divergence against the unexaggerated target
     with record_kl, else ().
     """
@@ -139,23 +140,25 @@ def tsne_project(
         raise ValidationError("iterations must be >= 1")
     check_seed(seed)
 
-    p = joint_probabilities(conditional_gaussians(squared_distances(x), perplexity))
+    # one thread: the distance and gradient products then sum in one order
+    with one_blas_thread():
+        p = joint_probabilities(conditional_gaussians(squared_distances(x), perplexity))
 
-    rng = np.random.default_rng(seed)
-    y = rng.standard_normal((n, 2)) * INIT_SCALE
-    update = np.zeros_like(y)
-    kl_history = []
-    for t in range(iterations):
-        target = p * EXAGGERATION if t < EXAGGERATION_ITERS else p
-        q, num = _student_t_affinities(y)
-        coeff = (target - q) * num
-        grad = 4.0 * ((np.diag(coeff.sum(axis=1)) - coeff) @ y)
-        momentum = MOMENTUM_EARLY if t < EXAGGERATION_ITERS else MOMENTUM_LATE
-        update = momentum * update - LEARNING_RATE * grad
-        y = y + update
-        y = y - y.mean(axis=0)
-        if record_kl:
-            kl_history.append(kl_divergence(p, y))
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal((n, 2)) * INIT_SCALE
+        update = np.zeros_like(y)
+        kl_history = []
+        for t in range(iterations):
+            target = p * EXAGGERATION if t < EXAGGERATION_ITERS else p
+            q, num = _student_t_affinities(y)
+            coeff = (target - q) * num
+            grad = 4.0 * ((np.diag(coeff.sum(axis=1)) - coeff) @ y)
+            momentum = MOMENTUM_EARLY if t < EXAGGERATION_ITERS else MOMENTUM_LATE
+            update = momentum * update - LEARNING_RATE * grad
+            y = y + update
+            y = y - y.mean(axis=0)
+            if record_kl:
+                kl_history.append(kl_divergence(p, y))
 
     return y, tuple(kl_history)
 

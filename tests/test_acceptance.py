@@ -39,7 +39,6 @@ from colexvec.evaluation import (
     load_rated_pairs,
 )
 from colexvec.graph import (
-    adjacency_matrix,
     load_graph,
     make_graph,
     sidecar_path,
@@ -112,7 +111,7 @@ def test_criterion_2_baseline_oracles():
             assert dist[a, b] == pytest.approx(fill if math.isinf(got) else got)
 
         order = nodes
-        mat = adjacency_matrix(g, order)
+        mat = g.adjacency.toarray()
         total = mat.sum()
         marginal = mat.sum(axis=1) / total
         rowsum = mat.sum(axis=1, keepdims=True)
@@ -137,7 +136,7 @@ def test_criterion_2_baseline_oracles():
 
     path_graph = make_graph([("A", "B", 2), ("B", "C", 1)], "full", False)
     assert tb.score(ppmi_provider(path_graph), "A", "B") == pytest.approx(0.6931, abs=1e-4)
-    mat = adjacency_matrix(path_graph, ["A", "B", "C"])
+    mat = path_graph.adjacency.toarray()
     p = mat / mat.sum(axis=1, keepdims=True)
     profile_a = (0.5 * p + 0.25 * (p @ p))[0]
     assert np.allclose(profile_a, [1 / 6, 1 / 2, 1 / 12])
@@ -200,7 +199,7 @@ def test_criterion_4_tsvd_and_propagation_oracles():
     g = tp.random_graph(gen, 10, 7)
     order = g.order
     base_values = gen.standard_normal((10, 4))
-    adj = adjacency_matrix(g, order)
+    adj = g.adjacency.toarray()
     cfg = ProneConfig(dim=4, step=10, mu=0.2, theta=0.5, seed=0)
     es = spectral_propagate(g, base_values, cfg)
     expected = tp.oracle_propagate(adj, base_values, 10, 0.2, 0.5)

@@ -28,7 +28,7 @@ from colexvec.baselines import (
 from colexvec.combine import combine
 from colexvec.embeddings import EmbeddingSet
 from colexvec.errors import ValidationError
-from colexvec.graph import MAX_FAMILY_COUNT, adjacency_matrix, make_graph, save_graph
+from colexvec.graph import MAX_FAMILY_COUNT, make_graph, save_graph
 from colexvec.numerics import ZeroVectorWarning, cosine_similarity
 
 PATH_GRAPH = make_graph([("A", "B", 2), ("B", "C", 1)], "full", False)
@@ -189,7 +189,7 @@ def test_ppmi_matches_dense_oracle():
     for _ in range(10):
         g = random_small_graph(rng)
         order = g.order
-        mat = adjacency_matrix(g, order)
+        mat = g.adjacency.toarray()
         total = mat.sum()
         marginal = mat.sum(axis=1) / total
         ppmi = scores_by_pair(ppmi_provider(g), g)
@@ -220,8 +220,7 @@ def test_ppmi_directed_uses_column_sums_for_the_target():
 
 
 def test_random_walk_hand_profile():
-    order = ["A", "B", "C"]
-    mat = adjacency_matrix(PATH_GRAPH, order)
+    mat = PATH_GRAPH.adjacency.toarray()
     rowsum = mat.sum(axis=1, keepdims=True)
     p = mat / rowsum
     profile = 0.5 * p + 0.25 * (p @ p)
@@ -240,7 +239,7 @@ def test_random_walk_self_similarity():
 def test_random_walk_single_step_equals_row_cosine():
     g = random_small_graph(random.Random(11))
     order = g.order
-    mat = adjacency_matrix(g, order)
+    mat = g.adjacency.toarray()
     rowsum = mat.sum(axis=1, keepdims=True)
     p = np.divide(mat, rowsum, out=np.zeros_like(mat), where=rowsum > 0)
     walk = _row_cosines(_walk_profiles(mat.copy(), 0.5, 1))
@@ -256,7 +255,7 @@ def test_random_walk_profiles_match_matrix_powers():
     for _ in range(10):
         g = random_small_graph(rng)
         order = g.order
-        mat = adjacency_matrix(g, order)
+        mat = g.adjacency.toarray()
         rowsum = mat.sum(axis=1, keepdims=True)
         p = np.divide(mat, rowsum, out=np.zeros_like(mat), where=rowsum > 0)
         expected = np.zeros_like(p)
@@ -469,7 +468,7 @@ def test_every_provider_matches_dense_oracle():
     ] + [graph_with_gaps(rng) for _ in range(40)]
     for g in graphs:
         order = g.order
-        mat = adjacency_matrix(g, order)
+        mat = g.adjacency.toarray()
         cases = [
             (shortest_path_provider(g), shortest_path_oracle(g, mat)),
             (cosine_adjacency_provider(g), cosine_oracle(mat)),

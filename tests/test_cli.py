@@ -262,9 +262,7 @@ def test_baseline_on_a_graph_without_nodes_dumps_the_header(tmp_path, capsys, me
         code = run(["baseline", "--graph", str(graph), "--method", method, "--out", str(out)])
     assert code == 0
     assert "0x0 similarity matrix" in capsys.readouterr().out
-    header, *rows = out.read_text(encoding="utf-8").splitlines()
-    first, *columns = header.split("\t")
-    assert first == "CONCEPT" and not any(columns) and rows == []
+    assert out.read_bytes() == b"CONCEPT\n"
 
 
 @pytest.mark.parametrize("method", ["shortest-path", "cosine", "ppmi", "random-walk"])

@@ -16,7 +16,6 @@ from colexvec.baselines import (
 from colexvec.errors import ParseError, ValidationError
 from colexvec.graph import (
     MAX_FAMILY_COUNT,
-    adjacency_matrix,
     load_graph,
     make_graph,
     save_graph,
@@ -183,29 +182,13 @@ def test_adjacency_hand_example():
     assert d.indptr.tolist() == [0, 1, 2, 2]  # one side only
     assert d.indices.tolist() == [2, 0] and d.data.tolist() == [1, 3]
     assert make_graph([], "full", False).adjacency.shape == (0, 0)
-
-
-def test_adjacency_matrix_hand_example():
-    g = make_graph([("A", "B", 2), ("B", "C", 1)], "full", False)
-    m = adjacency_matrix(g, ["A", "B", "C"])
-    assert np.array_equal(m, [[0, 2, 0], [2, 0, 1], [0, 1, 0]])
-
-
-def test_adjacency_matrix_empty_and_directed():
-    g = make_graph([], "full", False, extra_nodes=["A", "B"])
-    assert np.array_equal(adjacency_matrix(g, ["A", "B"]), np.zeros((2, 2)))
-    d = make_graph([("A", "B", 3)], "affix", True)
-    assert np.array_equal(adjacency_matrix(d, ["A", "B"]), [[0, 3], [0, 0]])
-
-
-def test_adjacency_matrix_bad_order():
-    g = make_graph([("A", "B", 2)], "full", False)
-    with pytest.raises(ValidationError):
-        adjacency_matrix(g, ["A"])
-    with pytest.raises(ValidationError):
-        adjacency_matrix(g, ["A", "A"])
-    with pytest.raises(ValidationError):
-        adjacency_matrix(g, ["A", "B", "C"])
+    for edges, directed, extra_nodes, dense in (
+        ([("A", "B", 2), ("B", "C", 1)], False, (), [[0, 2, 0], [2, 0, 1], [0, 1, 0]]),
+        ([], False, ["A", "B"], [[0, 0], [0, 0]]),  # nodes but no edges
+        ([("A", "B", 3)], True, (), [[0, 3], [0, 0]]),
+    ):
+        adj = make_graph(edges, "full", directed, extra_nodes=extra_nodes).adjacency
+        assert np.array_equal(adj.toarray(), dense)
 
 
 def test_round_trip_exact(tmp_path):
@@ -271,8 +254,7 @@ def small_digraphs(draw):
 @given(small_digraphs())
 def test_to_undirected_symmetric_adjacency(g):
     u = to_undirected(g)
-    order = u.order
-    m = adjacency_matrix(u, order)
+    m = u.adjacency.toarray()
     assert np.array_equal(m, m.T)
     assert to_undirected(u) == u
 
@@ -306,7 +288,7 @@ def test_adjacency_equals_per_edge_fill(g):
 def test_undirected_row_sum_is_weighted_degree(g):
     u = to_undirected(g)
     order = u.order
-    m = adjacency_matrix(u, order)
+    m = u.adjacency.toarray()
     degree = {node: 0.0 for node in order}
     for src, dst, w in u.edges:
         degree[src] += w

@@ -12,7 +12,7 @@ import scipy.special
 
 import colexvec.runtime as runtime
 from colexvec.errors import GraphTooSmallError, ValidationError
-from colexvec.graph import adjacency_matrix, make_graph, save_graph
+from colexvec.graph import make_graph, save_graph
 from colexvec.prone import (
     ProneConfig,
     bessel_i,
@@ -130,7 +130,7 @@ def test_shifted_matrix_pattern_matches_adjacency():
     g = random_graph(rng, 12, 8)
     cfg = ProneConfig(dim=4, seed=0)
     m = build_shifted_matrix(g, cfg)
-    adj = adjacency_matrix(g, g.order)
+    adj = g.adjacency.toarray()
     assert np.array_equal(m.toarray() != 0, adj != 0)
 
 
@@ -139,7 +139,7 @@ def test_shifted_matrix_matches_dense_oracle():
     g = random_graph(rng, 10, 6)
     cfg = ProneConfig(dim=4, exponent=0.75, shift=1.0, seed=0)
     got = build_shifted_matrix(g, cfg).toarray()
-    adj = adjacency_matrix(g, g.order)
+    adj = g.adjacency.toarray()
     degree = adj.sum(axis=1)
     q = degree**0.75 / (degree**0.75).sum()
     for i in range(10):
@@ -205,7 +205,7 @@ def test_propagate_matches_transcription_oracle():
     g = random_graph(rng, 10, 7)
     order = g.order
     base_values = rng.standard_normal((10, 4))
-    adj = adjacency_matrix(g, order)
+    adj = g.adjacency.toarray()
     for step in (1, 2, 3, 10):
         cfg = ProneConfig(dim=4, step=step, mu=0.2, theta=0.5, seed=0)
         es = spectral_propagate(g, base_values, cfg)

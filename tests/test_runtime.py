@@ -9,23 +9,7 @@ import scipy.sparse as sp
 
 import colexvec.runtime as runtime
 from colexvec.numerics import randomized_tsvd
-from colexvec.runtime import canonical_json, config_digest, one_blas_thread, worker_count
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("COLEXVEC_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.delenv("COLEXVEC_THREADS")
-    assert worker_count() >= 1
-
-
-def test_worker_count_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("COLEXVEC_THREADS", "zero")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.setenv("COLEXVEC_THREADS", "0")
-    with pytest.raises(ValueError):
-        worker_count()
+from colexvec.runtime import canonical_json, config_digest, one_blas_thread
 
 
 def test_config_digest_is_order_insensitive():

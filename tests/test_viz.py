@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from colexvec import runtime
 from colexvec.errors import ValidationError
 from colexvec.viz import (
     DenseMatrix,
@@ -124,3 +130,18 @@ def test_export_scatter_rejects_bad_labels(tmp_path):
     with pytest.raises(ValidationError, match="^coordinates must be n x 2$"):
         export_scatter(np.zeros((2, 3)), ["A", "B"], tmp_path / "plot")
     assert not (tmp_path / "plot.tsv").exists()
+
+
+def test_tsne_bytes_do_not_depend_on_the_blas_thread_count():
+    # at 300 x 128 a multi-threaded Gram moved the coordinates from the first iteration
+    if runtime._numpy_openblas() is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS with a thread-count API")
+    code = ("import sys, numpy as np; from colexvec.viz import DenseMatrix, tsne_project; "
+            "x = np.random.default_rng(3).standard_normal((300, 128)); "
+            "sys.stdout.write(tsne_project(DenseMatrix(x), iterations=1, seed=1)[0].tobytes().hex())")
+    src = str(Path(runtime.__file__).resolve().parent.parent)
+    coords = [subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src,
+                                             "OPENBLAS_NUM_THREADS": str(threads)}).stdout
+              for threads in (1, 2)]
+    assert len(coords[0]) == 300 * 2 * 8 * 2 and coords[0] == coords[1]

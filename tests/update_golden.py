@@ -6,8 +6,8 @@ Run from the repository root:
 
 It runs the tests that call `golden.check`, the opt-in
 tests/golden_opt_in.py included, records what each workflow wrote instead
-of comparing it, and writes the manifest with this host's numpy, scipy and
-OpenBLAS. A change that means to alter output bytes runs
+of comparing it, and writes the manifest with the numpy, scipy and
+OpenBLAS of the host it runs on. A change that means to alter output bytes runs
 it and lists each changed file, with its reason, in CHANGES.md.
 """
 
@@ -29,6 +29,7 @@ TESTS = [
     "test_benchmark_bytes.py",
     "golden_opt_in.py",
 ]
+# the three toy workflows, then one per benchmark run
 WORKFLOWS = 3 + len(golden.BENCH_RUNS) + len(golden.OPT_IN_BENCH_RUNS)
 
 
