@@ -499,7 +499,7 @@ def run(argv) -> int:
     except UsageError as exc:
         print(exc.args[1], file=sys.stderr)
         return 1
-    except (ColexvecError, ValueError) as exc:
+    except ValueError as exc:  # ColexvecError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -21,8 +21,6 @@ import scipy.sparse as sp
 from .errors import ParseError, ValidationError
 from .tsv import number, open_text, read_tsv, write_json, write_lines
 
-ConceptId = str
-
 COLEX_TYPES = frozenset({"full", "affix", "overlap"})
 
 EDGE_HEADER = "SOURCE\tTARGET\tWEIGHT"

@@ -6,12 +6,12 @@ must be finite, and every failure is a ParseError naming `path:line`.
 Every text input of the package, table or not, is read through `open_text`.
 Every number the package writes into a table or an embedding file goes
 through `format_rows`, one array kernel whose bytes are those of Python's
-`%.8g` on each value.
+`%.8g` on each value: it packs a block of cells at a time into 16-byte
+words and drops their padding with one `bytes.translate`.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from contextlib import contextmanager
@@ -85,14 +85,10 @@ def number(text: str, what: str, kind=float):
     return value
 
 
-# Cells per `_pack` call. A block's temporaries come to about 0.7 MB;
-# 8,192-cell blocks took 3-6% less time and twice the memory.
-BLOCK = 4096
-# Cells per chunk of rows: `format_rows` tells dense rows from mostly-zero
-# ones a chunk at a time, and the formatted cells of a chunk's mostly-zero
-# rows go through `_pack` together, so a sparse table's calls are not
-# mostly numpy's per-call overhead.
-CHUNK = 16 * BLOCK
+# Cells per `_pack` call. A block's temporaries come to about 2.8 MB. At
+# 4,096 cells (0.7 MB) numpy's per-call overhead on the few nonzero cells
+# of a mostly-zero block made the four baseline dumps 0.53 s, not 0.48 s.
+BLOCK = 16384
 # |x| in [1e-280, 1e280] scales to eight digits through `_POW10` without
 # overflow or subnormals; the kernel leaves every other cell to Python
 _LOW, _HIGH = 1e-280, 1e280
@@ -137,19 +133,20 @@ _FRACTION_SHIFT = np.array([48 if -4 <= x < 0 else 16 for x in _EXPONENTS], dtyp
 _SUFFIX = np.array([0 if -4 <= x < 8 else _word(f"e{x:+03d}") << 16 for x in _EXPONENTS],
                    dtype="<u8")
 _POINTS = np.uint64(_word("." * 8))
+_MINUS = np.uint64(ord("-"))
+_ZERO = np.uint64(_word("0") << 8)  # "0" at byte 1, after the sign
 
 
-def _pack(cells: np.ndarray, ends: np.ndarray) -> bytes:
-    """Each of the float64 `cells` at `%.8g`, followed by its separator.
+def _words(cells: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Each of the float64 `cells` at `%.8g` and its separator, as a row of
+    two uint64 words, 16 bytes, with 0 in every byte the text leaves empty.
 
     `ends[i]` holds cell i's separator byte in its top byte (0 for none).
-    A cell is written into two uint64 words, 16 bytes, with 0 in every
-    byte it leaves empty: the sign at byte 0, the head from byte 1, then
-    the point and the fraction, the exponent suffix at bytes 10-14 and the
-    separator at byte 15. The fraction's digits stay in their places in
-    the 8-digit word, up to its last nonzero one, and the point goes into
-    the byte before the first of them when one is left. One
-    `bytes.translate` then drops the 0 bytes.
+    The sign is at byte 0, the head from byte 1, then the point and the
+    fraction, the exponent suffix at bytes 10-14 and the separator at byte
+    15. The fraction's digits stay in their places in the 8-digit word, up
+    to its last nonzero one, and the point goes into the byte before the
+    first of them when one is left.
 
     A finite cell with |x| in [1e-280, 1e280] is rounded here. It takes
     x * 10**(7 - e) with e = floor(log10 x) and rounds it to the integer
@@ -190,12 +187,32 @@ def _pack(cells: np.ndarray, ends: np.ndarray) -> bytes:
     fraction |= (head_mask ^ head_mask >> 8) & _POINTS * (fraction != 0)
     shift = _FRACTION_SHIFT[exponent]
     words = np.empty((len(cells), 2), dtype="<u8")
-    words[:, 0] = np.signbit(cells) * np.uint64(ord("-")) | head << 8 | fraction << shift
+    words[:, 0] = np.signbit(cells) * _MINUS | head << 8 | fraction << shift
     words[:, 1] = ends | head >> 56 | fraction >> 64 - shift | _SUFFIX[exponent]
     # nan, inf, subnormal, tiny or huge, or in the tie band
     for i in np.flatnonzero(~regular & (cells != 0) | tie_band).tolist():
         text = format(float(cells[i]), ".8g").encode("ascii")
         words[i] = np.frombuffer(text.ljust(15, b"\0") + bytes([int(ends[i]) >> 56]), "<u8")
+    return words
+
+
+def _pack(cells: np.ndarray, ends: np.ndarray) -> bytes:
+    """The text of `_words(cells, ends)`: one `bytes.translate` drops its 0 bytes.
+
+    When more than half of the cells are +0.0 or -0.0, such as in a block
+    of a sparse baseline's table, those cells are the constant words of
+    "0" and "-0" and their separator, and only the others go through
+    `_words`.
+    """
+    zero = cells == 0
+    if 2 * np.count_nonzero(zero) > len(cells):
+        words = np.empty((len(cells), 2), dtype="<u8")
+        words[:, 0] = np.signbit(cells) * _MINUS | _ZERO
+        words[:, 1] = ends
+        rest = np.flatnonzero(~zero)
+        words[rest] = _words(cells[rest], ends[rest])
+    else:
+        words = _words(cells, ends)
     return words.tobytes().translate(None, b"\0")
 
 
@@ -217,57 +234,26 @@ def _packed_rows(values: np.ndarray, sep: str) -> Iterator[str]:
         yield from done
 
 
-def _spliced_rows(values: np.ndarray, literal: np.ndarray, rows: np.ndarray, sep: str) -> list:
-    """The rows of `values` in the row mask `rows`, each a row of literal
-    "0" cells with its cells outside the mask `literal` formatted in.
-
-    The rows are cut from one text, their "0" rows end to end, into which
-    each formatted cell is spliced at its "0".
-    """
-    if not rows.any():
-        return []
-    spliced = ~literal & rows[:, None]
-    zero_row = sep.join(["0"] * values.shape[1]) + "\n"
-    row_at, col = np.nonzero(spliced)
-    rank = np.cumsum(rows) - 1  # a row's place among `rows`
-    starts = (rank[row_at] * len(zero_row) + col * (1 + len(sep))).tolist()
-    text = zero_row * np.count_nonzero(rows)
-    pieces = [None] * (2 * len(starts) + 1)
-    pieces[0::2] = [text[a + 1 : b] for a, b in zip([-1] + starts, starts + [len(text)])]
-    pieces[1::2] = list(_packed_rows(values[spliced].reshape(-1, 1), ""))
-    return "".join(pieces).split("\n")[:-1]
-
-
-def _chunk_rows(values: np.ndarray, sep: str) -> Iterator[str]:
-    """The rows of `values` formatted by `format_rows`, in order."""
-    literal = (values == 0) & ~np.signbit(values)  # +0.0
-    sparse = 2 * np.count_nonzero(literal, axis=1) > values.shape[1]
-    dense = _packed_rows(values[~sparse] if sparse.any() else values, sep)
-    spliced = iter(_spliced_rows(values, literal, sparse, sep))
-    return (next(spliced) if s else next(dense) for s in sparse.tolist())
-
-
 def format_rows(matrix, sep: str) -> Iterator[str]:
     """Each row of the 2-D `matrix` at 8 significant digits, joined by `sep`.
 
     The strings are byte for byte `sep.join(format(v, ".8g") for v in row)`
-    for every row, made as they are iterated, a `CHUNK` of cells at a
+    for every row, made as they are iterated, a `BLOCK` of cells at a
     time. `sep` is one ASCII character other than NUL and newline, or
-    empty. The cells are formatted as arrays (see `_pack`). A row that is
-    more than half +0.0, such as a sparse baseline's table row, formats
-    only its other cells and writes a literal "0" for each +0.0 cell.
+    empty. The cells are formatted as arrays (see `_words`); in a block
+    that is more than half +0.0 or -0.0, only the other cells are, and
+    each zero is written as the literal "0" or "-0". A matrix that is not
+    C-contiguous is copied whole first (no caller in the package passes
+    one).
     """
     values = np.asarray(matrix, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {values.shape}")
     if len(sep) > 1 or sep in ("\0", "\n") or not sep.isascii():
         raise ValueError(f"sep must be one ASCII character or empty, got {sep!r}")
-    n_rows, width = values.shape
-    if width == 0:
-        return iter([""] * n_rows)
-    step = max(1, CHUNK // width)
-    return itertools.chain.from_iterable(
-        _chunk_rows(values[start : start + step], sep) for start in range(0, n_rows, step))
+    if values.shape[1] == 0:
+        return iter([""] * len(values))
+    return _packed_rows(values, sep)
 
 
 def write_lines(path, header: str, lines) -> None:

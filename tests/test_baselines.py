@@ -1,18 +1,14 @@
 import itertools
 import math
-import os
 import random
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import floyd_warshall
+from blas_threads import at_each_thread_count
 
-import colexvec.runtime as runtime
 from colexvec import baselines
 from colexvec.baselines import (
     SCORE_CHUNK,
@@ -600,8 +596,6 @@ def test_sparse_tables_have_the_dense_bits(n, directed, density, top):
 def test_tables_do_not_depend_on_the_blas_thread_count(tmp_path):
     # before the walk profiles became sparse products and their Gram matrix
     # ran on one thread, 1 and 2 threads built different random-walk tables
-    if runtime._numpy_openblas() is None:
-        pytest.skip("numpy's BLAS is not an OpenBLAS with a thread-count API")
     rng = np.random.default_rng(5)
     n = 1200
     names = [f"N{i:04d}" for i in range(n)]
@@ -624,12 +618,7 @@ def test_tables_do_not_depend_on_the_blas_thread_count(tmp_path):
         "        getattr(baselines, method + '_provider')(g), g.order)\n"
         "    print(method, hashlib.sha256(table.tobytes()).hexdigest())\n"
     )
-    src = str(Path(runtime.__file__).resolve().parent.parent)
-    hashes = []
-    for threads in (1, 2):
-        run = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
-                             text=True, env={**os.environ, "PYTHONPATH": src,
-                                             "OPENBLAS_NUM_THREADS": str(threads)})
-        hashes.append(dict(line.split() for line in run.stdout.splitlines()))
+    hashes = [dict(line.split() for line in stdout.splitlines())
+              for stdout in at_each_thread_count(code)]
     assert sorted(hashes[0]) == sorted(methods)
     assert [m for m in methods if hashes[0][m] != hashes[1][m]] == []

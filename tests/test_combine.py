@@ -1,12 +1,7 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
+from blas_threads import at_each_thread_count, cli_snippet
 
-from colexvec import runtime
 from colexvec.combine import (
     aggregate_concept_vectors,
     combine,
@@ -139,22 +134,14 @@ def aggregate(words, concept_map):
 
 def test_fused_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # at 600 x 256 the multi-threaded SVD moved the last printed digit of a few cells
-    if runtime._numpy_openblas() is None:
-        pytest.skip("numpy's BLAS is not an OpenBLAS with a thread-count API")
     concepts = [f"C{i:04d}" for i in range(600)]
     inputs = []
     for seed in (1, 2):
         inputs.append(str(tmp_path / f"set{seed}.emb"))
         save_embedding(random_set(seed, concepts, 128), inputs[-1])
-    src = str(Path(runtime.__file__).resolve().parent.parent)
-    outputs = []
-    for threads in (1, 2):
-        out = tmp_path / f"threads{threads}.emb"
-        argv = ["combine", "--inputs", ",".join(inputs), "--dim", "128", "--out", str(out)]
-        code = f"import sys; from colexvec import cli; sys.exit(cli.run({argv!r}))"
-        subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
-                       env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads)})
-        outputs.append(out.read_bytes())
+    out = str(tmp_path / "fused.emb")
+    argv = ["combine", "--inputs", ",".join(inputs), "--dim", "128", "--out", out]
+    outputs = at_each_thread_count(cli_snippet(argv, out))
     assert outputs[0] == outputs[1]
 
 

@@ -1,16 +1,12 @@
 import math
-import os
-import subprocess
-import sys
 import time
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special
+from blas_threads import at_each_thread_count, cli_snippet
 
-import colexvec.runtime as runtime
 from colexvec.errors import GraphTooSmallError, ValidationError
 from colexvec.graph import make_graph, save_graph
 from colexvec.prone import (
@@ -258,20 +254,12 @@ def fragmented_graph(rng):
 
 
 def test_prone_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    if runtime._numpy_openblas() is None:
-        pytest.skip("numpy's BLAS is not an OpenBLAS with a thread-count API")
     graph = tmp_path / "fragmented.tsv"
     save_graph(fragmented_graph(np.random.default_rng(0)), graph)
-    src = str(Path(runtime.__file__).resolve().parent.parent)
-    outputs = []
-    for threads in (1, 2):
-        out = tmp_path / f"threads{threads}.emb"
-        argv = ["embed", "--graph", str(graph), "--method", "prone", "--out", str(out),
-                "--seed", "1", "--dim", "128"]
-        code = f"import sys; from colexvec import cli; sys.exit(cli.run({argv!r}))"
-        subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
-                       env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads)})
-        outputs.append(out.read_bytes())
+    out = str(tmp_path / "prone.emb")
+    argv = ["embed", "--graph", str(graph), "--method", "prone", "--out", out,
+            "--seed", "1", "--dim", "128"]
+    outputs = at_each_thread_count(cli_snippet(argv, out))
     assert outputs[0] == outputs[1]
 
 

@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from colexvec.combine import load_concept_map
 from colexvec.errors import ParseError, ValidationError
@@ -214,8 +217,15 @@ def test_format_rows_sends_the_tie_band_and_specials_to_python(monkeypatch):
     regular = [2.5, 0.1, 1 / 3, 1e-5, 123456.78, 0.0, -0.0]
     monkeypatch.setattr(tsv, "format", spy, raising=False)
     cells = np.array(band + special + regular)
-    assert list(format_rows(cells[None], "\t")) == per_value(cells[None], "\t")
-    assert [str(v) for v in seen] == [str(float(v)) for v in band + special]
+    # the same cells among more +0.0 and -0.0 than all the others
+    mostly_zero = np.zeros(3 * len(cells))
+    mostly_zero[1::6] = -0.0
+    mostly_zero[::3] = cells
+    assert 2 * np.count_nonzero(mostly_zero == 0) > mostly_zero.size
+    for row in (cells, mostly_zero):
+        seen.clear()
+        assert list(format_rows(row[None], "\t")) == per_value(row[None], "\t")
+        assert [str(v) for v in seen] == [str(float(v)) for v in band + special]
 
 
 @SEPS
@@ -245,18 +255,41 @@ def test_format_rows_shapes_and_layouts():
     assert list(format_rows([[1, 2], [3, 4]], " ")) == ["1 2", "3 4"]
 
 
-@pytest.mark.parametrize("block, chunk", [(1, 1), (7, 30), (16, 60), (40, 1000)])
-def test_format_rows_with_blocks_that_split_rows(monkeypatch, block, chunk):
+@pytest.mark.parametrize("block", [1, 7, 16, 40])
+def test_format_rows_with_blocks_that_split_rows(monkeypatch, block):
     rng = np.random.default_rng(block)
     matrix = rng.random((9, 25)) * 10.0 ** rng.integers(-6, 10, (9, 25))
-    matrix[2] = 0.0  # a spliced row
-    matrix[5, :20] = 0.0  # a spliced row with five cells
-    matrix[6, 1::2] = 0.0  # a dense row with twelve zeros of 25
-    matrix[7, 3] = np.nan
+    matrix[2:6] = 0.0  # cells 50-149: mostly-zero blocks at every size
+    flat = matrix.reshape(-1)
+    specials = [60, 70, 80, 100, 120]
+    flat[specials] = [np.nan, -0.0, 100000005.0, 5e-324, -0.0]
+    matrix[7, 1::2] = 0.0  # twelve zeros of 25
+    matrix[8, 3] = np.nan
+    zero_share = [np.mean(flat[i : i + block] == 0) for i in range(0, flat.size, block)]
+    assert min(zero_share) <= 0.5 < max(zero_share)
+    if block > 1:  # a block of one cell is mostly zero only if that cell is
+        assert all(zero_share[i // block] > 0.5 for i in specials)
     monkeypatch.setattr(tsv, "BLOCK", block)
-    monkeypatch.setattr(tsv, "CHUNK", chunk)
     for sep in ("\t", ""):
         assert list(format_rows(matrix, sep)) == per_value(matrix, sep)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    cells=arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 9))),
+    zero_share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.integers(1, 40),
+    sep=st.sampled_from(["\t", " ", ""]),
+)
+def test_format_rows_equals_per_value_format_at_any_zero_share_and_block(
+        cells, zero_share, seed, block, sep):
+    rng = np.random.default_rng(seed)
+    zero = rng.random(cells.shape) < zero_share
+    cells[zero] = np.where(rng.random(np.count_nonzero(zero)) < 0.5, 0.0, -0.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tsv, "BLOCK", block)
+        assert list(format_rows(cells, sep)) == per_value(cells, sep)
 
 
 @pytest.mark.parametrize("sep", ["\n", "\0", ", ", "é"])
