@@ -39,7 +39,7 @@ from .evaluation import (
     load_concept_pairs,
     load_rated_pairs,
 )
-from .graph import load_graph, save_graph, sidecar_path, to_undirected
+from .graph import COLEX_TYPES, load_graph, save_graph, sidecar_path, to_undirected
 from .node2vec import SkipGramConfig, WalkConfig, node2vec_embed
 from .prone import ProneConfig, prone_embed
 from .runtime import config_digest, file_sha256
@@ -80,7 +80,7 @@ def build_parser(add_help: bool = True) -> _Parser:
 
     p = add_command("colexify", "infer a colexification network")
     p.add_argument("--wordlist", required=True)
-    p.add_argument("--type", required=True, choices=("full", "affix", "overlap"))
+    p.add_argument("--type", required=True, choices=COLEX_TYPES)
     p.add_argument("--out", required=True)
     p.add_argument("--min-form-len", type=int, default=3)
     p.add_argument("--min-overlap-len", type=int, default=4)
@@ -221,20 +221,17 @@ def _provider(method, path, hashes=None) -> SimilarityProvider:
     return provider
 
 
-def cmd_colexify(args) -> dict:
-    wordlist = load_wordlist(args.wordlist)
-    params = ColexParams(
-        min_form_len=args.min_form_len, min_overlap_len=args.min_overlap_len
-    )
-    g = infer_network(wordlist, args.type, params)
-    save_graph(g, args.out)
-    print(f"wrote {args.out}: {g.n_nodes} nodes, {g.n_edges} edges ({args.type})")
-    return {"out": args.out, "nodes": g.n_nodes, "edges": g.n_edges}
-
-
 def _config(cls, args):
     """A `cls` config whose every field takes the parsed option of the same name."""
     return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
+
+
+def cmd_colexify(args) -> dict:
+    wordlist = load_wordlist(args.wordlist)
+    g = infer_network(wordlist, args.type, _config(ColexParams, args))
+    save_graph(g, args.out)
+    print(f"wrote {args.out}: {g.n_nodes} nodes, {g.n_edges} edges ({args.type})")
+    return {"out": args.out, "nodes": g.n_nodes, "edges": g.n_edges}
 
 
 def cmd_embed(args) -> dict:

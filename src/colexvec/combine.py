@@ -22,8 +22,9 @@ logger = logging.getLogger(__name__)
 CONCEPT_MAP_HEADER = "CONCEPT\tWORD\tFREQUENCY"
 
 
-def stack_union(sets) -> EmbeddingSet:
-    """Concatenated vectors over the sorted union of coverages, zero blocks for gaps."""
+def stack_union(sets) -> tuple:
+    """(universe, matrix): the sorted union of coverages and the concatenated
+    vectors in its rows, zero blocks for gaps."""
     sets = list(sets)
     universe = sorted(set().union(*(s.concepts for s in sets)))
     if not universe:
@@ -34,7 +35,7 @@ def stack_union(sets) -> EmbeddingSet:
     for s in sets:
         stacked[[row[c] for c in s.concepts], offset: offset + s.dim] = s.values
         offset += s.dim
-    return EmbeddingSet(universe, stacked)
+    return universe, stacked
 
 
 def combine(sets, d: int) -> EmbeddingSet:
@@ -46,8 +47,8 @@ def combine(sets, d: int) -> EmbeddingSet:
         raise ValidationError(
             f"target dim {d} must equal the first set's dim {sets[0].dim}"
         )
-    stacked = stack_union(sets)
-    reduced, rank = pca_reduce(stacked.values, d)
+    universe, stacked = stack_union(sets)
+    reduced, rank = pca_reduce(stacked, d)
 
     colex_types = []
     for s in sets:
@@ -65,7 +66,7 @@ def combine(sets, d: int) -> EmbeddingSet:
     if rank < d:
         provenance["rank_deficient"] = True
 
-    return EmbeddingSet(stacked.concepts, reduced, provenance)
+    return EmbeddingSet(universe, reduced, provenance)
 
 
 def _concept_word(concept, word, frequency) -> tuple:

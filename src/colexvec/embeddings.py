@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -87,6 +88,15 @@ class EmbeddingSet:
         if missing:
             raise ValidationError(f"concepts not covered: {missing[:5]}")
         return self.values[[self.index[c] for c in order]]
+
+
+def graph_embedding(g, covered: np.ndarray, values, provenance: Mapping) -> EmbeddingSet:
+    """A graph embedder's set: row i of `values` embeds the i-th node of `g.order`
+    that the bool mask `covered` keeps, and the graph's `colex_types` and
+    the `uncovered` node ids join the embedder's `provenance`."""
+    uncovered = tuple(compress(g.order, ~covered))
+    provenance = {**provenance, "colex_types": (g.colex_type,), "uncovered": uncovered}
+    return EmbeddingSet(tuple(compress(g.order, covered)), values, provenance)
 
 
 def save_embedding(es: EmbeddingSet, path) -> None:

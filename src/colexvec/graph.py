@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from .errors import ParseError, ValidationError
 from .tsv import number, open_text, read_tsv, write_json, write_lines
 
-COLEX_TYPES = frozenset({"full", "affix", "overlap"})
+COLEX_TYPES = ("full", "affix", "overlap")
 
 EDGE_HEADER = "SOURCE\tTARGET\tWEIGHT"
 

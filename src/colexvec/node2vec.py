@@ -14,9 +14,9 @@ Walk sampling derives an independent RNG per start node so corpus
 generation is order-independent.
 
 The corpus stays in row space: walks are rows of `g.order`, pairs are
-(center, context) rows, and `train_skipgram` takes rows of its vocabulary.
-`node2vec_embed` maps graph rows to vocabulary rows once and names the
-vocabulary once, from `g.order`.
+(center, context) rows, and `train_skipgram` trains an array in rows of its
+vocabulary. `node2vec_embed` maps graph rows to vocabulary rows once and
+names the rows once, via `embeddings.graph_embedding`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from itertools import compress
 
 import numpy as np
 
-from .embeddings import EmbeddingSet
+from .embeddings import EmbeddingSet, graph_embedding
 from .errors import NoEdgesError, ValidationError, check_seed
 from .graph import ColexGraph
 from .runtime import config_digest
@@ -211,23 +211,24 @@ def _mean_loss(w_in, w_out, centers, contexts) -> float:
     return float(np.mean(logsumexp[inv] - target))
 
 
-def train_skipgram(pairs, vocab, cfg: SkipGramConfig) -> EmbeddingSet:
+def train_skipgram(pairs, vocab, cfg: SkipGramConfig) -> tuple:
     """Train input-side vectors with full-softmax SGD over shuffled mini-batches.
 
-    `pairs` is an (n, 2) integer array of (center, context) rows of `vocab`.
-    Each batch computes one softmax per distinct center (weighted by its count)
-    and updates only the w_in rows of those centers; w_out gets a full update.
+    `pairs` is an (n, 2) integer array of (center, context) rows of `vocab`,
+    which is read only for its length and duplicate check. Each batch
+    computes one softmax per distinct center (weighted by its count) and
+    updates only the w_in rows of those centers; w_out gets a full update.
     A validation_split fraction of the pairs is held out purely for loss
-    monitoring; it never gates training. Per-epoch losses end up in the
-    result's provenance, next to "drift", the relative distance
-    ||w_in - w_start|| / ||w_start|| of the trained vectors from their
-    random start. A train loss that is not finite at the end of an
-    epoch raises ValidationError naming that epoch (counted from 1).
+    monitoring; it never gates training. Returns (w_in, curves): the
+    (len(vocab), dim) vectors, and the per-epoch "train_loss" and
+    "validation_loss" with "drift", the relative distance
+    ||w_in - w_start|| / ||w_start|| from their random start. A train loss
+    that is not finite at the end of an epoch raises ValidationError naming
+    that epoch (counted from 1).
     """
     pairs = np.asarray(pairs)
     if not pairs.size:
         raise ValidationError("empty pair list")
-    vocab = tuple(vocab)
     n_vocab = len(vocab)
     if len(set(vocab)) != n_vocab:
         raise ValidationError("vocab contains duplicates")
@@ -284,15 +285,12 @@ def train_skipgram(pairs, vocab, cfg: SkipGramConfig) -> EmbeddingSet:
         else:
             logger.debug("epoch %d: train loss %.6f", epoch, train_losses[-1])
 
-    provenance = {
-        "method": "skipgram",
-        "seed": cfg.seed,
-        "config_digest": config_digest(vars(cfg) | {"__config__": "skipgram"}),
+    curves = {
         "train_loss": tuple(train_losses),
         "validation_loss": tuple(val_losses),
         "drift": float(np.linalg.norm(w_in - w_start) / np.linalg.norm(w_start)),
     }
-    return EmbeddingSet(vocab, w_in, provenance)
+    return w_in, curves
 
 
 def node2vec_embed(
@@ -312,17 +310,11 @@ def node2vec_embed(
     # graph row -> vocabulary row; mapping the walks, not the pairs, makes one pair array
     vocab_row = np.cumsum(covered) - 1
     pairs = extract_pairs(vocab_row[sample_walks(g, walk_cfg)], sg_cfg.window)
-    trained = train_skipgram(pairs, tuple(compress(g.order, covered)), sg_cfg)
-    provenance = dict(trained.provenance)
-    provenance.update(
-        {
-            "method": "node2vec",
-            "colex_types": (g.colex_type,),
-            "seed": (walk_cfg.seed, sg_cfg.seed),
-            "config_digest": config_digest(
-                {"walks": vars(walk_cfg), "skipgram": vars(sg_cfg)}
-            ),
-            "uncovered": tuple(compress(g.order, ~covered)),
-        }
-    )
-    return EmbeddingSet(trained.concepts, trained.values, provenance)
+    w_in, curves = train_skipgram(pairs, tuple(compress(g.order, covered)), sg_cfg)
+    provenance = {
+        "method": "node2vec",
+        "seed": (walk_cfg.seed, sg_cfg.seed),
+        "config_digest": config_digest({"walks": vars(walk_cfg), "skipgram": vars(sg_cfg)}),
+        **curves,
+    }
+    return graph_embedding(g, covered, w_in, provenance)

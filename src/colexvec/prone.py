@@ -5,21 +5,20 @@ probabilities with a seeded randomized truncated SVD. Stage two smooths
 the base embedding with a Gaussian band-pass graph filter expanded in a
 Chebyshev-style recurrence whose coefficients are modified Bessel values.
 
-Both stages stay in graph rows: row i of the shifted matrix, of the base
-embedding and of the propagated one belongs to node `g.order[i]`. Only the
-final EmbeddingSet names its rows, dropping the isolated nodes.
+Both stages return plain arrays in graph rows: row i of the shifted matrix,
+of the base embedding and of the propagated one belongs to `g.order[i]`.
+Only `prone_embed` names rows, via `embeddings.graph_embedding`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 import scipy.sparse as sp
 
-from .embeddings import EmbeddingSet
+from .embeddings import EmbeddingSet, graph_embedding
 from .errors import GraphTooSmallError, NoEdgesError, ValidationError, check_seed
 from .graph import ColexGraph
 from .numerics import randomized_tsvd
@@ -104,7 +103,7 @@ def _l2_normalize_rows(x: np.ndarray) -> np.ndarray:
     return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
 
 
-def spectral_propagate(g: ColexGraph, base: np.ndarray, cfg: ProneConfig) -> EmbeddingSet:
+def spectral_propagate(g: ColexGraph, base: np.ndarray, cfg: ProneConfig) -> np.ndarray:
     """Smooth the base embedding with the band-pass Chebyshev filter.
 
     With A-hat = A + I row-normalized to DA, L = I - DA and M = L - mu*I,
@@ -112,8 +111,8 @@ def spectral_propagate(g: ColexGraph, base: np.ndarray, cfg: ProneConfig) -> Emb
     X_{k+1} = M(M X_k) - 2 X_k - X_{k-1}; the accumulated filter weights
     term k by (-1)^k c_k with c_0 = I_0(theta) and c_k = 2 I_k(theta).
     The output is the row-wise L2 normalization of DA (base - filter);
-    step = 1 short-circuits to the normalized base. `base` is an
-    (n_nodes, dim) array whose row i belongs to `g.order[i]`.
+    step = 1 short-circuits to the normalized base. `base` and the result
+    are (n_nodes, dim) arrays whose row i belongs to `g.order[i]`.
     """
     if g.directed:
         raise ValidationError("spectral_propagate needs an undirected graph")
@@ -121,33 +120,22 @@ def spectral_propagate(g: ColexGraph, base: np.ndarray, cfg: ProneConfig) -> Emb
     if x0.shape != (g.n_nodes, cfg.dim):
         raise ValidationError(f"base has shape {x0.shape}, expected {(g.n_nodes, cfg.dim)}")
     if cfg.step == 1:
-        out = _l2_normalize_rows(x0)
-    else:
-        n = g.n_nodes
-        a_hat = g.adjacency + sp.eye_array(n, format="csr")
-        inv_rows = 1.0 / np.asarray(a_hat.sum(axis=1)).ravel()
-        da = sp.diags_array(inv_rows) @ a_hat
-        m = sp.eye_array(n, format="csr") * (1.0 - cfg.mu) - da
+        return _l2_normalize_rows(x0)
+    n = g.n_nodes
+    a_hat = g.adjacency + sp.eye_array(n, format="csr")
+    inv_rows = 1.0 / np.asarray(a_hat.sum(axis=1)).ravel()
+    da = sp.diags_array(inv_rows) @ a_hat
+    m = sp.eye_array(n, format="csr") * (1.0 - cfg.mu) - da
 
-        x1 = 0.5 * (m @ (m @ x0)) - x0
-        filt = bessel_i(0, cfg.theta) * x0 - 2.0 * bessel_i(1, cfg.theta) * x1
-        prev, cur = x0, x1
-        for k in range(2, cfg.step):
-            nxt = (m @ (m @ cur)) - 2.0 * cur - prev
-            sign = 1.0 if k % 2 == 0 else -1.0
-            filt += sign * 2.0 * bessel_i(k, cfg.theta) * nxt
-            prev, cur = cur, nxt
-        out = _l2_normalize_rows(da @ (x0 - filt))
-
-    keep = np.diff(g.adjacency.indptr) > 0
-    provenance = {
-        "method": "prone",
-        "colex_types": (g.colex_type,),
-        "seed": cfg.seed,
-        "config_digest": config_digest(vars(cfg) | {"__config__": "prone"}),
-        "uncovered": tuple(compress(g.order, ~keep)),
-    }
-    return EmbeddingSet(tuple(compress(g.order, keep)), out[keep], provenance)
+    x1 = 0.5 * (m @ (m @ x0)) - x0
+    filt = bessel_i(0, cfg.theta) * x0 - 2.0 * bessel_i(1, cfg.theta) * x1
+    prev, cur = x0, x1
+    for k in range(2, cfg.step):
+        nxt = (m @ (m @ cur)) - 2.0 * cur - prev
+        sign = 1.0 if k % 2 == 0 else -1.0
+        filt += sign * 2.0 * bessel_i(k, cfg.theta) * nxt
+        prev, cur = cur, nxt
+    return _l2_normalize_rows(da @ (x0 - filt))
 
 
 def prone_embed(g: ColexGraph, cfg: ProneConfig) -> EmbeddingSet:
@@ -161,4 +149,11 @@ def prone_embed(g: ColexGraph, cfg: ProneConfig) -> EmbeddingSet:
     if cfg.dim > g.n_nodes:
         raise GraphTooSmallError(f"dim {cfg.dim} exceeds the graph's {g.n_nodes} nodes")
     shifted = build_shifted_matrix(g, cfg)
-    return spectral_propagate(g, factorize(shifted, cfg), cfg)
+    propagated = spectral_propagate(g, factorize(shifted, cfg), cfg)
+    covered = np.diff(g.adjacency.indptr) > 0
+    provenance = {
+        "method": "prone",
+        "seed": cfg.seed,
+        "config_digest": config_digest(vars(cfg) | {"__config__": "prone"}),
+    }
+    return graph_embedding(g, covered, propagated[covered], provenance)

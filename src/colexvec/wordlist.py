@@ -15,7 +15,7 @@ from itertools import combinations, product
 from typing import Optional, Sequence
 
 from .errors import ValidationError
-from .graph import ColexGraph, make_graph
+from .graph import COLEX_TYPES, ColexGraph, make_graph
 from .tsv import read_tsv
 
 WORDLIST_HEADER = "LANGUAGE\tFAMILY\tCONCEPT\tFORM"
@@ -227,7 +227,7 @@ def infer_network(
     without edges remain as isolated nodes. The type's own index (of forms,
     affixes or k-grams) yields its form pairs; none is classified again.
     """
-    if kind not in ("full", "affix", "overlap"):
+    if kind not in COLEX_TYPES:
         raise ValidationError(f"unknown colexification type {kind!r}")
     attesting = _attestations(wordlist, kind, params)
     return _family_count_graph(wordlist, attesting, kind, directed=(kind == "affix"))

@@ -70,9 +70,9 @@ def test_combine_duplicated_set_matches_single_set_pca():
 def test_stack_union_zero_fill_rule():
     e1 = EmbeddingSet(("X", "Y"), [[1.0, 2.0], [3.0, 4.0]])
     e2 = EmbeddingSet(("Y",), [[5.0, 6.0]])
-    stacked = stack_union([e1, e2])
-    assert stacked.concepts == ("X", "Y")
-    assert np.array_equal(stacked.values, [[1, 2, 0, 0], [3, 4, 5, 6]])
+    universe, stacked = stack_union([e1, e2])
+    assert universe == ["X", "Y"]
+    assert np.array_equal(stacked, [[1, 2, 0, 0], [3, 4, 5, 6]])
 
 
 def test_combine_coverage_is_union():

@@ -354,11 +354,11 @@ def test_training_matches_per_pair_reference():
     cfg = SkipGramConfig(dim=4, window=2, learning_rate=0.5, epochs=5,
                          validation_split=0.2, batch_size=16, seed=8)
     pairs, vocab = star_pairs(), sorted(STAR.nodes)
-    trained = train_skipgram(pairs, vocab, cfg)
+    trained, curves = train_skipgram(pairs, vocab, cfg)
     w_in, train_losses, val_losses = per_pair_training(pairs, vocab, cfg)
-    assert np.max(np.abs(np.subtract(trained.provenance["train_loss"], train_losses))) < 1e-12
-    assert np.max(np.abs(np.subtract(trained.provenance["validation_loss"], val_losses))) < 1e-12
-    assert np.max(np.abs(trained.matrix(vocab) - w_in)) < 1e-12
+    assert np.max(np.abs(np.subtract(curves["train_loss"], train_losses))) < 1e-12
+    assert np.max(np.abs(np.subtract(curves["validation_loss"], val_losses))) < 1e-12
+    assert np.max(np.abs(trained - w_in)) < 1e-12
     # the weights moved, so the comparison is not between two initialisations
     assert train_losses[-1] < train_losses[0]
 
@@ -389,11 +389,11 @@ def test_skipgram_gradients_match_finite_differences():
 
 def test_skipgram_provenance_holds_the_relative_drift():
     cfg = SkipGramConfig(dim=4, learning_rate=0.5, epochs=5, batch_size=16, seed=8)
-    trained = train_skipgram(star_pairs(), sorted(STAR.nodes), cfg)
+    trained, curves = train_skipgram(star_pairs(), sorted(STAR.nodes), cfg)
     rng = np.random.default_rng(cfg.seed)
     w_start = (rng.random((len(STAR.nodes), cfg.dim)) - 0.5) / cfg.dim
-    drift = np.linalg.norm(trained.values - w_start) / np.linalg.norm(w_start)
-    assert trained.provenance["drift"] == drift > 0
+    drift = np.linalg.norm(trained - w_start) / np.linalg.norm(w_start)
+    assert curves["drift"] == drift > 0
 
 
 def test_skipgram_symmetric_leaves_align():
@@ -404,12 +404,13 @@ def test_skipgram_symmetric_leaves_align():
         dim=4, window=1, learning_rate=0.05, epochs=100,
         validation_split=0.2, batch_size=64, seed=7,
     )
-    es = train_skipgram(pairs, sorted(STAR.nodes), cfg)
+    vocab = sorted(STAR.nodes)
+    w_in, _ = train_skipgram(pairs, vocab, cfg)
     leaves = ["L1", "L2", "L3", "L4"]
     for a in leaves:
         for b in leaves:
             if a < b:
-                assert cosine_similarity(es.vectors[a], es.vectors[b]) > 0.9
+                assert cosine_similarity(w_in[vocab.index(a)], w_in[vocab.index(b)]) > 0.9
 
 
 def test_skipgram_training_loss_moving_average_non_increasing():
@@ -417,20 +418,19 @@ def test_skipgram_training_loss_moving_average_non_increasing():
         dim=4, window=2, learning_rate=0.001, epochs=200,
         validation_split=0.2, batch_size=64, seed=7,
     )
-    es = train_skipgram(star_pairs(), sorted(STAR.nodes), cfg)
-    losses = np.array(es.provenance["train_loss"])
+    _, curves = train_skipgram(star_pairs(), sorted(STAR.nodes), cfg)
+    losses = np.array(curves["train_loss"])
     ma = np.convolve(losses, np.ones(50) / 50, "valid")
     assert np.all(np.diff(ma) <= 1e-9)
-    assert len(es.provenance["validation_loss"]) == cfg.epochs
+    assert len(curves["validation_loss"]) == cfg.epochs
 
 
 def test_skipgram_deterministic_per_seed():
     cfg = SkipGramConfig(dim=3, epochs=5, validation_split=0.2, batch_size=32, seed=13)
     pairs = star_pairs()
-    a = train_skipgram(pairs, sorted(STAR.nodes), cfg)
-    b = train_skipgram(pairs, sorted(STAR.nodes), cfg)
-    for concept in a.vectors:
-        assert np.array_equal(a.vectors[concept], b.vectors[concept])
+    a, _ = train_skipgram(pairs, sorted(STAR.nodes), cfg)
+    b, _ = train_skipgram(pairs, sorted(STAR.nodes), cfg)
+    assert np.array_equal(a, b)
 
 
 def test_skipgram_config_rejects_non_finite_learning_rate():
@@ -499,6 +499,16 @@ def test_node2vec_embed_end_to_end():
     assert es.provenance["uncovered"] == ("LONER",)
     assert es.provenance["method"] == "node2vec"
     assert es.provenance["colex_types"] == ("full",)
+    assert set(es.provenance) == {
+        "method", "colex_types", "seed", "config_digest", "uncovered",
+        "train_loss", "validation_loss", "drift",
+    }
+    assert es.provenance["seed"] == (1, 1)
+    # the digest of both configs, keyed "walks" and "skipgram"
+    assert es.provenance["config_digest"] == (
+        "b2a6a49eda478d48b245c9c27f53778ac7053c8b77bc76f3741e3a93fd8a1b06"
+    )
+    assert len(es.provenance["train_loss"]) == len(es.provenance["validation_loss"]) == 3
 
 
 def test_node2vec_embed_rejects_walk_length_one():

@@ -181,10 +181,11 @@ def test_propagate_step_one_is_normalized_base():
     rng = np.random.default_rng(5)
     base = rng.standard_normal((3, 2))
     cfg = ProneConfig(dim=2, step=1, seed=0)
-    es = spectral_propagate(PATH_GRAPH, base, cfg)
-    for i, node in enumerate(("A", "B", "C")):
+    out = spectral_propagate(PATH_GRAPH, base, cfg)
+    assert PATH_GRAPH.order == ("A", "B", "C")
+    for i in range(3):
         expected = base[i] / np.linalg.norm(base[i])
-        assert np.allclose(es.vectors[node], expected)
+        assert np.allclose(out[i], expected)
 
 
 def test_propagate_rows_unit_norm():
@@ -199,14 +200,12 @@ def test_propagate_rows_unit_norm():
 def test_propagate_matches_transcription_oracle():
     rng = np.random.default_rng(8)
     g = random_graph(rng, 10, 7)
-    order = g.order
     base_values = rng.standard_normal((10, 4))
     adj = g.adjacency.toarray()
     for step in (1, 2, 3, 10):
         cfg = ProneConfig(dim=4, step=step, mu=0.2, theta=0.5, seed=0)
-        es = spectral_propagate(g, base_values, cfg)
+        got = spectral_propagate(g, base_values, cfg)
         expected = oracle_propagate(adj, base_values, step, cfg.mu, cfg.theta)
-        got = np.vstack([es.vectors[node] for node in order])
         assert np.max(np.abs(got - expected)) < 1e-8
 
 
@@ -268,6 +267,14 @@ def test_prone_isolated_nodes_uncovered():
     es = prone_embed(g, ProneConfig(dim=2, seed=0))
     assert set(es.vectors) == {"A", "B", "C"}
     assert es.provenance["uncovered"] == ("X", "Y")
+    assert set(es.provenance) == {"method", "colex_types", "seed", "config_digest", "uncovered"}
+    assert es.provenance["method"] == "prone"
+    assert es.provenance["colex_types"] == ("full",)
+    assert es.provenance["seed"] == 0
+    # the digest of ProneConfig(dim=2, seed=0) tagged "prone"; the .emb reports carry it
+    assert es.provenance["config_digest"] == (
+        "aa24f74000372d1549ed63b8882c371bb4d8c0d84df4113cc16ebda42128d5ba"
+    )
 
 
 def test_prone_runtime_envelope_at_affix_scale():
