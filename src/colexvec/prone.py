@@ -1,9 +1,12 @@
 """ProNE embedding: shifted log-probability factorization plus spectral propagation.
 
 Stage one factorizes a sparse matrix of shifted log transition
-probabilities with a seeded randomized truncated SVD. Stage two smooths
-the base embedding with a Gaussian band-pass graph filter expanded in a
-Chebyshev-style recurrence whose coefficients are modified Bessel values.
+probabilities with a seeded randomized truncated SVD, whose power steps are
+normalised by LU and whose basis is one QR. It runs on one thread of both
+numpy's and scipy's OpenBLAS, so ProNE's bytes do not depend on the BLAS
+thread count. Stage two smooths the base embedding with a Gaussian
+band-pass graph filter expanded in a Chebyshev-style recurrence whose
+coefficients are modified Bessel values.
 
 Both stages return plain arrays in graph rows: row i of the shifted matrix,
 of the base embedding and of the propagated one belongs to `g.order[i]`.

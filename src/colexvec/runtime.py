@@ -1,11 +1,12 @@
 """Runtime support: the core count, canonical config digests, file hashes,
-and a one-thread scope for numpy's OpenBLAS."""
+and a one-thread scope for numpy's and scipy's OpenBLAS."""
 
 import contextlib
 import functools
 import hashlib
 import json
 import os
+import sys
 from pathlib import Path
 
 
@@ -35,20 +36,13 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-@functools.cache
-def _numpy_openblas():
-    """(get_num_threads, set_num_threads) of the OpenBLAS numpy calls, or None.
-
-    dlsym on numpy's core extension searches the libraries it links, so this
-    finds the BLAS behind numpy's products and LAPACK calls, not another
-    OpenBLAS in the process (scipy ships its own). Looked up on first use.
-    """
+def _openblas_calls(path):
+    """(get_num_threads, set_num_threads) of the OpenBLAS the library at
+    `path` links, or None; dlsym searches the libraries it links."""
     import ctypes
 
-    import numpy as np
-
     try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        lib = ctypes.CDLL(path)
     except OSError:
         return None
     for prefix in ("scipy_openblas_", "openblas_"):
@@ -64,21 +58,47 @@ def _numpy_openblas():
     return None
 
 
+@functools.cache
+def _numpy_openblas():
+    """(get_num_threads, set_num_threads) of the OpenBLAS numpy calls, or None.
+
+    Opening numpy's core extension finds the BLAS behind numpy's products
+    and LAPACK calls, not another OpenBLAS in the process (scipy ships its
+    own). Looked up on first use.
+    """
+    import numpy as np
+
+    return _openblas_calls(np._core._multiarray_umath.__file__)
+
+
+@functools.cache
+def _scipy_openblas():
+    """(get_num_threads, set_num_threads) of the OpenBLAS behind scipy.linalg's
+    LAPACK calls, or None. Looked up on first use."""
+    import scipy.linalg
+
+    return _openblas_calls(scipy.linalg._flapack.__file__)
+
+
 @contextlib.contextmanager
 def one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread, then restore the
-    caller's thread count, also when the block raises.
+    """Run the block with numpy's OpenBLAS, and scipy's when scipy.linalg is
+    loaded, on one thread, then restore the caller's thread counts, also
+    when the block raises.
 
-    With another BLAS (MKL, Accelerate) or none found, it does nothing.
+    A pool with another BLAS (MKL, Accelerate) or none found is left alone.
+    scipy's is looked up only once scipy.linalg is imported, so a process
+    that never loads it pays no import for it.
     """
-    blas = _numpy_openblas()
-    if blas is None:
-        yield
-        return
-    get, put = blas
-    threads = get()
-    put(1)
+    pools = [_numpy_openblas()]
+    if "scipy.linalg" in sys.modules:
+        pools.append(_scipy_openblas())
+    pools = [pool for pool in pools if pool is not None]
+    threads = [get() for get, _ in pools]
+    for _, put in pools:
+        put(1)
     try:
         yield
     finally:
-        put(threads)
+        for (_, put), count in zip(pools, threads):
+            put(count)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import colexvec.numerics as numerics
 from colexvec.errors import ValidationError
+from colexvec.graph import make_graph
 from colexvec.numerics import (
     ZeroVectorWarning,
     cosine_similarity,
@@ -20,6 +21,7 @@ from colexvec.numerics import (
     randomized_tsvd,
     spearman_rho,
 )
+from colexvec.prone import ProneConfig, build_shifted_matrix
 
 # ---------------------------------------------------------------------------
 # cosine
@@ -164,6 +166,64 @@ def test_tsvd_seed_reproducible():
     assert np.array_equal(u1, u2) and np.array_equal(s1, s2)
     u3, _ = randomized_tsvd(m, 4, seed=10)
     assert not np.array_equal(u1, u3)
+
+
+def qr_power_tsvd(m, d, seed, n_iter=7, oversample=10):
+    """The range finder with a Householder QR after every power step: the
+    solver `randomized_tsvd` replaced, on the same test matrix and products."""
+    rng = np.random.default_rng(seed)
+    k = min(d + oversample, m.shape[1])
+    omega = rng.standard_normal((m.shape[1], k))
+    q, _ = np.linalg.qr(m @ omega)
+    for _ in range(n_iter):
+        q, _ = np.linalg.qr(m.T @ q)
+        q, _ = np.linalg.qr(m @ q)
+    ub, s, _ = np.linalg.svd(np.asarray((m.T @ q).T), full_matrices=False)
+    return q @ ub[:, :d], s[:d]
+
+
+def tied_fragmented_matrix():
+    """ProNE's shifted matrix of a 12-node component plus 20 isomorphic
+    triangles: singular values 2 to 21 are one tied value."""
+    rng = np.random.default_rng(3)
+    hub = [(f"H{i}", f"H{j}", int(rng.integers(1, 5)))
+           for i in range(12) for j in range(i + 1, 12) if rng.random() < 0.4]
+    triangles = [(f"T{c:02d}{a}", f"T{c:02d}{b}", w)
+                 for c in range(20) for a, b, w in (("a", "b", 1), ("b", "c", 1), ("a", "c", 2))]
+    return build_shifted_matrix(make_graph(hub + triangles, "full", False), ProneConfig())
+
+
+def oracle_instances():
+    rng = np.random.default_rng(21)
+    for seed in range(5):
+        dense = rng.standard_normal((40, 40)) * (rng.random((40, 40)) < 0.2)
+        yield pytest.param(sp.csr_array(dense), 6, seed, id=f"sparse{seed}")
+    yield pytest.param(rng.standard_normal((60, 25)), 8, 1, id="tall")
+    # k = 30 columns exceed the 25 rows
+    yield pytest.param(rng.standard_normal((25, 60)), 20, 1, id="wide")
+    # rank one: the power steps' LU factors have zero pivots
+    yield pytest.param(np.outer(rng.standard_normal(15), rng.standard_normal(15)), 1, 3,
+                       id="rank-one")
+    # k = n, as at toy size: dim 2 plus 10 oversampled columns on a 12-node graph
+    yield pytest.param(sp.csr_array(rng.standard_normal((12, 12)) * (rng.random((12, 12)) < 0.4)),
+                       2, 2, id="k=n")
+    # the cut at d = 10 falls inside the tie
+    yield pytest.param(tied_fragmented_matrix(), 10, 1, id="tied-cut")
+
+
+@pytest.mark.parametrize("m, d, seed", oracle_instances())
+def test_tsvd_matches_the_qr_power_iteration(m, d, seed):
+    u, s = randomized_tsvd(m, d, seed=seed)
+    u_qr, s_qr = qr_power_tsvd(m, d, seed)
+    assert np.max(np.abs(s - s_qr)) <= 1e-10 * s_qr[0]
+    # subspaces, not columns: a tied pair may rotate
+    cosines = np.linalg.svd(u.T @ u_qr, compute_uv=False)
+    assert cosines.min() >= 1 - 1e-9
+
+
+def test_tied_fragmented_matrix_ties_at_the_cut():
+    s = np.linalg.svd(tied_fragmented_matrix().toarray(), compute_uv=False)
+    assert np.ptp(s[1:21]) < 1e-12 * s[0] and s[0] - s[1] > 0.1 and s[20] - s[21] > 0.1
 
 
 def test_tsvd_bad_rank():

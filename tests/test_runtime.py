@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 import colexvec.runtime as runtime
@@ -69,6 +70,48 @@ def test_tsvd_restores_the_callers_count_when_it_raises(monkeypatch, blas):
         randomized_tsvd(sparse_instance(), 4, seed=1)
     assert seen == [1]
     assert blas() == 2
+
+
+@pytest.fixture
+def scipy_blas():
+    """scipy's OpenBLAS thread calls, set to 2 threads for the test and reset after."""
+    found = runtime._scipy_openblas()
+    if found is None:
+        pytest.skip("scipy's BLAS is not an OpenBLAS with a thread-count API")
+    get, put = found
+    saved = get()
+    put(2)
+    yield get
+    put(saved)
+
+
+def lu_spy(monkeypatch, gets, fail=False):
+    """Patch scipy.linalg.lu to record both OpenBLAS pools' thread counts it runs at."""
+    seen, lu = [], scipy.linalg.lu
+
+    def spy(a, *args, **kwargs):
+        seen.append(tuple(get() for get in gets))
+        if fail:
+            raise RuntimeError("lu failed")
+        return lu(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu", spy)
+    return seen
+
+
+def test_tsvd_lu_steps_run_on_one_thread_of_both_pools(monkeypatch, blas, scipy_blas):
+    seen = lu_spy(monkeypatch, (blas, scipy_blas))
+    randomized_tsvd(sparse_instance(), 4, seed=1)
+    assert len(seen) == 14 and set(seen) == {(1, 1)}  # 2 * n_iter steps
+    assert (blas(), scipy_blas()) == (2, 2)
+
+
+def test_tsvd_restores_both_pools_when_an_lu_raises(monkeypatch, blas, scipy_blas):
+    seen = lu_spy(monkeypatch, (blas, scipy_blas), fail=True)
+    with pytest.raises(RuntimeError, match="lu failed"):
+        randomized_tsvd(sparse_instance(), 4, seed=1)
+    assert seen == [(1, 1)]
+    assert (blas(), scipy_blas()) == (2, 2)
 
 
 def test_one_blas_thread_without_openblas_is_a_plain_call(monkeypatch, blas):
