@@ -327,9 +327,7 @@ def cmd_eval(args, task: str) -> dict:
         config.update(runs=args.runs, seed=args.seed)
         if task == "links":
             config["min_weight"] = args.min_weight
-            pairs = filter_association_pairs(
-                pairs, min_weight=args.min_weight, space=provider.covered
-            )
+            pairs = filter_association_pairs(pairs, min_weight=args.min_weight)
             concepts = {c for pair in pairs for c in (pair.a, pair.b)}
             print(f"filtered association network: {len(concepts)} concepts, {len(pairs)} edges")
         report = eval_binary(provider, pairs, runs=args.runs, seed=args.seed, task=task)

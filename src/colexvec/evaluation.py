@@ -5,14 +5,15 @@ tasks (semantic-change and association-link prediction) share one negative
 -sampling scheme: each positive pair gets one corrupted copy, a logistic
 model on the score alone is fitted per sample, and in-sample accuracy is
 averaged over the sampling runs. Pairs are mapped to provider rows once,
-and negatives are drawn as rows from the positives, the pool's concept
-order and the seed alone. Rows name concepts one to one, so negatives are
-shared across models as concepts.
+and only the covered ones are scored (`coverage` is their share). Negatives
+are rows drawn from the positives, the pool and the seed alone; the pool is
+every concept the provider covers, in sorted order, so providers share
+negatives as concepts only when they cover the same concepts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -70,14 +71,7 @@ class EvalReport:
             raise ValidationError("spread is present iff runs > 1")
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "metric": self.metric,
-            "spread": self.spread,
-            "coverage": self.coverage,
-            "runs": self.runs,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     def table(self) -> str:
         label = {"lsim": "Spearman rho", "shift": "mean accuracy", "links": "mean accuracy"}
@@ -243,10 +237,13 @@ def eval_binary(
 
 
 def filter_association_pairs(edges, min_weight: int = 5, space=None) -> list:
-    """Keep association edges at or above min_weight inside the concept space.
+    """Keep association edges at or above min_weight, and inside `space` if given.
 
     Duplicate unordered pairs are merged after filtering (largest weight
-    kept; the weight is unused downstream).
+    kept; the weight is unused downstream). `space` serves restrictions no
+    one provider's coverage expresses, such as the union of the published
+    networks' concepts. The CLI passes none: `eval_binary` drops the pairs
+    its provider does not cover.
     """
     filtered = {}
     for pair in edges:

@@ -6,12 +6,13 @@ affordable at colexification-network scale (~1,300 nodes). Training is
 sequential mini-batch SGD, one batch after another, for determinism; only
 its matrix products run on every BLAS thread. Those products sum in an
 order that depends on the BLAS build and its thread count, so identical
-seeds give bit-identical vectors only on the same build with the same
-thread count. The per-epoch validation loss builds its logits in blocks
-of LOSS_BLOCK distinct centers, so it never holds a vocabulary x
-vocabulary matrix, and gives the same bits as one whole-matrix pass.
-Walk sampling derives an independent RNG per start node so corpus
-generation is order-independent.
+seeds give bit-identical vectors in memory only on the same build with
+the same thread count (a test finds `embed`'s `.emb` of a 400-node graph
+the same at 1 and 2 threads). The per-epoch validation loss builds its
+logits in blocks of LOSS_BLOCK distinct centers, so it never holds a
+vocabulary x vocabulary matrix, and gives the same bits as one
+whole-matrix pass. Walk sampling derives an independent RNG per start
+node so corpus generation is order-independent.
 
 The corpus stays in row space: walks are rows of `g.order`, pairs are
 (center, context) rows, and `train_skipgram` trains an array in rows of its

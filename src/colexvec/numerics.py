@@ -49,7 +49,8 @@ def pca_reduce(x: np.ndarray, d: int) -> tuple:
     (`runtime.one_blas_thread`), so the scores are bit-identical at any
     OpenBLAS thread count on the same numpy and BLAS build. `rank` is the
     numerical rank of the centered input; if d exceeds it, the trailing
-    components are null-space directions with zero variance.
+    components are null-space directions with zero variance. Equal rows of
+    x (-0.0 equal to +0.0) all take the first one's scores, bit for bit.
     """
     n, dim = x.shape
     if d < 1 or d > min(n, dim):
@@ -61,7 +62,10 @@ def pca_reduce(x: np.ndarray, d: int) -> tuple:
     pivots = vt[np.arange(len(s)), np.argmax(np.abs(vt), axis=1)]
     u[:, pivots < 0] *= -1.0
     tol = max(n, dim) * np.finfo(float).eps * (s[0] if len(s) else 0.0)
-    return u[:, :d] * s[:d], int(np.sum(s > tol))
+    # LAPACK can round the U rows of equal inputs apart; `+ 0.0` turns -0.0 into +0.0
+    first = {}
+    source = [first.setdefault(row.tobytes(), i) for i, row in enumerate(x + 0.0)]
+    return (u[:, :d] * s[:d])[source], int(np.sum(s > tol))
 
 
 def randomized_tsvd(m, d: int, seed: int, n_iter: int = 7, oversample: int = 10):

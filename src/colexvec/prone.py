@@ -82,17 +82,15 @@ def build_shifted_matrix(g: ColexGraph, cfg: ProneConfig) -> sp.csr_array:
     """
     if g.directed:
         raise ValidationError("build_shifted_matrix needs an undirected graph")
-    adj = g.adjacency.tocoo()
-
-    n = g.n_nodes
+    adj = g.adjacency
     # family counts are whole numbers, so every degree is exact in any order
-    degree = g.adjacency.sum(axis=1)
+    degree = adj.sum(axis=1)
     powered = degree**cfg.exponent  # the exponent is positive, so 0 stays 0
     q = powered / powered.sum()
 
-    row_sum = degree[adj.row]
-    values = np.log(adj.data / row_sum) - np.log(cfg.shift * q[adj.col])
-    return sp.csr_array((values, (adj.row, adj.col)), shape=(n, n))
+    row_sum = np.repeat(degree, np.diff(adj.indptr))
+    values = np.log(adj.data / row_sum) - np.log(cfg.shift * q[adj.indices])
+    return sp.csr_array((values, adj.indices, adj.indptr), shape=adj.shape)
 
 
 def factorize(m, cfg: ProneConfig) -> np.ndarray:

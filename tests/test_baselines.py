@@ -313,11 +313,7 @@ def random_embedding(seed, n, dim):
 
 
 def tied_fused_embedding():
-    """A `combine` result in which T0 ... T5 came from one input row.
-
-    The PCA does not always map equal input rows to equal output rows, so
-    `tied_rows` picks out the ones it did.
-    """
+    """A `combine` result in which T0 ... T5 came from one input row."""
     rng = np.random.default_rng(5)
     base = [f"C{i:02d}" for i in range(30)]
     tied = [f"T{i}" for i in range(6)]
@@ -325,15 +321,6 @@ def tied_fused_embedding():
                                                  np.tile(rng.standard_normal(8), (6, 1))]))
     second = EmbeddingSet(base, rng.standard_normal((30, 8)))
     return combine([first, second], 8)
-
-
-def tied_rows(es):
-    """The largest group of T concepts whose fused rows are bitwise equal."""
-    groups = {}
-    for c in es.concepts:
-        if c.startswith("T"):
-            groups.setdefault(es.vectors[c].tobytes(), []).append(c)
-    return max(groups.values(), key=len)
 
 
 def with_zero_vector():
@@ -384,8 +371,9 @@ def test_embedding_scores_equal_per_pair_cosine_bitwise(monkeypatch, make, chunk
 
 def test_tied_fused_scores_stay_tied():
     es = tied_fused_embedding()
-    first, *rest = tied_rows(es)
-    assert rest
+    tied = [c for c in es.concepts if c.startswith("T")]
+    assert len({es.vectors[c].tobytes() for c in tied}) == 1
+    first, *rest = tied
     provider = embedding_provider(es)
     others = [c for c in es.concepts if c.startswith("C")]
     want = provider.score_pairs(others, [first] * len(others))

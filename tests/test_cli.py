@@ -359,10 +359,25 @@ def test_eval_links_filters_and_reports(tmp_path, capsys):
                 "--report", str(report_path)])
     assert code == 0
     printed = capsys.readouterr().out
-    # weight-4 edge dropped, FIRE-SUN dropped (SUN outside the embedded space)
-    assert "5 edges" in printed
+    # weight-4 edge dropped; FIRE-SUN kept, but not scored (SUN outside the embedded space)
+    assert "filtered association network: 11 concepts, 6 edges" in printed
     doc = json.loads(report_path.read_text(encoding="utf-8"))
     assert doc["report"]["task"] == "links"
+    assert doc["report"]["coverage"] == 5 / 6
+
+
+def test_eval_links_with_no_covered_pair_exits_1(tmp_path, capsys):
+    emb = separable_embedding(tmp_path)
+    pairs = tmp_path / "links.tsv"
+    pairs.write_text("CONCEPT_A\tCONCEPT_B\tWEIGHT\nFIRE\tSUN\t8\nTREE\tSKIN\t4\n",
+                     encoding="utf-8")
+    report = tmp_path / "r.json"
+    assert run(["eval-links", "--sim", str(emb), "--pairs", str(pairs), "--runs", "2",
+                "--seed", "1", "--min-weight", "5", "--report", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "filtered association network: 2 concepts, 1 edges\n"
+    assert captured.err == "error: no positive pair is covered by the provider\n"
+    assert not report.exists()
 
 
 def test_eval_lsim_constant_ratings_exit_1_naming_the_pairs_file(tmp_path, capsys):

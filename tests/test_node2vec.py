@@ -2,11 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from blas_threads import at_each_thread_count, cli_snippet
 from memtrace import traced_peak
 
 import colexvec.node2vec as n2v
 from colexvec.errors import ValidationError
-from colexvec.graph import make_graph
+from colexvec.graph import make_graph, save_graph
 from colexvec.node2vec import (
     SkipGramConfig,
     WalkConfig,
@@ -523,3 +524,26 @@ def test_node2vec_embed_rejects_graph_without_edges():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="^no edges to embed$"):
             node2vec_embed(g, WalkConfig(), SkipGramConfig(dim=2, epochs=1))
+
+
+def test_node2vec_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """OpenBLAS runs a GEMM on one thread when m * n * k is at most 65,536
+    times GEMM_MULTITHREAD_THRESHOLD (4 by default), 262,144. Each batch's
+    three products here are (distinct centres) x 400 x 64, at least 2.5
+    million for the hundred or more centres of a 512-pair batch, and the
+    validation loss's blocks 128 x 400 x 64, so at =2 every skip-gram
+    product runs on both threads; the vectors in memory then differ in
+    their last bits, and the test checks the file that is written."""
+    rng = np.random.default_rng(3)
+    nodes = [f"N{i:03d}" for i in range(400)]
+    edges = {}
+    while len(edges) < 4000:
+        a, b = sorted(rng.choice(400, size=2, replace=False).tolist())
+        edges.setdefault((nodes[a], nodes[b]), int(rng.integers(1, 9)))
+    graph = tmp_path / "random.tsv"
+    save_graph(make_graph([(a, b, w) for (a, b), w in edges.items()], "full", False), graph)
+    out = str(tmp_path / "n2v.emb")
+    argv = ["embed", "--graph", str(graph), "--method", "node2vec", "--out", out,
+            "--seed", "1", "--dim", "64", "--epochs", "3", "--learning-rate", "20"]
+    outputs = at_each_thread_count(cli_snippet(argv, out))
+    assert outputs[0] == outputs[1]

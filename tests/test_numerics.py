@@ -82,6 +82,18 @@ def test_pca_identical_rows_zero_output():
     assert rank == 0
 
 
+def test_pca_equal_rows_get_bitwise_equal_scores():
+    # at this shape the SVD's U rows for the four equal rows differ in their last bits
+    rng = np.random.default_rng(9)
+    tied = rng.standard_normal(16)
+    tied[2] = 0.0
+    signed = tied.copy()
+    signed[2] = -0.0
+    x = np.vstack([rng.standard_normal((30, 16)), tied, tied, signed, tied])
+    out, _ = pca_reduce(x, 8)
+    assert len({row.tobytes() for row in out[30:]}) == 1
+
+
 def test_pca_columns_uncorrelated():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((30, 6)) @ rng.standard_normal((6, 6))
@@ -106,7 +118,8 @@ def test_pca_bad_dimension():
 
 
 def loop_sign_pca(x, d):
-    """pca_reduce with the per-component sign loop it replaced: the reference."""
+    """pca_reduce with the per-component sign loop it replaced, each row
+    taking the scores of the first row equal to it: the reference."""
     centered = x - x.mean(axis=0, keepdims=True)
     u, s, vt = np.linalg.svd(centered, full_matrices=False)
     for k in range(len(s)):
@@ -114,7 +127,11 @@ def loop_sign_pca(x, d):
         if vt[k, pivot] < 0:
             vt[k] = -vt[k]
             u[:, k] = -u[:, k]
-    return u[:, :d] * s[:d]
+    scores = u[:, :d] * s[:d]
+    for i in range(len(x)):
+        first = next(j for j in range(i + 1) if np.array_equal(x[j], x[i]))
+        scores[i] = scores[first]
+    return scores
 
 
 def test_pca_sign_convention_bitwise_equal_to_loop_reference():

@@ -7,8 +7,10 @@ Run from the repository root:
 It runs the tests that call `golden.check`, the opt-in
 tests/golden_opt_in.py included, records what each workflow wrote instead
 of comparing it, and writes the manifest with the numpy, scipy and
-OpenBLAS of the host it runs on. A change that means to alter output bytes runs
-it and lists each changed file, with its reason, in CHANGES.md.
+OpenBLAS of the host it runs on. Before it writes, it prints each
+workflow's entries that changed, appeared or disappeared against the
+manifest it replaces. A change that means to alter output bytes runs
+it and lists each of those entries, with its reason, in CHANGES.md.
 """
 
 import json
@@ -33,6 +35,20 @@ TESTS = [
 WORKFLOWS = 3 + len(golden.BENCH_RUNS) + len(golden.OPT_IN_BENCH_RUNS)
 
 
+def moved(old: dict, new: dict) -> list:
+    """One "<workflow>: changed|appeared|disappeared <entry>" line per entry
+    of `new` runs that differs from `old` runs."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        before, after = old.get(name, {}), new.get(name, {})
+        for verb, keys in (
+                ("changed", {k for k in before.keys() & after.keys() if before[k] != after[k]}),
+                ("appeared", after.keys() - before.keys()),
+                ("disappeared", before.keys() - after.keys())):
+            lines += [f"{name}: {verb} {key}" for key in sorted(keys)]
+    return lines
+
+
 def main() -> int:
     runs = {}
 
@@ -46,6 +62,10 @@ def main() -> int:
               file=sys.stderr)
         return 1
     manifest = {"host": golden.host(), "runs": runs}
+    old = json.loads(golden.MANIFEST.read_text(encoding="utf-8")) if golden.MANIFEST.exists() else {}
+    if old.get("host") != manifest["host"]:
+        print(f"host: {old.get('host')} -> {manifest['host']}")
+    print("\n".join(moved(old.get("runs", {}), runs) or ["no entry moved"]))
     golden.MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                                encoding="utf-8")
     print(f"wrote {golden.MANIFEST}: {sum(map(len, runs.values()))} digests")
