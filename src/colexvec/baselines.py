@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .embeddings import EmbeddingSet
-from .errors import ValidationError
+from .errors import InsufficientDataError, ValidationError
 from .graph import ColexGraph
 from .numerics import ZeroVectorWarning
 from .runtime import one_blas_thread
@@ -60,11 +60,11 @@ class SimilarityProvider:
         return frozenset(self.index)
 
     def rows(self, concepts) -> np.ndarray:
-        """Row indices of `concepts`; an unknown concept raises ValidationError naming it."""
+        """Row indices of `concepts`; an unknown concept raises InsufficientDataError naming it."""
         try:
             return np.array([self.index[c] for c in concepts], dtype=np.intp)
         except KeyError as exc:
-            raise ValidationError(
+            raise InsufficientDataError(
                 f"concept {exc.args[0]!r} not covered by the {self.source} provider"
             ) from None
 

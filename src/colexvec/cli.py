@@ -31,7 +31,7 @@ from .baselines import (
 )
 from .combine import combine, map_external_vectors
 from .embeddings import load_embedding, save_embedding
-from .errors import ColexvecError, GraphTooSmallError, InsufficientDataError, ParseError
+from .errors import ColexvecError, InsufficientDataError, ParseError
 from .evaluation import (
     eval_binary,
     eval_lsim,
@@ -78,26 +78,26 @@ def build_parser(add_help: bool = True) -> _Parser:
     def add_command(name, help):
         return sub.add_parser(name, help=help, add_help=add_help)
 
+    def add_config_options(p, *configs):
+        # one option per field but the seed, typed by its default; a shared field is one option
+        defaults = {}
+        for f in (f for config in configs for f in dataclasses.fields(config) if f.name != "seed"):
+            defaults.setdefault(f.name, f.default)
+        for name, default in defaults.items():
+            p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
+
     p = add_command("colexify", "infer a colexification network")
     p.add_argument("--wordlist", required=True)
     p.add_argument("--type", required=True, choices=COLEX_TYPES)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-form-len", type=int, default=3)
-    p.add_argument("--min-overlap-len", type=int, default=4)
+    add_config_options(p, ColexParams)
 
     p = add_command("embed", "train a concept embedding on a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--method", required=True, choices=("node2vec", "prone"))
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    # one option per config field, typed by its default; --dim serves both methods
-    defaults = {}
-    for config in (WalkConfig, SkipGramConfig, ProneConfig):
-        for f in dataclasses.fields(config):
-            defaults.setdefault(f.name, f.default)
-    del defaults["seed"]
-    for name, default in defaults.items():
-        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
+    add_config_options(p, WalkConfig, SkipGramConfig, ProneConfig)
 
     p = add_command("combine", "fuse embeddings via concatenation + PCA")
     p.add_argument("--inputs", required=True, help="comma-separated embedding files")
@@ -236,13 +236,10 @@ def cmd_colexify(args) -> dict:
 
 def cmd_embed(args) -> dict:
     g = to_undirected(load_graph(args.graph))
-    try:
-        if args.method == "node2vec":
-            es = node2vec_embed(g, _config(WalkConfig, args), _config(SkipGramConfig, args))
-        else:
-            es = prone_embed(g, _config(ProneConfig, args))
-    except GraphTooSmallError as exc:
-        raise type(exc)(f"{args.graph}: {exc}") from exc
+    if args.method == "node2vec":
+        es = node2vec_embed(g, _config(WalkConfig, args), _config(SkipGramConfig, args))
+    else:
+        es = prone_embed(g, _config(ProneConfig, args))
     save_embedding(es, args.out)
     uncovered = es.provenance.get("uncovered", ())
     print(
@@ -315,13 +312,7 @@ def cmd_eval(args, task: str) -> dict:
     provider = _provider(method, path, inputs)
     config = {"sim": args.sim, "pairs": args.pairs}
     if task == "lsim":
-        try:
-            report = eval_lsim(provider, load_rated_pairs(args.pairs))
-        except InsufficientDataError as exc:
-            source = {"scores": args.sim, "ratings": args.pairs}.get(exc.constant)
-            if source is None:
-                raise
-            raise InsufficientDataError(f"{source}: {exc}", exc.constant) from exc
+        report = eval_lsim(provider, load_rated_pairs(args.pairs))
     else:
         pairs = load_concept_pairs(args.pairs)
         config.update(runs=args.runs, seed=args.seed)
@@ -429,7 +420,7 @@ def cmd_pipeline(args) -> dict:
     summaries = []
     metrics = {}
     for step, ns in zip(steps, parsed):
-        summary = HANDLERS[ns.command](ns)
+        summary = _run_step(ns)
         summaries.append({"command": ns.command, "args": step.get("args", {}), "summary": summary})
         inner = summary.get("report")
         if isinstance(inner, dict) and "task" in inner:
@@ -463,6 +454,15 @@ HANDLERS = {
 }
 
 
+def _run_step(ns) -> dict:
+    """Run the parsed step `ns`, prefixing an InsufficientDataError with its READS values."""
+    try:
+        return HANDLERS[ns.command](ns)
+    except InsufficientDataError as exc:
+        names = ", ".join(getattr(ns, key) for key in READS if getattr(ns, key, None))
+        raise type(exc)(f"{names}: {exc}") from exc
+
+
 @contextlib.contextmanager
 def _log_to_stderr(level: str):
     """Print the package's log records of `level` and above to stderr, one
@@ -489,7 +489,7 @@ def run(argv) -> int:
             print(parser.format_usage(), file=sys.stderr)
             return 1
         with _log_to_stderr(args.log_level):
-            HANDLERS[args.command](args)
+            _run_step(args)
         return 0
     except UsageError as exc:
         print(exc.args[1], file=sys.stderr)

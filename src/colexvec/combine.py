@@ -12,7 +12,7 @@ import logging
 import numpy as np
 
 from .embeddings import EmbeddingSet, load_embedding
-from .errors import ValidationError
+from .errors import InsufficientDataError, ValidationError
 from .numerics import pca_reduce
 from .runtime import config_digest
 from .tsv import number, read_tsv
@@ -27,8 +27,6 @@ def stack_union(sets) -> tuple:
     vectors in its rows, zero blocks for gaps."""
     sets = list(sets)
     universe = sorted(set().union(*(s.concepts for s in sets)))
-    if not universe:
-        raise ValidationError("no concepts covered by any input set")
     row = {concept: i for i, concept in enumerate(universe)}
     stacked = np.zeros((len(universe), sum(s.dim for s in sets)))
     offset = 0
@@ -48,6 +46,8 @@ def combine(sets, d: int) -> EmbeddingSet:
             f"target dim {d} must equal the first set's dim {sets[0].dim}"
         )
     universe, stacked = stack_union(sets)
+    if len(universe) < d:
+        raise InsufficientDataError(f"dim {d} exceeds the {len(universe)} covered concepts")
     reduced, rank = pca_reduce(stacked, d)
 
     colex_types = []
@@ -110,10 +110,9 @@ def map_external_vectors(vector_file, concept_map_file, d: int) -> EmbeddingSet:
     words = load_embedding(vector_file)
     concept_map = load_concept_map(concept_map_file)
     aggregated, excluded = aggregate_concept_vectors(words, concept_map)
-    if not aggregated.concepts:
-        raise ValidationError(
-            f"{concept_map_file}: no concept resolves to any word in {vector_file}"
-        )
+    if len(aggregated.concepts) < d:
+        raise InsufficientDataError(f"dim {d} exceeds the {len(aggregated.concepts)} concepts "
+                                    "that resolve to a word in the vector file")
     reduced, _ = pca_reduce(aggregated.values, d)
     provenance = {
         "method": "external",

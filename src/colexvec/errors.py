@@ -1,7 +1,14 @@
 """Exception types shared across the package.
 
 Everything user-facing derives from ValueError so callers (and the CLI)
-can distinguish bad input from genuine I/O failures (OSError).
+can distinguish bad input from genuine I/O failures (OSError):
+    ColexvecError
+        ParseError                 a bad line, named <path>:<line>
+        ValidationError            input that violates an invariant
+            InsufficientDataError  too little data; the CLI names the step's input files
+                GraphTooSmallError
+                    NoEdgesError
+                SamplingError
 """
 
 
@@ -28,7 +35,11 @@ def check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be >= 0, got {seed}")
 
 
-class GraphTooSmallError(ValidationError):
+class InsufficientDataError(ValidationError):
+    """Too little data for the step; the CLI names the step's input files for it."""
+
+
+class GraphTooSmallError(InsufficientDataError):
     """A graph too small for the embedding asked of it."""
 
 
@@ -36,15 +47,7 @@ class NoEdgesError(GraphTooSmallError):
     """A graph without edges, which no embedding method can train on."""
 
 
-class InsufficientDataError(ColexvecError):
-    """Too little evaluable data; `constant` names a correlation's one-valued side."""
-
-    def __init__(self, message, constant=None):
-        super().__init__(message)
-        self.constant = constant
-
-
-class SamplingError(ColexvecError):
+class SamplingError(InsufficientDataError):
     """Negative sampling could not corrupt the positive at index `position`."""
 
     def __init__(self, message, position=None):

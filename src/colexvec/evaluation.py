@@ -122,7 +122,7 @@ def eval_lsim(sim: SimilarityProvider, pairs) -> EvalReport:
     """
     pairs = list(pairs)
     if not pairs:
-        raise ValidationError("no rated pairs given")
+        raise InsufficientDataError("no rated pairs given")
     covered, rows = _covered_rows(sim, pairs)
     coverage = len(covered) / len(pairs)
     if len(covered) < 3:
@@ -132,13 +132,10 @@ def eval_lsim(sim: SimilarityProvider, pairs) -> EvalReport:
         )
     ratings = np.array([p.rating for p in covered])
     scores = sim.score(rows[:, 0], rows[:, 1])
-    for values, side, verb in ((ratings, "ratings", "have rating"), (scores, "scores", "score")):
+    for values, verb in ((ratings, "have rating"), (scores, "score")):
         if np.all(values == values[0]):
-            raise InsufficientDataError(
-                f"all {len(covered)} covered pairs {verb} {values[0]:g}; "
-                "Spearman's rho is undefined",
-                constant=side,
-            )
+            raise InsufficientDataError(f"all {len(covered)} covered pairs {verb} "
+                                        f"{values[0]:g}; Spearman's rho is undefined")
     rho = spearman_rho(ratings, scores)
     return EvalReport(task="lsim", metric=rho, coverage=coverage, runs=1)
 
@@ -200,7 +197,7 @@ def eval_binary(
     """
     positives = list(positives)
     if not positives:
-        raise ValidationError("no positive pairs given")
+        raise InsufficientDataError("no positive pairs given")
     if runs < 1:
         raise ValidationError("runs must be >= 1")
     check_seed(seed)
@@ -248,7 +245,7 @@ def filter_association_pairs(edges, min_weight: int = 5, space=None) -> list:
     filtered = {}
     for pair in edges:
         if pair.weight is None:
-            raise ValidationError(f"association pair ({pair.a}, {pair.b}) has no weight")
+            raise InsufficientDataError(f"association pair ({pair.a}, {pair.b}) has no weight")
         if pair.weight < min_weight:
             continue
         if space is not None and (pair.a not in space or pair.b not in space):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, check_seed
+from .errors import InsufficientDataError, ValidationError, check_seed
 from .runtime import one_blas_thread
 from .tsv import write_lines
 
@@ -133,7 +133,7 @@ def tsne_project(
     x = points.values
     n = x.shape[0]
     if n < 3:
-        raise ValidationError(f"need at least 3 points, got {n}")
+        raise InsufficientDataError(f"need at least 3 points, got {n}")
     if not (0 < perplexity < n):
         raise ValidationError(f"perplexity must be in (0, n={n}), got {perplexity}")
     if iterations < 1:
@@ -152,7 +152,7 @@ def tsne_project(
             target = p * EXAGGERATION if t < EXAGGERATION_ITERS else p
             q, num = _student_t_affinities(y)
             coeff = (target - q) * num
-            grad = 4.0 * ((np.diag(coeff.sum(axis=1)) - coeff) @ y)
+            grad = 4.0 * (coeff.sum(axis=1)[:, None] * y - coeff @ y)
             momentum = MOMENTUM_EARLY if t < EXAGGERATION_ITERS else MOMENTUM_LATE
             update = momentum * update - LEARNING_RATE * grad
             y = y + update

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import gc
+import inspect
 import json
 import logging
 import os
@@ -20,10 +21,12 @@ import pytest
 import colexvec.cli as cli
 from colexvec.cli import run
 from colexvec.embeddings import EmbeddingSet, load_embedding, save_embedding
-from colexvec.evaluation import load_concept_pairs
+from colexvec.evaluation import eval_binary, filter_association_pairs, load_concept_pairs
 from colexvec.graph import load_graph, make_graph, save_graph
 from colexvec.node2vec import SkipGramConfig, WalkConfig
 from colexvec.prone import ProneConfig
+from colexvec.viz import tsne_project
+from colexvec.wordlist import ColexParams
 
 DATA = resources.files("colexvec") / "data"
 
@@ -148,6 +151,25 @@ def test_embed_option_defaults_are_the_config_defaults(tmp_path):
                 value = getattr(ns, field.name)
                 assert value == field.default and type(value) is type(field.default), field.name
     assert ns.seed == 3
+
+
+def test_restated_option_defaults_are_the_library_defaults():
+    parse = cli.build_parser().parse_args
+    colexify = parse(["colexify", "--wordlist", "w", "--type", "full", "--out", "o"])
+    for field in dataclasses.fields(ColexParams):
+        assert getattr(colexify, field.name) == field.default, field.name
+    binary = [parse([command, "--sim", "s", "--pairs", "p", "--report", "r", "--seed", "1"])
+              for command in ("eval-shift", "eval-links")]
+    viz = parse(["viz", "--embedding", "e", "--out", "o", "--seed", "1"])
+    for namespaces, function, keywords in (
+            (binary, eval_binary, ["runs"]),
+            (binary[1:], filter_association_pairs, ["min_weight"]),
+            ([viz], tsne_project, ["perplexity", "iterations"])):
+        parameters = inspect.signature(function).parameters
+        for ns in namespaces:
+            for keyword in keywords:
+                value, default = getattr(ns, keyword), parameters[keyword].default
+                assert value == default and type(value) is type(default), keyword
 
 
 def test_embed_prone_dim_above_the_node_count_names_the_graph(tmp_path, capsys):
@@ -376,7 +398,7 @@ def test_eval_links_with_no_covered_pair_exits_1(tmp_path, capsys):
                 "--seed", "1", "--min-weight", "5", "--report", str(report)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "filtered association network: 2 concepts, 1 edges\n"
-    assert captured.err == "error: no positive pair is covered by the provider\n"
+    assert captured.err == f"error: {pairs}, {emb}: no positive pair is covered by the provider\n"
     assert not report.exists()
 
 
@@ -389,7 +411,8 @@ def test_eval_lsim_constant_ratings_exit_1_naming_the_pairs_file(tmp_path, capsy
     assert run(["eval-lsim", "--sim", str(emb), "--pairs", str(pairs),
                 "--report", str(report)]) == 1
     assert capsys.readouterr().err == (
-        f"error: {pairs}: all 4 covered pairs have rating 3; Spearman's rho is undefined\n")
+        f"error: {pairs}, {emb}: all 4 covered pairs have rating 3; "
+        "Spearman's rho is undefined\n")
     assert not report.exists()
 
 
@@ -400,7 +423,102 @@ def test_eval_shift_uncorruptible_pair_exits_1_naming_its_concepts(tmp_path, cap
     pairs.write_text("CONCEPT_A\tCONCEPT_B\nA\tB\n", encoding="utf-8")
     assert run(["eval-shift", "--sim", str(emb), "--pairs", str(pairs), "--runs", "2",
                 "--seed", "1", "--report", str(tmp_path / "r.json")]) == 1
-    assert capsys.readouterr().err == "error: could not corrupt pair (A, B) after 1000 redraws\n"
+    assert capsys.readouterr().err == (
+        f"error: {pairs}, {emb}: could not corrupt pair (A, B) after 1000 redraws\n")
+
+
+# inputs of the data-error cases, under the names their messages print
+EMB = "4 2\nA 1 0\nB 0 1\nC 1 1\nD 1 -1\n"
+TWO_EMB = "2 2\nA 1 0\nB 0 1\n"
+RATED = "CONCEPT_A\tCONCEPT_B\tRATING\n"
+PAIRS = "CONCEPT_A\tCONCEPT_B\n"
+LSIM_ONE_OF_THREE = {"e.emb": EMB, "rated.tsv": RATED + "A\tB\t1\nA\tZ\t2\nB\tZ\t3\n"}
+LSIM_ARGV = ["eval-lsim", "--sim", "e.emb", "--pairs", "rated.tsv", "--report", "r.json"]
+SHIFT_ARGV = ["eval-shift", "--sim", "e.emb", "--pairs", "shift.tsv", "--runs", "2",
+              "--seed", "1", "--report", "r.json"]
+
+
+def pipeline_of(step) -> str:
+    return json.dumps({"report": "report.json", "steps": [step]})
+
+
+DATA_ERRORS = {
+    "lsim-one-of-three-covered": (
+        LSIM_ONE_OF_THREE, LSIM_ARGV,
+        "rated.tsv, e.emb: only 1 of 3 pairs are covered (coverage 0.333); need at least 3"),
+    "shift-no-positive-covered": (
+        {"e.emb": EMB, "shift.tsv": PAIRS + "A\tZ\n"}, SHIFT_ARGV,
+        "shift.tsv, e.emb: no positive pair is covered by the provider"),
+    "shift-two-concept-space": (
+        {"two.emb": TWO_EMB, "shift.tsv": PAIRS + "A\tB\n"},
+        [("two.emb" if a == "e.emb" else a) for a in SHIFT_ARGV],
+        "shift.tsv, two.emb: could not corrupt pair (A, B) after 1000 redraws"),
+    "shift-header-only": (
+        {"e.emb": EMB, "empty.tsv": PAIRS},
+        [("empty.tsv" if a == "shift.tsv" else a) for a in SHIFT_ARGV],
+        "empty.tsv, e.emb: no positive pairs given"),
+    "lsim-header-only": (
+        {"e.emb": EMB, "empty.tsv": RATED},
+        [("empty.tsv" if a == "rated.tsv" else a) for a in LSIM_ARGV],
+        "empty.tsv, e.emb: no rated pairs given"),
+    "links-without-weight": (
+        {"e.emb": EMB, "pairs.tsv": PAIRS + "A\tB\n"},
+        ["eval-links", "--sim", "e.emb", "--pairs", "pairs.tsv", "--runs", "2", "--seed", "1",
+         "--report", "r.json"],
+        "pairs.tsv, e.emb: association pair (A, B) has no weight"),
+    "baseline-pair-outside-the-graph": (
+        {"g.tsv": "SOURCE\tTARGET\tWEIGHT\nA\tB\t1\nB\tC\t2\n", "pairs.tsv": PAIRS + "A\tZ\n"},
+        ["baseline", "--graph", "g.tsv", "--method", "ppmi", "--pairs", "pairs.tsv",
+         "--out", "s.tsv"],
+        "g.tsv, pairs.tsv: concept 'Z' not covered by the ppmi provider"),
+    "viz-two-covered-concepts": (
+        {"e.emb": EMB, "two.txt": "A\nB\nZ\n"},
+        ["viz", "--embedding", "e.emb", "--concepts", "two.txt", "--out", "plot", "--seed", "1"],
+        "e.emb, two.txt: need at least 3 points, got 2"),
+    "lsim-constant-ratings": (
+        {"e.emb": EMB, "rated.tsv": RATED + "A\tB\t3\nA\tC\t3\nB\tC\t3\nC\tD\t3\n"},
+        LSIM_ARGV,
+        "rated.tsv, e.emb: all 4 covered pairs have rating 3; Spearman's rho is undefined"),
+    "combine-fewer-concepts-than-dim": (
+        {"a.emb": "2 3\nA 1 0 0\nB 0 1 0\n", "b.emb": "2 3\nA 0 0 1\nB 1 1 0\n"},
+        ["combine", "--inputs", "a.emb,b.emb", "--dim", "3", "--out", "f.emb"],
+        "a.emb,b.emb: dim 3 exceeds the 2 covered concepts"),
+    "map-external-no-word-resolves": (
+        {"v.txt": "1 2\nfire 1 0\n", "cm.tsv": "CONCEPT\tWORD\tFREQUENCY\nSUN\tsun\t1\n"},
+        ["map-external", "--vectors", "v.txt", "--concept-map", "cm.tsv", "--dim", "1",
+         "--out", "m.emb"],
+        "v.txt, cm.tsv: dim 1 exceeds the 0 concepts that resolve to a word in the vector file"),
+    "map-external-fewer-concepts-than-dim": (
+        {"v.txt": "2 3\nfire 1 0 0\nsun 0 1 0\n",
+         "cm.tsv": "CONCEPT\tWORD\tFREQUENCY\nFIRE\tfire\t1\n"},
+        ["map-external", "--vectors", "v.txt", "--concept-map", "cm.tsv", "--dim", "2",
+         "--out", "m.emb"],
+        "v.txt, cm.tsv: dim 2 exceeds the 1 concepts that resolve to a word in the vector file"),
+    "pipeline-eval-step": (
+        {**LSIM_ONE_OF_THREE, "run.json": pipeline_of(
+            {"command": "eval-lsim",
+             "args": {"sim": "e.emb", "pairs": "rated.tsv", "report": "r.json"}})},
+        ["pipeline", "--config", "run.json"],
+        "run.json: rated.tsv, e.emb: only 1 of 3 pairs are covered (coverage 0.333); "
+        "need at least 3"),
+    "pipeline-embed-step": (
+        {"bare.tsv": "SOURCE\tTARGET\tWEIGHT\n", "run.json": pipeline_of(
+            {"command": "embed", "args": {"graph": "bare.tsv", "method": "prone", "seed": 1,
+                                          "dim": 2, "out": "e.emb"}})},
+        ["pipeline", "--config", "run.json"],
+        "run.json: bare.tsv: no edges to embed"),
+}
+
+
+@pytest.mark.parametrize("files, argv, message", DATA_ERRORS.values(), ids=DATA_ERRORS)
+def test_data_error_names_the_step_inputs(tmp_path, monkeypatch, capsys, files, argv, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # nothing written: no --out or --report file, and no pipeline report
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
 def test_viz_outputs(tmp_path):
@@ -1022,7 +1140,7 @@ def test_baseline_unknown_pair_concept_message_is_unquoted(tmp_path, capsys):
                 "--pairs", str(pairs), "--out", str(tmp_path / "s.tsv")])
     assert code == 1
     err = capsys.readouterr().err.strip()
-    assert err.startswith("error: concept 'ZZZ' not covered")
+    assert err.startswith(f"error: {graph}, {pairs}: concept 'ZZZ' not covered")
     assert not err.startswith('error: "')
 
 
@@ -1326,8 +1444,8 @@ def test_protocol_runs_at_toy_size(tmp_path, monkeypatch, capsys):
 
     capsys.readouterr()
     assert run(["eval-lsim", *(f"--{key}={value}" for key, value in flat["args"].items())]) == 1
-    assert capsys.readouterr().err == ("error: cosine:full.tsv: all 10 covered pairs score 0; "
-                                       "Spearman's rho is undefined\n")
+    assert capsys.readouterr().err == ("error: rated_pairs.tsv, cosine:full.tsv: all 10 "
+                                       "covered pairs score 0; Spearman's rho is undefined\n")
     assert not (tmp_path / "cosine.lsim.json").exists()
     golden.check("toy_protocol", tmp_path, [stdout])
 
