@@ -202,7 +202,8 @@ def _provider(method, path, hashes=None) -> SimilarityProvider:
     building anything. One slot, because consecutive steps that score one
     source (eval-lsim, eval-shift and eval-links in a row) are the repeats
     worth catching; a miss drops the stored provider before building, so
-    at most one n x n table is ever alive.
+    at most one n x n table is ever alive. An embedding file's hash goes
+    on to `load_embedding`, so the step hashes the file once.
     """
     hashes = hashes or _hashes([(path, True)])
     key = (method, str(Path(path).resolve()), hashes[str(path)],
@@ -211,7 +212,7 @@ def _provider(method, path, hashes=None) -> SimilarityProvider:
         return _slot["provider"]
     _slot.clear()
     if method is None:
-        provider = embedding_provider(load_embedding(path))
+        provider = embedding_provider(load_embedding(path, hashes[str(path)]))
     else:
         # built per call, so each factory is looked up as a module global
         factory = {"shortest-path": shortest_path_provider, "cosine": cosine_adjacency_provider,

@@ -14,20 +14,32 @@ and exponent, or `inf` and `nan`, which are then rejected as non-finite.
 Digit-group underscores (`1_0`) and non-ASCII digits (`١٢`), which Python's
 `float()` accepts, are bad vector values. `#` starts no comment, so an id
 may contain one.
+
+A process does not parse back what it wrote. `save_embedding` keeps, under
+the file's resolved path, the SHA-256 of the bytes it wrote and the
+read-only matrix those bytes parse to, which `format_rows` gives alongside
+the text. `load_embedding` of a file with that hash builds the set from the
+kept matrix, bit for bit what a parse gives; any other file is parsed. Each
+save first drops the entries of files that are gone or changed (by size,
+mtime or inode), so after it the process keeps at most one matrix per
+`.emb` it wrote that still exists.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import stat
 from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .runtime import file_sha256
 from .tsv import format_rows, open_text, write_lines
 
 
@@ -99,13 +111,67 @@ def graph_embedding(g, covered: np.ndarray, values, provenance: Mapping) -> Embe
     return EmbeddingSet(tuple(compress(g.order, covered)), values, provenance)
 
 
+class _Written(NamedTuple):
+    """A file `save_embedding` wrote: its SHA-256 and (size, mtime, inode)
+    right after the write, and the set its bytes parse to."""
+
+    sha256: str
+    stat: tuple
+    concepts: tuple
+    values: np.ndarray
+
+
+# The files this process wrote, by resolved path
+_written = {}
+
+
+def _stat(path):
+    """(size, mtime in ns, inode) of the regular file at `path`, or None if
+    there is none."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return (st.st_size, st.st_mtime_ns, st.st_ino) if stat.S_ISREG(st.st_mode) else None
+
+
 def save_embedding(es: EmbeddingSet, path) -> None:
-    lines = (f"{c} {row}" for c, row in zip(es.concepts, format_rows(es.values, " ")))
+    """Write `es` to `path` and keep what the file parses to for `load_embedding`.
+
+    Only a regular file is kept (`/dev/stdout` is written, not read back),
+    and an id with a line break does not survive the text, so a set that
+    has one is not kept.
+    """
+    decimals = np.empty_like(es.values)
+    rows = format_rows(es.values, " ", decimals)
+    lines = (f"{c} {row}" for c, row in zip(es.concepts, rows))
     write_lines(path, f"{len(es.concepts)} {es.dim}", lines)
+    for key, kept in list(_written.items()):
+        if _stat(key) != kept.stat:  # gone or rewritten
+            del _written[key]
+    written = _stat(path)
+    if written is None or any("\n" in c or "\r" in c for c in es.concepts):
+        return
+    decimals.flags.writeable = False
+    _written[Path(path).resolve()] = _Written(file_sha256(path), written, es.concepts, decimals)
 
 
-def load_embedding(path) -> EmbeddingSet:
+def load_embedding(path, sha256: str = None) -> EmbeddingSet:
+    """The embedding set in the file at `path`.
+
+    A file this process wrote with `save_embedding` is not parsed while it
+    still holds the bytes written: the set is the kept matrix, equal bit
+    for bit to a parse. `sha256`, the file's digest when the caller has
+    already taken it, spares hashing the file again.
+    """
     path = Path(path)
+    kept = _written.get(path.resolve())
+    if kept is not None and (sha256 or file_sha256(path)) == kept.sha256:
+        return EmbeddingSet(kept.concepts, kept.values, {"method": "file", "path": str(path)})
+    return _parse_embedding(path)
+
+
+def _parse_embedding(path: Path) -> EmbeddingSet:
     concepts, lines, line_nos = [], [], []
     failure = None  # the first malformed line; bad values before it are reported first
     with open_text(path) as fh:

@@ -140,6 +140,63 @@ def eval_lsim(sim: SimilarityProvider, pairs) -> EvalReport:
     return EvalReport(task="lsim", metric=rho, coverage=coverage, runs=1)
 
 
+def _lemire(halves: np.ndarray, n: int) -> tuple:
+    """Lemire's (2019) map of uint64 `halves` below 2**32 onto range(n),
+    n <= 2**32, as `Generator.integers(n)` makes it: (the multiply-high
+    index, whether the half is accepted). `integers` replaces a rejected
+    half by the next one."""
+    m = halves * np.uint64(n)
+    return m >> np.uint64(32), m & np.uint64(0xFFFFFFFF) >= np.uint64(2**32 % n)
+
+
+class _Draws:
+    """The `integers(2)` and `integers(n)` draws, n <= 2**32, of a new
+    `Generator` on `bit_generator`, read ahead in blocks of raw words.
+
+    The generator takes each draw from the next 32-bit half of its raw
+    64-bit words, low half first: `integers(2)` is the half's top bit, and
+    `integers(n)` is `_lemire`'s index of the first half it accepts. For
+    every half read so far, `keep` holds its top bit, and `index` and
+    `accepted` its `_lemire` map; `at` is the next half to draw from.
+    """
+
+    def __init__(self, bit_generator, n: int):
+        self._bit_generator, self._n = bit_generator, n
+        self.keep = np.empty(0, dtype=bool)
+        self.index = np.empty(0, dtype=np.uint64)
+        self.accepted = np.empty(0, dtype=bool)
+        self.at = 0
+
+    def _read(self, count: int) -> None:
+        """Read at least `count` halves from `at` on."""
+        missing = self.at + count - len(self.keep)
+        if missing > 0:
+            words = self._bit_generator.random_raw(max(-(-missing // 2), 64))
+            halves = np.empty(2 * len(words), dtype=np.uint64)
+            halves[0::2], halves[1::2] = words & 0xFFFFFFFF, words >> 32
+            index, accepted = _lemire(halves, self._n)
+            self.keep = np.concatenate([self.keep, halves >> np.uint64(31) == 1])
+            self.index = np.concatenate([self.index, index])
+            self.accepted = np.concatenate([self.accepted, accepted])
+
+    def guess(self, count: int) -> tuple:
+        """(keep, index, accepted) of the next `count` attempts if each takes
+        two halves, an `integers(2)` and an `integers(n)` without rejection."""
+        self._read(2 * count)
+        at, end = self.at, self.at + 2 * count
+        return self.keep[at:end:2], self.index[at + 1 : end : 2], self.accepted[at + 1 : end : 2]
+
+    def attempt(self) -> tuple:
+        """The next attempt's draws, (keep, index), rejections included."""
+        self._read(2)
+        keep, self.at = bool(self.keep[self.at]), self.at + 1
+        while not self.accepted[self.at]:
+            self.at += 1
+            self._read(1)
+        self.at += 1
+        return keep, int(self.index[self.at - 1])
+
+
 def draw_negatives(positives, pool, seed: int) -> np.ndarray:
     """One corrupted copy per positive: one side replaced by a pool draw.
 
@@ -148,28 +205,68 @@ def draw_negatives(positives, pool, seed: int) -> np.ndarray:
     times, until the candidate is neither a self-pair nor an attested
     positive (as unordered pair).
     Deterministic for a given (positives, pool, seed).
+
+    Each attempt draws `integers(2)`, which keeps a's side when it is 1,
+    then `integers(len(pool))`, the replacement's position, from
+    `np.random.default_rng(seed)`. The draws are read in blocks (`_Draws`):
+    every remaining positive's first attempt at once, on the guess that it
+    takes two halves and is kept. The first positive where the guess fails
+    (a Lemire rejection, a self-pair or an attested pair) is redrawn one
+    attempt at a time from its own start in the stream, and the guess goes
+    on after it.
     """
     positives = np.asarray(positives, dtype=np.intp).reshape(-1, 2)
-    pool = np.asarray(pool, dtype=np.intp).tolist()
-    if len(pool) < 2:
-        raise ValidationError(f"pool must have at least 2 concepts, got {len(pool)}")
-    positive_keys = set(zip(positives.min(axis=1).tolist(), positives.max(axis=1).tolist()))
-    rng = np.random.default_rng(seed)
+    pool = np.asarray(pool, dtype=np.intp)
+    n = len(pool)
+    if n < 2:
+        raise ValidationError(f"pool must have at least 2 concepts, got {n}")
+    if n > 2**32:
+        raise ValidationError(f"pool must have at most 2**32 concepts, got {n}")
+    # rows less the lowest, so that an unordered pair is the int lo * span + hi
+    rows = np.concatenate([positives.reshape(-1), pool])
+    base = int(rows.min())
+    span = int(rows.max()) - base + 1
+    if span > 2**31:
+        raise ValidationError(f"rows must span at most 2**31 values, got {span}")
+    pairs, pool_ids = positives - base, pool - base
+    a_ids, b_ids = pairs[:, 0], pairs[:, 1]
+    keys = np.sort(np.minimum(a_ids, b_ids) * span + np.maximum(a_ids, b_ids))
+    attested = set(keys.tolist())
+    keys = np.append(keys, span * span)  # above every pair, so a search stays in range
+    draws = _Draws(np.random.default_rng(seed).bit_generator, n)
 
-    negatives = np.empty_like(positives)
-    for k, (a, b) in enumerate(positives.tolist()):
+    def redraw(k: int) -> tuple:
+        a, b = pairs[k].tolist()
         for _ in range(MAX_REDRAWS):
-            keep_a = bool(rng.integers(2))
-            replacement = pool[rng.integers(len(pool))]
+            keep_a, index = draws.attempt()
+            replacement = int(pool_ids[index])
             x, y = (a, replacement) if keep_a else (replacement, b)
-            if x == y or ((x, y) if x <= y else (y, x)) in positive_keys:
-                continue
-            negatives[k] = x, y
-            break
-        else:
-            raise SamplingError(f"could not corrupt the pair of rows ({a}, {b}) "
-                                f"after {MAX_REDRAWS} redraws", position=k)
-    return negatives
+            if x != y and min(x, y) * span + max(x, y) not in attested:
+                return x, y
+        a, b = positives[k].tolist()
+        raise SamplingError(f"could not corrupt the pair of rows ({a}, {b}) "
+                            f"after {MAX_REDRAWS} redraws", position=k)
+
+    negatives = np.empty_like(pairs)
+    k, size = 0, len(pairs)
+    while k < len(pairs):
+        block = pairs[k : k + size]
+        keep_a, index, accepted = draws.guess(len(block))
+        replacement = pool_ids[index]
+        x = np.where(keep_a, block[:, 0], replacement)
+        y = np.where(keep_a, replacement, block[:, 1])
+        candidate = np.minimum(x, y) * span + np.maximum(x, y)
+        kept = accepted & (x != y) & (keys[np.searchsorted(keys, candidate)] != candidate)
+        good = len(kept) if kept.all() else int(kept.argmin())
+        negatives[k : k + good, 0], negatives[k : k + good, 1] = x[:good], y[:good]
+        draws.at += 2 * good
+        k += good
+        if good < len(block):
+            negatives[k] = redraw(k)
+            k += 1
+        # a guess that fails early is not tried on the whole remainder again
+        size = max(64, 2 * good)
+    return negatives + base
 
 
 def eval_binary(

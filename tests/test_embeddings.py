@@ -1,7 +1,11 @@
+from pathlib import Path
+
+import golden
 import numpy as np
 import pytest
 from memtrace import traced_peak
 
+import colexvec.embeddings as embeddings
 from colexvec.combine import combine, map_external_vectors
 from colexvec.embeddings import EmbeddingSet, load_embedding, save_embedding
 from colexvec.errors import ParseError, ValidationError
@@ -218,10 +222,106 @@ def test_load_reports_the_first_bad_line(tmp_path, body, line_no, message):
     assert str(exc.value) == f"{path}:{line_no}: {message}"
 
 
-def test_load_peak_memory_stays_within_4x_the_array(tmp_path):
+def test_load_peak_memory_stays_within_4x_the_array(tmp_path, monkeypatch):
     # the size of a fused colex-prone set
     values = np.random.default_rng(8).standard_normal((2428, 128))
     save_embedding(EmbeddingSet([f"C{i:04d}" for i in range(2428)], values), tmp_path / "e.txt")
+    monkeypatch.setattr(embeddings, "_written", {})  # parse the file
     loaded, peak = traced_peak(load_embedding, tmp_path / "e.txt")
     assert loaded.values.shape == (2428, 128)
     assert peak < 4 * loaded.values.nbytes, f"peak {peak / 1e6:.2f} MB"
+
+
+# ---------------------------------------------------------------------------
+# reuse of what the process wrote
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The paths `load_embedding` parses, in order, from an empty reuse table."""
+    monkeypatch.setattr(embeddings, "_written", {})
+    seen = []
+    original = embeddings._parse_embedding
+
+    def spy(path):
+        seen.append(path)
+        return original(path)
+
+    monkeypatch.setattr(embeddings, "_parse_embedding", spy)
+    return seen
+
+
+def wide_set(rows=40, dim=7):
+    """Values at every scale the text has, through both of the formatter's paths."""
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-30, 31, (rows, dim))
+    values[0] = [0.0, -0.0, 5e-324, 1e-300, 1e22, 1e23, 100000005.0]
+    values[1, :3] = [0.123456785, 9.9999999e22, -2.5e-7]
+    values[2:20:3] = 0.0  # rows of zeros
+    return EmbeddingSet([f"C {i:03d}" for i in range(rows)], values)
+
+
+def assert_same_set(got, want):
+    assert got.concepts == want.concepts
+    assert got.values.view(np.uint64).tolist() == want.values.view(np.uint64).tolist()
+    assert got.provenance == want.provenance
+    assert not got.values.flags.writeable
+
+
+@pytest.mark.parametrize("spelling", ["absolute", "relative", "dot"])
+def test_load_of_a_saved_file_equals_a_fresh_parse(tmp_path, monkeypatch, parses, spelling):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    path = {"absolute": tmp_path / "d" / "e.emb", "relative": "d/e.emb",
+            "dot": "./d/e.emb"}[spelling]
+    save_embedding(wide_set(), tmp_path / "d" / "e.emb")
+    reused = load_embedding(path)
+    assert parses == []
+    assert_same_set(reused, embeddings._parse_embedding(Path(path)))
+    assert reused.provenance == {"method": "file", "path": str(Path(path))}
+
+
+def test_a_file_changed_after_saving_is_parsed_again(tmp_path, parses):
+    path = tmp_path / "e.emb"
+    save_embedding(sample_set(), path)
+    load_embedding(path)
+    assert parses == []
+    path.write_text(path.read_text(encoding="utf-8").replace("TREE 1 ", "TREE 2 "),
+                    encoding="utf-8")
+    assert load_embedding(path).vectors["TREE"][0] == 2.0
+    assert parses == [path]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].rsplit(" ", 1)[0] + " x"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_embedding(path)
+    assert str(exc.value) == f"{path}:3: bad vector value"
+
+
+def test_a_deleted_file_is_dropped_at_the_next_save(tmp_path, parses):
+    for name in ("a.emb", "b.emb"):
+        save_embedding(sample_set(), tmp_path / name)
+    (tmp_path / "a.emb").unlink()
+    assert len(embeddings._written) == 2
+    save_embedding(sample_set(), tmp_path / "c.emb")
+    assert set(embeddings._written) == {(tmp_path / n).resolve() for n in ("b.emb", "c.emb")}
+
+
+def test_a_file_the_process_did_not_write_is_parsed_on_every_load(tmp_path, parses):
+    path = tmp_path / "e.emb"
+    path.write_text("2 2\nA 1 2\nB 3 4\n", encoding="utf-8")
+    for _ in range(2):
+        assert load_embedding(path).concepts == ("A", "B")
+    assert parses == [path, path]
+    assert embeddings._written == {}
+
+
+def test_an_id_with_a_line_break_or_a_file_that_is_not_regular_is_not_kept(tmp_path, parses):
+    save_embedding(EmbeddingSet(("A\rB", "C"), [[1.0], [2.0]]), tmp_path / "e.emb")
+    save_embedding(sample_set(), "/dev/null")
+    assert embeddings._written == {}
+
+
+def test_a_colex_prone_pass_parses_no_embedding_file(tmp_path, monkeypatch, capsys, parses):
+    golden.check_workload("colex-prone", 1, tmp_path, monkeypatch, capsys)
+    assert parses == []

@@ -142,6 +142,81 @@ def test_draw_negatives_exhaustion():
         draw_negatives(np.array([[0, 1]]), [0, 1], 0)
     with pytest.raises(ValidationError):
         draw_negatives(np.array([[0, 1]]), [0], 0)
+    with pytest.raises(ValidationError, match="rows must span at most 2\\*\\*31 values"):
+        draw_negatives(np.array([[0, 1]]), [-1, 2**31], 0)
+
+
+def scalar_negatives(positives, pool, seed):
+    """The oracle: one `Generator.integers` call per draw, one attempt at a time."""
+    positives = np.asarray(positives, dtype=np.intp).reshape(-1, 2)
+    pool = np.asarray(pool, dtype=np.intp).tolist()
+    positive_keys = set(zip(positives.min(axis=1).tolist(), positives.max(axis=1).tolist()))
+    rng = np.random.default_rng(seed)
+    negatives = np.empty_like(positives)
+    for k, (a, b) in enumerate(positives.tolist()):
+        for _ in range(evaluation.MAX_REDRAWS):
+            keep_a = bool(rng.integers(2))
+            replacement = pool[rng.integers(len(pool))]
+            x, y = (a, replacement) if keep_a else (replacement, b)
+            if x == y or ((x, y) if x <= y else (y, x)) in positive_keys:
+                continue
+            negatives[k] = x, y
+            break
+        else:
+            raise SamplingError(f"could not corrupt the pair of rows ({a}, {b}) "
+                                f"after {evaluation.MAX_REDRAWS} redraws", position=k)
+    return negatives
+
+
+def outcome(draw, *args):
+    """The negatives `draw` returns, or the message and position of its SamplingError."""
+    try:
+        return draw(*args).tolist()
+    except SamplingError as exc:
+        return str(exc), exc.position
+
+
+# Row 0 is paired with 650 of 1,300 pool rows, so keeping its side is
+# attested half the time; the rest are sparse pairs, some with rows beyond the pool.
+HUB = [(0, j) for j in range(1, 1300, 2)] + [(i, i + 1) for i in range(2, 1400, 7)]
+POOLS = [
+    pytest.param([[0, 1], [1, 2]], [0, 1, 2], id="pool-3"),
+    pytest.param([[7, 5], [5, 9], [9, 7], [5, 4]], [9, 5, 7], id="pool-3-exhausted"),
+    pytest.param([[0, 1]], [0, 1], id="pool-2-exhausted"),
+    pytest.param([[3, 8], [8, 3]], [8, 2], id="pool-2"),
+    pytest.param([[-5, 10**9], [7, -5]], [10**9, -5, 7, 2**31 - 6], id="pool-4-wide-rows"),
+    pytest.param(HUB, list(range(1300)), id="pool-1300"),
+    pytest.param(HUB[::-1], list(range(1299, -1, -1)), id="pool-1300-reversed"),
+]
+
+
+@pytest.mark.parametrize("positives, pool", POOLS)
+def test_block_negatives_equal_the_scalar_loop_on_this_numpy(positives, pool):
+    # NEP 19 lets a numpy release change Generator streams; this pins the
+    # block reader to `integers` on the installed numpy
+    for seed in range(1, 51):
+        assert outcome(draw_negatives, positives, pool, seed) == \
+            outcome(scalar_negatives, positives, pool, seed), seed
+
+
+def test_lemire_map_at_two_to_the_31_plus_1():
+    n = 2**31 + 1  # 2**32 % n = 2**31 - 1: nearly half of the halves are rejected
+    halves = np.array([0, 1, 2**31 - 2, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1,
+                       123456789, 3000000000], dtype=np.uint64)
+    index, accepted = evaluation._lemire(halves, n)
+    for u, i, ok in zip(halves.tolist(), index.tolist(), accepted.tolist()):
+        assert i == u * n >> 32 and ok == (u * n % 2**32 >= 2**32 % n)
+    # the draws `integers(2)` and `integers(n)` make, rejections included:
+    # a block's guess up to its first rejection, then attempt by attempt
+    for seed in range(1, 6):
+        rng = np.random.default_rng(seed)
+        expected = [(bool(rng.integers(2)), int(rng.integers(n))) for _ in range(500)]
+        draws = evaluation._Draws(np.random.default_rng(seed).bit_generator, n)
+        keep, index, accepted = draws.guess(500)
+        first = int(accepted.argmin())
+        assert list(zip(keep[:first].tolist(), index[:first].tolist())) == expected[:first]
+        assert [draws.attempt() for _ in range(500)] == expected
+        assert draws.at - 1000 > 100  # over 100 rejections
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,16 @@ def per_value(matrix, sep):
     return [sep.join(format(float(v), ".8g") for v in row) for row in np.asarray(matrix)]
 
 
+def assert_rows_and_values(matrix, sep):
+    """`format_rows` with `decimals` makes the reference rows, and each
+    decimal is bit for bit `float` of its cell's `%.8g` text."""
+    decimals = np.empty(np.shape(matrix))
+    assert list(format_rows(matrix, sep, decimals)) == per_value(matrix, sep)
+    want = np.array([[float(format(float(v), ".8g")) for v in row] for row in matrix])
+    want = want.reshape(decimals.shape)
+    assert decimals.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
 @pytest.mark.parametrize("sep", ["\t", " ", ""])
 def test_format_floats_equals_per_value_format(sep):
     assert format_floats(VALUES, sep) == sep.join(format(v, ".8g") for v in VALUES)
@@ -290,6 +300,48 @@ def test_format_rows_equals_per_value_format_at_any_zero_share_and_block(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tsv, "BLOCK", block)
         assert list(format_rows(cells, sep)) == per_value(cells, sep)
+        assert_rows_and_values(cells, sep)
+
+
+# the text's value, mantissa * 10**(e - 7), is one exact multiply or divide
+# for |e - 7| <= 22 and Python's parse beyond
+DECIMAL_CELLS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e22, 1e23, 9.9999999e22, -9.9999999e22,
+    # scaled to eight digits, within 1e-6 of a half-integer: the tie band
+    100000005.0, np.nextafter(100000005.0, np.inf), 0.123456785, 1.00000005,
+    7.7777777500000001e-100,
+    # e - 7 = 22 and 23, -22 and -23, on both sides of each power of ten
+    1.2345678e29, 9.8765432e29, 1e29, 1.2345678e30, 1e30,
+    1.2345678e-15, 9.8765432e-15, 1e-15, 1.2345678e-16, 9.9999999e-16,
+    np.nextafter(1e29, 0), np.nextafter(1e-15, 0), np.nextafter(1e30, 0),
+    1 / 3, 2 / 3, 0.1, 123456.789, 2.5e-7, 1e-5, 99999999.5,
+]
+
+
+@pytest.mark.parametrize("block", [1, 3, 16384])
+def test_format_rows_gives_the_value_of_each_text(monkeypatch, block):
+    monkeypatch.setattr(tsv, "BLOCK", block)
+    cells = np.array(DECIMAL_CELLS + [-v for v in DECIMAL_CELLS])
+    for sep in (" ", ""):
+        assert_rows_and_values(cells.reshape(-1, 4), sep)
+        # the same cells among more +0.0 and -0.0 than all the others
+        mostly_zero = np.zeros(3 * cells.size)
+        mostly_zero[1::6] = -0.0
+        mostly_zero[::3] = cells
+        assert_rows_and_values(mostly_zero.reshape(-1, 6), sep)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, 0)])
+    assert_rows_and_values(near.reshape(-1, 6), " ")
+
+
+def test_format_rows_rejects_a_decimals_array_it_cannot_fill():
+    matrix = np.ones((3, 4))
+    frozen = np.empty((3, 4))
+    frozen.flags.writeable = False
+    for bad in (np.empty((4, 3)), np.empty((3, 4), dtype=np.float32),
+                np.empty((4, 3)).T, np.empty((3, 4))[::-1], frozen):
+        with pytest.raises(ValueError, match="decimals must be a writable C-contiguous"):
+            format_rows(matrix, " ", bad)
 
 
 @pytest.mark.parametrize("sep", ["\n", "\0", ", ", "é"])
