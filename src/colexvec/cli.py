@@ -31,7 +31,7 @@ from .baselines import (
 )
 from .combine import combine, map_external_vectors
 from .embeddings import load_embedding, save_embedding
-from .errors import ColexvecError, InsufficientDataError, ParseError
+from .errors import ColexvecError, InsufficientDataError, ParseError, ValidationError
 from .evaluation import (
     eval_binary,
     eval_lsim,
@@ -43,7 +43,7 @@ from .graph import COLEX_TYPES, load_graph, save_graph, sidecar_path, to_undirec
 from .node2vec import SkipGramConfig, WalkConfig, node2vec_embed
 from .prone import ProneConfig, prone_embed
 from .runtime import config_digest, file_sha256
-from .tsv import format_rows, open_text, write_json, write_lines
+from .tsv import format_rows, number, open_text, write_json, write_lines
 from .viz import DenseMatrix, export_scatter, tsne_project
 from .wordlist import ColexParams, infer_network, load_wordlist
 
@@ -401,11 +401,15 @@ def _check_pipeline_config(path, config) -> list:
 
 def cmd_pipeline(args) -> dict:
     config_path = Path(args.config)
+    # NaN, Infinity or 1e400 would make the report, a copy of the config, invalid JSON
+    finite = functools.partial(number, what="number")
     try:
         with open_text(config_path) as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_constant=finite, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise ParseError(args.config, exc.lineno, exc.msg) from None
+    except ValidationError as exc:
+        raise ColexvecError(f"{args.config}: {exc}") from None
     parsed = _check_pipeline_config(args.config, config)
     steps = config["steps"]
     report_path = config["report"]

@@ -16,20 +16,19 @@ Digit-group underscores (`1_0`) and non-ASCII digits (`١٢`), which Python's
 may contain one.
 
 A process does not parse back what it wrote. `save_embedding` keeps, under
-the file's resolved path, the SHA-256 of the bytes it wrote and the
-read-only matrix those bytes parse to, which `format_rows` gives alongside
-the text. `load_embedding` of a file with that hash builds the set from the
-kept matrix, bit for bit what a parse gives; any other file is parsed. Each
-save first drops the entries of files that are gone or changed (by size,
-mtime or inode), so after it the process keeps at most one matrix per
-`.emb` it wrote that still exists.
+the file's resolved path, the SHA-256 that `write_lines` took of the bytes
+as it wrote them and the read-only matrix those bytes parse to, which
+`tsv.decimal_values` gives from the digits of the text; nothing is read
+back. `load_embedding` of a file with that hash builds the set from the
+kept matrix, bit for bit what a parse gives; any other file is parsed.
+Each save drops the entries of files that are no longer regular files, so
+after it the process keeps at most one matrix per `.emb` it wrote that
+still exists.
 """
 
 from __future__ import annotations
 
 import functools
-import os
-import stat
 from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
@@ -40,7 +39,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .runtime import file_sha256
-from .tsv import format_rows, open_text, write_lines
+from .tsv import decimal_values, format_rows, open_text, write_lines
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,11 +111,10 @@ def graph_embedding(g, covered: np.ndarray, values, provenance: Mapping) -> Embe
 
 
 class _Written(NamedTuple):
-    """A file `save_embedding` wrote: its SHA-256 and (size, mtime, inode)
-    right after the write, and the set its bytes parse to."""
+    """A file `save_embedding` wrote: the SHA-256 of its bytes and the set
+    they parse to."""
 
     sha256: str
-    stat: tuple
     concepts: tuple
     values: np.ndarray
 
@@ -125,35 +123,24 @@ class _Written(NamedTuple):
 _written = {}
 
 
-def _stat(path):
-    """(size, mtime in ns, inode) of the regular file at `path`, or None if
-    there is none."""
-    try:
-        st = os.stat(path)
-    except OSError:
-        return None
-    return (st.st_size, st.st_mtime_ns, st.st_ino) if stat.S_ISREG(st.st_mode) else None
-
-
 def save_embedding(es: EmbeddingSet, path) -> None:
     """Write `es` to `path` and keep what the file parses to for `load_embedding`.
 
-    Only a regular file is kept (`/dev/stdout` is written, not read back),
-    and an id with a line break does not survive the text, so a set that
-    has one is not kept.
+    Only a regular file is kept (`/dev/stdout` is written, not kept), and
+    an id with a line break does not survive the text, so a set that has
+    one is not kept. The path's earlier entry and those of files that are
+    no longer regular files are dropped.
     """
-    decimals = np.empty_like(es.values)
-    rows = format_rows(es.values, " ", decimals)
+    rows = format_rows(es.values, " ")
     lines = (f"{c} {row}" for c, row in zip(es.concepts, rows))
-    write_lines(path, f"{len(es.concepts)} {es.dim}", lines)
-    for key, kept in list(_written.items()):
-        if _stat(key) != kept.stat:  # gone or rewritten
-            del _written[key]
-    written = _stat(path)
-    if written is None or any("\n" in c or "\r" in c for c in es.concepts):
-        return
-    decimals.flags.writeable = False
-    _written[Path(path).resolve()] = _Written(file_sha256(path), written, es.concepts, decimals)
+    sha256 = write_lines(path, f"{len(es.concepts)} {es.dim}", lines)
+    key = Path(path).resolve()
+    for gone in [k for k in _written if k == key or not k.is_file()]:
+        del _written[gone]
+    if key.is_file() and not any("\n" in c or "\r" in c for c in es.concepts):
+        values = decimal_values(es.values)
+        values.flags.writeable = False
+        _written[key] = _Written(sha256, es.concepts, values)
 
 
 def load_embedding(path, sha256: str = None) -> EmbeddingSet:

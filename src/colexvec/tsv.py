@@ -7,15 +7,18 @@ Every text input of the package, table or not, is read through `open_text`.
 Every number the package writes into a table or an embedding file goes
 through `format_rows`, one array kernel whose bytes are those of Python's
 `%.8g` on each value: it packs a block of cells at a time into 16-byte
-words and drops their padding with one `bytes.translate`. On request it
-also gives, block by block, the float64 each text denotes, bit for bit
-`float(format(v, ".8g"))`, from the same decimal mantissa and exponent
-the text is made of: one multiply or divide by an exact power of ten
-(Clinger 1990), so `save_embedding` keeps what a parse of its file gives.
+words and drops their padding with one `bytes.translate`. From the same
+decimal mantissa and exponent, `decimal_values` gives the float64 each
+text denotes, bit for bit `float(format(v, ".8g"))`: one multiply or
+divide by an exact power of ten (Clinger 1990). `write_lines` returns the
+SHA-256 of the bytes it wrote, so `save_embedding` keeps a file's digest
+and what a parse of it gives without reading it back.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import math
 from contextlib import contextmanager
@@ -141,37 +144,24 @@ _MINUS = np.uint64(ord("-"))
 _ZERO = np.uint64(_word("0") << 8)  # "0" at byte 1, after the sign
 
 
-def _words(cells: np.ndarray, ends: np.ndarray, decimals=None) -> np.ndarray:
-    """Each of the float64 `cells` at `%.8g` and its separator, as a row of
-    two uint64 words, 16 bytes, with 0 in every byte the text leaves empty.
-    A float64 array `decimals` of the cells' length, if given, receives the
-    value of each cell's text.
+def _rounded(cells: np.ndarray):
+    """(mantissa, exponent, regular, to_python): each float64 cell rounded
+    to eight significant digits as the integer-valued float `mantissa`
+    times 10**(exponent - 7).
 
-    `ends[i]` holds cell i's separator byte in its top byte (0 for none).
-    The sign is at byte 0, the head from byte 1, then the point and the
-    fraction, the exponent suffix at bytes 10-14 and the separator at byte
-    15. The fraction's digits stay in their places in the 8-digit word, up
-    to its last nonzero one, and the point goes into the byte before the
-    first of them when one is left.
-
-    A finite cell with |x| in [1e-280, 1e280] is rounded here. It takes
+    A finite cell with |x| in [1e-280, 1e280] is `regular`. It takes
     x * 10**(7 - e) with e = floor(log10 x) and rounds it to the integer
     mantissa; a mantissa of 10**8 becomes 10**7 and e + 1. The scaled
     value is within 2.3e-8 of the exact one (two roundings of at most half
     an ulp each, below 1e8), so the mantissa is the correctly rounded one
     wherever the scaled value is more than 1e-6 from a half-integer. Cells
-    in that band, non-finite cells and cells outside the range are
-    formatted by Python's `format`; +0.0 and -0.0 are the literals "0" and
-    "-0".
-
-    The text denotes mantissa * 10**(e - 7). Both factors are exact doubles
-    when |e - 7| <= 22, so one multiply or divide rounds it correctly, as
-    `float` does the text (Clinger 1990). The other cells' values are
-    `float` of Python's text.
+    in that band, non-finite cells and the nonzero cells outside the range
+    are `to_python`: their text is Python's `format`. Every cell that is
+    not regular has mantissa 10**7 and exponent 0.
     """
     x = np.abs(cells)
     regular = (x >= _LOW) & (x <= _HIGH)
-    # the other cells go through the arithmetic as 1.0 and are overwritten below
+    # the other cells go through the arithmetic as 1.0
     x = np.where(regular, x, 1.0)
     # log10 rounds across a power of ten only for x a few ulps from it,
     # where the scaled value rounds to 10**7, or to 10**8 and carries
@@ -183,11 +173,22 @@ def _words(cells: np.ndarray, ends: np.ndarray, decimals=None) -> np.ndarray:
     if carry.any():
         mantissa[carry] = 1e7
         exponent += carry
-    if decimals is not None:
-        scale = exponent - 7
-        power = _POW10[np.abs(scale) + 300]
-        value = np.where(scale >= 0, mantissa * power, mantissa / power)
-        decimals[:] = np.where(regular, np.copysign(value, cells), cells)  # zeros stay
+    return mantissa, exponent, regular, ~regular & (cells != 0) | tie_band
+
+
+def _words(cells: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Each of the float64 `cells` at `%.8g` and its separator, as a row of
+    two uint64 words, 16 bytes, with 0 in every byte the text leaves empty.
+
+    `ends[i]` holds cell i's separator byte in its top byte (0 for none).
+    The sign is at byte 0, the head from byte 1, then the point and the
+    fraction, the exponent suffix at bytes 10-14 and the separator at byte
+    15. The fraction's digits stay in their places in the 8-digit word, up
+    to its last nonzero one, and the point goes into the byte before the
+    first of them when one is left. The digits are `_rounded`'s; +0.0 and
+    -0.0 are the literals "0" and "-0".
+    """
+    mantissa, exponent, _, to_python = _rounded(cells)
     low = mantissa.astype(np.intp)
     high = low // 10_000
     low -= high * 10_000
@@ -205,20 +206,14 @@ def _words(cells: np.ndarray, ends: np.ndarray, decimals=None) -> np.ndarray:
     words = np.empty((len(cells), 2), dtype="<u8")
     words[:, 0] = np.signbit(cells) * _MINUS | head << 8 | fraction << shift
     words[:, 1] = ends | head >> 56 | fraction >> 64 - shift | _SUFFIX[exponent]
-    # nan, inf, subnormal, tiny or huge, or in the tie band
-    to_python = ~regular & (cells != 0) | tie_band
     for i in np.flatnonzero(to_python).tolist():
         text = format(float(cells[i]), ".8g").encode("ascii")
         words[i] = np.frombuffer(text.ljust(15, b"\0") + bytes([int(ends[i]) >> 56]), "<u8")
-    if decimals is not None:
-        for i in np.flatnonzero(to_python | regular & (np.abs(scale) > 22)).tolist():
-            decimals[i] = float(format(float(cells[i]), ".8g"))
     return words
 
 
-def _pack(cells: np.ndarray, ends: np.ndarray, decimals=None) -> bytes:
-    """The text of `_words(cells, ends, decimals)`: one `bytes.translate`
-    drops its 0 bytes.
+def _pack(cells: np.ndarray, ends: np.ndarray) -> bytes:
+    """The text of `_words(cells, ends)`: one `bytes.translate` drops its 0 bytes.
 
     When more than half of the cells are +0.0 or -0.0, such as in a block
     of a sparse baseline's table, those cells are the constant words of
@@ -231,25 +226,17 @@ def _pack(cells: np.ndarray, ends: np.ndarray, decimals=None) -> bytes:
         words[:, 0] = np.signbit(cells) * _MINUS | _ZERO
         words[:, 1] = ends
         rest = np.flatnonzero(~zero)
-        if decimals is None:
-            words[rest] = _words(cells[rest], ends[rest])
-        else:
-            decimals[:] = cells  # the zeros' values are the zeros
-            part = np.empty(len(rest))
-            words[rest] = _words(cells[rest], ends[rest], part)
-            decimals[rest] = part
+        words[rest] = _words(cells[rest], ends[rest])
     else:
-        words = _words(cells, ends, decimals)
+        words = _words(cells, ends)
     return words.tobytes().translate(None, b"\0")
 
 
-def _packed_rows(values: np.ndarray, sep: str, decimals=None) -> Iterator[str]:
+def _packed_rows(values: np.ndarray, sep: str) -> Iterator[str]:
     """The rows of the 2-D `values` as `_pack` writes them, cells joined by `sep`.
 
     Each row's last cell gets a newline for separator, so splitting the
-    text yields the rows; a row may span blocks. A block's values go into
-    the flat array `decimals`, if given, before any row ending in the
-    block is yielded.
+    text yields the rows; a row may span blocks.
     """
     width = values.shape[1]
     cells = values.reshape(-1)
@@ -258,13 +245,12 @@ def _packed_rows(values: np.ndarray, sep: str, decimals=None) -> Iterator[str]:
         block = cells[start : start + BLOCK]
         ends = np.full(len(block), ord(sep or "\0") << 56, dtype="<u8")
         ends[(width - 1 - start) % width :: width] = ord("\n") << 56
-        out = None if decimals is None else decimals[start : start + BLOCK]
-        text += _pack(block, ends, out).decode("ascii")
+        text += _pack(block, ends).decode("ascii")
         *done, text = text.split("\n")
         yield from done
 
 
-def format_rows(matrix, sep: str, decimals: np.ndarray = None) -> Iterator[str]:
+def format_rows(matrix, sep: str) -> Iterator[str]:
     """Each row of the 2-D `matrix` at 8 significant digits, joined by `sep`.
 
     The strings are byte for byte `sep.join(format(v, ".8g") for v in row)`
@@ -275,32 +261,53 @@ def format_rows(matrix, sep: str, decimals: np.ndarray = None) -> Iterator[str]:
     each zero is written as the literal "0" or "-0". A matrix that is not
     C-contiguous is copied whole first (no caller in the package passes
     one).
-
-    `decimals`, if given, is a writable C-contiguous float64 array of the
-    matrix's shape. Each cell of it is set to the value its text denotes,
-    bit for bit `float(format(v, ".8g"))`, by the time the row is yielded.
     """
     values = np.asarray(matrix, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {values.shape}")
     if len(sep) > 1 or sep in ("\0", "\n") or not sep.isascii():
         raise ValueError(f"sep must be one ASCII character or empty, got {sep!r}")
-    if decimals is not None and not (
-            decimals.shape == values.shape and decimals.dtype == np.float64
-            and decimals.flags.c_contiguous and decimals.flags.writeable):
-        raise ValueError("decimals must be a writable C-contiguous float64 array "
-                         f"of shape {values.shape}")
     if values.shape[1] == 0:
         return iter([""] * len(values))
-    return _packed_rows(values, sep, None if decimals is None else decimals.reshape(-1))
+    return _packed_rows(values, sep)
 
 
-def write_lines(path, header: str, lines) -> None:
-    """Write `header` and then each of `lines`, each ended by a newline."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+def decimal_values(matrix) -> np.ndarray:
+    """The value of each cell's `%.8g` text: a C-contiguous float64 array of
+    the matrix's shape, bit for bit `float(format(v, ".8g"))` cell by cell.
+
+    It is made a `BLOCK` of cells at a time from `_rounded`'s digits, so it
+    is the value of the text `format_rows` writes. The text denotes
+    mantissa * 10**(e - 7). Both factors are exact doubles when
+    |e - 7| <= 22, so one multiply or divide rounds it correctly, as
+    `float` does the text (Clinger 1990); zeros keep their sign. The other
+    cells' values are `float` of Python's text.
+    """
+    values = np.asarray(matrix, dtype=np.float64)
+    cells, out = values.reshape(-1), np.empty(values.size)
+    for start in range(0, cells.size, BLOCK):
+        block = cells[start : start + BLOCK]
+        mantissa, exponent, regular, to_python = _rounded(block)
+        scale = exponent - 7
+        power = _POW10[np.abs(scale) + 300]
+        value = np.where(scale >= 0, mantissa * power, mantissa / power)
+        out[start : start + BLOCK] = np.where(regular, np.copysign(value, block), block)
+        for i in np.flatnonzero(to_python | regular & (np.abs(scale) > 22)).tolist():
+            out[start + i] = float(format(float(block[i]), ".8g"))
+    return out.reshape(values.shape)
+
+
+def write_lines(path, header: str, lines) -> str:
+    """Write `header` and then each of `lines`, each ended by a newline, as
+    UTF-8; the SHA-256 of the bytes written, hashed as they are written."""
+    digest = hashlib.sha256()
+    lines = itertools.chain([header], lines)
+    with Path(path).open("wb") as fh:
+        for batch in iter(lambda: list(itertools.islice(lines, 64)), []):
+            data = ("\n".join(batch) + "\n").encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
 
 
 def write_json(path, obj) -> None:

@@ -723,6 +723,23 @@ def test_pipeline_rejects_malformed_config_before_any_step(tmp_path, capsys, con
     assert not graph.exists()
 
 
+@pytest.mark.parametrize("token", ["NaN", "-Infinity", "1e400"])
+def test_pipeline_rejects_a_non_finite_number_before_any_step(tmp_path, capsys, token):
+    # learning_rate is a Node2Vec option that a ProNE step ignores; the
+    # report would copy it as a token that is not JSON
+    config = pipeline_config(tmp_path)
+    config["steps"] = config["steps"][:2]
+    config["steps"][1]["args"]["learning_rate"] = "TOKEN"
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(config).replace('"TOKEN"', token), encoding="utf-8")
+    assert run(["pipeline", "--config", str(config_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {config_path}: bad number {token!r}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "full.tsv").exists()
+    assert not (tmp_path / "pipeline.json").exists()
+
+
 def test_pipeline_step_value_may_start_with_a_dash(tmp_path, monkeypatch):
     # each argument is one "--key=value" word, so "-w.tsv" is a value, not an option
     monkeypatch.chdir(tmp_path)

@@ -1,3 +1,5 @@
+import builtins
+import io
 from pathlib import Path
 
 import golden
@@ -12,6 +14,7 @@ from colexvec.errors import ParseError, ValidationError
 from colexvec.graph import make_graph
 from colexvec.node2vec import SkipGramConfig, WalkConfig, node2vec_embed
 from colexvec.prone import ProneConfig, prone_embed
+from colexvec.runtime import file_sha256
 
 RING = make_graph([(f"N{i}", f"N{(i + 1) % 7}", 1 + i % 2) for i in range(7)], "full", False,
                   extra_nodes=["LONE"])
@@ -232,6 +235,14 @@ def test_load_peak_memory_stays_within_4x_the_array(tmp_path, monkeypatch):
     assert peak < 4 * loaded.values.nbytes, f"peak {peak / 1e6:.2f} MB"
 
 
+def test_save_peak_memory_stays_within_2x_the_array(tmp_path, monkeypatch):
+    monkeypatch.setattr(embeddings, "_written", {})
+    es = EmbeddingSet([f"C{i:04d}" for i in range(2428)],
+                      np.random.default_rng(8).standard_normal((2428, 128)))
+    _, peak = traced_peak(save_embedding, es, tmp_path / "e.txt")
+    assert peak < 2 * es.values.nbytes, f"peak {peak / 1e6:.2f} MB"
+
+
 # ---------------------------------------------------------------------------
 # reuse of what the process wrote
 
@@ -296,6 +307,27 @@ def test_a_file_changed_after_saving_is_parsed_again(tmp_path, parses):
     with pytest.raises(ParseError) as exc:
         load_embedding(path)
     assert str(exc.value) == f"{path}:3: bad vector value"
+
+
+def test_save_reads_nothing_back_and_keeps_the_digest_of_the_file(tmp_path, monkeypatch,
+                                                                   parses):
+    modes = []
+
+    def spy(file, mode="r", *args, **kwargs):
+        modes.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    real_open = io.open
+    path = tmp_path / "e.emb"
+    with monkeypatch.context() as patch:
+        patch.setattr(io, "open", spy)
+        patch.setattr(builtins, "open", spy)
+        save_embedding(wide_set(), path)
+    assert modes == ["wb"]
+    assert embeddings._written[path.resolve()].sha256 == file_sha256(path)
+    reused = load_embedding(path)
+    assert parses == []
+    assert_same_set(reused, embeddings._parse_embedding(path))
 
 
 def test_a_deleted_file_is_dropped_at_the_next_save(tmp_path, parses):

@@ -1,5 +1,6 @@
 """The shared table format: one contract for every TSV loader, and the writers."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -13,7 +14,8 @@ from colexvec.errors import ParseError, ValidationError
 from colexvec.evaluation import load_concept_pairs, load_rated_pairs
 from colexvec.graph import load_graph
 from colexvec import tsv
-from colexvec.tsv import format_rows, number, read_tsv, write_json, write_lines
+from colexvec.runtime import file_sha256
+from colexvec.tsv import decimal_values, format_rows, number, read_tsv, write_json, write_lines
 from colexvec.wordlist import load_wordlist
 
 # loader, header and one valid row; in NUMBER_LOADERS the row's last cell
@@ -136,13 +138,14 @@ def per_value(matrix, sep):
 
 
 def assert_rows_and_values(matrix, sep):
-    """`format_rows` with `decimals` makes the reference rows, and each
-    decimal is bit for bit `float` of its cell's `%.8g` text."""
-    decimals = np.empty(np.shape(matrix))
-    assert list(format_rows(matrix, sep, decimals)) == per_value(matrix, sep)
-    want = np.array([[float(format(float(v), ".8g")) for v in row] for row in matrix])
-    want = want.reshape(decimals.shape)
-    assert decimals.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    """`format_rows` makes the reference rows, and `decimal_values` gives
+    each cell bit for bit `float` of its `%.8g` text."""
+    assert list(format_rows(matrix, sep)) == per_value(matrix, sep)
+    got = decimal_values(matrix)
+    want = np.array([[float(format(float(v), ".8g")) for v in row] for row in np.asarray(matrix)])
+    want = want.reshape(got.shape)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("sep", ["\t", " ", ""])
@@ -332,16 +335,13 @@ def test_format_rows_gives_the_value_of_each_text(monkeypatch, block):
     powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
     near = np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, 0)])
     assert_rows_and_values(near.reshape(-1, 6), " ")
-
-
-def test_format_rows_rejects_a_decimals_array_it_cannot_fill():
-    matrix = np.ones((3, 4))
-    frozen = np.empty((3, 4))
-    frozen.flags.writeable = False
-    for bad in (np.empty((4, 3)), np.empty((3, 4), dtype=np.float32),
-                np.empty((4, 3)).T, np.empty((3, 4))[::-1], frozen):
-        with pytest.raises(ValueError, match="decimals must be a writable C-contiguous"):
-            format_rows(matrix, " ", bad)
+    # every layout; a Fortran-ordered result would not be filled through a flat view
+    square = cells.reshape(-1, 4)
+    for view in (np.asfortranarray(square), square.T, square[::-1], square[:, ::2]):
+        assert not view.flags.c_contiguous
+        assert_rows_and_values(view, " ")
+    assert_rows_and_values(np.array([[0, -7, 123456789], [10**15, -(10**17) - 1, 99999999]]), "\t")
+    assert decimal_values(np.zeros((3, 0))).shape == (3, 0)
 
 
 @pytest.mark.parametrize("sep", ["\n", "\0", ", ", "é"])
@@ -357,6 +357,13 @@ def test_writers_bytes(tmp_path):
     assert (tmp_path / "t.tsv").read_bytes() == b"A\tB\n0\t0\n1\t1\n2\t4\n"
     write_lines(tmp_path / "h.tsv", "A\tB", [])
     assert (tmp_path / "h.tsv").read_bytes() == b"A\tB\n"
+    # the digest write_lines returns is that of the bytes on disk
+    lines = ["Ärger\t1", "森林 TREE\t-2.5e-07"] * 40
+    for name, rows in (("u.tsv", lines), ("header-only.tsv", [])):
+        digest = write_lines(tmp_path / name, "CONCEPT\tVALUE", iter(rows))
+        data = (tmp_path / name).read_bytes()
+        assert data == "".join(f"{line}\n" for line in ["CONCEPT\tVALUE", *rows]).encode()
+        assert digest == hashlib.sha256(data).hexdigest() == file_sha256(tmp_path / name)
     doc = {"b": [1, 2], "a": "é"}
     write_json(tmp_path / "d.json", doc)
     assert (tmp_path / "d.json").read_text(encoding="utf-8") == (
