@@ -133,7 +133,7 @@ def save_embedding(es: EmbeddingSet, path) -> None:
     """
     rows = format_rows(es.values, " ")
     lines = (f"{c} {row}" for c, row in zip(es.concepts, rows))
-    sha256 = write_lines(path, f"{len(es.concepts)} {es.dim}", lines)
+    sha256 = write_lines(path, f"{len(es.concepts)} {es.dim}", lines, sha256=True)
     key = Path(path).resolve()
     for gone in [k for k in _written if k == key or not k.is_file()]:
         del _written[gone]

@@ -3,16 +3,17 @@
 The trainer optimizes the exact softmax cross-entropy over the whole
 vocabulary (no negative sampling, no hierarchical softmax), which is
 affordable at colexification-network scale (~1,300 nodes). Training is
-sequential mini-batch SGD, one batch after another, for determinism; only
-its matrix products run on every BLAS thread. Those products sum in an
-order that depends on the BLAS build and its thread count, so identical
-seeds give bit-identical vectors in memory only on the same build with
-the same thread count (a test finds `embed`'s `.emb` of a 400-node graph
-the same at 1 and 2 threads). The per-epoch validation loss builds its
-logits in blocks of LOSS_BLOCK distinct centers, so it never holds a
-vocabulary x vocabulary matrix, and gives the same bits as one
-whole-matrix pass. Walk sampling derives an independent RNG per start
-node so corpus generation is order-independent.
+sequential mini-batch SGD, one batch after another, for determinism. Each
+batch runs as PARTS fixed parts, its distinct centers and then its
+vocabulary rows split into PARTS ranges, on up to PARTS threads with
+OpenBLAS on one thread each; a fixed split, not the host's cores, decides
+how every product sums (Demmel & Nguyen 2015). So identical seeds give
+bit-identical vectors and losses in memory at any BLAS thread count and
+any worker count on the same numpy and BLAS build. The per-epoch
+validation loss builds its logits in blocks of LOSS_BLOCK distinct
+centers, so it never holds a vocabulary x vocabulary matrix, and gives the
+same bits as one whole-matrix pass. Walk sampling derives an independent
+RNG per start node so corpus generation is order-independent.
 
 The corpus stays in row space: walks are rows of `g.order`, pairs are
 (center, context) rows, and `train_skipgram` trains an array in rows of its
@@ -32,12 +33,14 @@ import numpy as np
 from .embeddings import EmbeddingSet, graph_embedding
 from .errors import NoEdgesError, ValidationError, check_seed
 from .graph import ColexGraph
-from .runtime import config_digest
+from .runtime import config_digest, one_blas_thread, part_threads, run_parts
 
 logger = logging.getLogger(__name__)
 
 # distinct centers per logit block of the validation loss
 LOSS_BLOCK = 128
+# fixed parts of each skip-gram batch; never read from the host
+PARTS = 2
 
 
 @dataclass(frozen=True)
@@ -175,16 +178,43 @@ def batch_loss_and_row_grads(w_in, w_out, centers, contexts):
     softmax per pair. Returns (loss, rows, grad_rows, grad_w_out): `rows` are
     the distinct centers in ascending order, grad_rows[k] is the gradient of
     w_in[rows[k]], and every other row of w_in has a zero gradient.
+
+    The work runs in PARTS fixed parts (`runtime.run_parts`): first each
+    part's range of distinct centers, from its logits to its rows of
+    grad_rows, then each part's range of vocabulary rows of grad_w_out.
+    Every value is computed by the same operations in the same order
+    whichever thread runs its part, so on one BLAS thread the result does
+    not depend on how many threads run the parts.
     """
     batch = len(centers)
     rows, inv, counts = np.unique(centers, return_inverse=True, return_counts=True)
     h = w_in[rows]
-    dlogits = h @ w_out.T
-    softmax_rows(dlogits, out=dlogits)
-    loss = float(-np.mean(np.log(dlogits[inv, contexts])))
-    dlogits *= (counts / batch)[:, None]
-    np.subtract.at(dlogits, (inv, contexts), 1.0 / batch)
-    return loss, rows, dlogits @ w_out, dlogits.T @ h
+    n, n_vocab = len(rows), len(w_out)
+    dlogits = np.empty((n, n_vocab))
+    log_proba = np.empty(batch)  # in batch order, so the mean sums as one pass does
+    grad_rows = np.empty_like(h)
+    grad_out = np.empty_like(w_out)
+    scale = (counts / batch)[:, None]
+
+    def center_part(part):
+        lo, hi = n * part // PARTS, n * (part + 1) // PARTS
+        mine = np.flatnonzero((inv >= lo) & (inv < hi))
+        own = dlogits[lo:hi]
+        cells = inv[mine] - lo, contexts[mine]
+        np.matmul(h[lo:hi], w_out.T, out=own)
+        softmax_rows(own, out=own)
+        log_proba[mine] = np.log(own[cells])
+        own *= scale[lo:hi]
+        np.subtract.at(own, cells, 1.0 / batch)
+        np.matmul(own, w_out, out=grad_rows[lo:hi])
+
+    def vocab_part(part):
+        lo, hi = n_vocab * part // PARTS, n_vocab * (part + 1) // PARTS
+        np.matmul(dlogits[:, lo:hi].T, h, out=grad_out[lo:hi])
+
+    run_parts(center_part, PARTS)
+    run_parts(vocab_part, PARTS)
+    return float(-np.mean(log_proba)), rows, grad_rows, grad_out
 
 
 def _mean_loss(w_in, w_out, centers, contexts) -> float:
@@ -226,6 +256,11 @@ def train_skipgram(pairs, vocab, cfg: SkipGramConfig) -> tuple:
     ||w_in - w_start|| / ||w_start|| from their random start. A train loss
     that is not finite at the end of an epoch raises ValidationError naming
     that epoch (counted from 1).
+
+    The epochs run with OpenBLAS on one thread (`runtime.one_blas_thread`)
+    and each batch's PARTS parts on min(PARTS, worker_count()) threads
+    (`runtime.part_threads`), whose pool ends with the call; the vectors
+    and curves are bit-identical at any BLAS thread and worker count.
     """
     pairs = np.asarray(pairs)
     if not pairs.size:
@@ -257,34 +292,36 @@ def train_skipgram(pairs, vocab, cfg: SkipGramConfig) -> tuple:
 
     train_losses = []
     val_losses = []
-    for epoch in range(cfg.epochs):
-        shuffled = train_idx[rng.permutation(len(train_idx))]
-        total = 0.0
-        for start in range(0, len(shuffled), cfg.batch_size):
-            sel = shuffled[start: start + cfg.batch_size]
-            loss, rows, grad_rows, grad_out = batch_loss_and_row_grads(
-                w_in, w_out, centers[sel], contexts[sel]
-            )
-            total += loss * len(sel)
-            # scaled in place: no V x d temporary per batch
-            np.multiply(grad_rows, cfg.learning_rate, out=grad_rows)
-            w_in[rows] -= grad_rows
-            np.multiply(grad_out, cfg.learning_rate, out=grad_out)
-            w_out -= grad_out
-        train_losses.append(total / len(shuffled))
-        if not np.isfinite(train_losses[-1]):
-            raise ValidationError(
-                f"skip-gram train loss is {train_losses[-1]} at epoch {epoch + 1} of "
-                f"{cfg.epochs}; lower the learning rate ({cfg.learning_rate})"
-            )
-        if n_val:
-            val_losses.append(_mean_loss(w_in, w_out, centers[val_idx], contexts[val_idx]))
-            logger.debug(
-                "epoch %d: train loss %.6f, validation loss %.6f",
-                epoch, train_losses[-1], val_losses[-1],
-            )
-        else:
-            logger.debug("epoch %d: train loss %.6f", epoch, train_losses[-1])
+    # one BLAS thread for each of the batch's parts and for the validation loss
+    with one_blas_thread(), part_threads(PARTS):
+        for epoch in range(cfg.epochs):
+            shuffled = train_idx[rng.permutation(len(train_idx))]
+            total = 0.0
+            for start in range(0, len(shuffled), cfg.batch_size):
+                sel = shuffled[start: start + cfg.batch_size]
+                loss, rows, grad_rows, grad_out = batch_loss_and_row_grads(
+                    w_in, w_out, centers[sel], contexts[sel]
+                )
+                total += loss * len(sel)
+                # scaled in place: no V x d temporary per batch
+                np.multiply(grad_rows, cfg.learning_rate, out=grad_rows)
+                w_in[rows] -= grad_rows
+                np.multiply(grad_out, cfg.learning_rate, out=grad_out)
+                w_out -= grad_out
+            train_losses.append(total / len(shuffled))
+            if not np.isfinite(train_losses[-1]):
+                raise ValidationError(
+                    f"skip-gram train loss is {train_losses[-1]} at epoch {epoch + 1} of "
+                    f"{cfg.epochs}; lower the learning rate ({cfg.learning_rate})"
+                )
+            if n_val:
+                val_losses.append(_mean_loss(w_in, w_out, centers[val_idx], contexts[val_idx]))
+                logger.debug(
+                    "epoch %d: train loss %.6f, validation loss %.6f",
+                    epoch, train_losses[-1], val_losses[-1],
+                )
+            else:
+                logger.debug("epoch %d: train loss %.6f", epoch, train_losses[-1])
 
     curves = {
         "train_loss": tuple(train_losses),

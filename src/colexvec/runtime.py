@@ -1,7 +1,9 @@
 """Runtime support: the core count, canonical config digests, file hashes,
-and a one-thread scope for numpy's and scipy's OpenBLAS."""
+a one-thread scope for numpy's and scipy's OpenBLAS, and a fork-join runner
+for a fixed number of parts."""
 
 import contextlib
+import contextvars
 import functools
 import hashlib
 import json
@@ -30,10 +32,61 @@ def file_sha256(path) -> str:
 def worker_count() -> int:
     """The available cores, at least 1.
 
-    No package code runs a worker pool; the benchmark harness records this
-    value in every run's environment.
+    `part_threads` runs at most this many threads; the benchmark harness
+    records the value in every run's environment.
     """
     return os.cpu_count() or 1
+
+
+# The helper pool of the innermost `part_threads` scope, or None; a context
+# variable, so a kernel finds it without a pool argument and a scope in one
+# thread or context is not seen from another
+_part_pool = contextvars.ContextVar("part_pool", default=None)
+
+
+@contextlib.contextmanager
+def part_threads(parts: int):
+    """Run the block's `run_parts` calls on min(parts, worker_count()) threads:
+    the caller's and a pool of the others, which is shut down, its threads
+    joined, when the block ends. With one thread there is no pool."""
+    helpers = min(parts, worker_count()) - 1
+    if helpers < 1:
+        yield
+        return
+    from concurrent.futures import ThreadPoolExecutor  # 10 ms, paid by the first pool
+
+    with ThreadPoolExecutor(helpers) as pool:
+        token = _part_pool.set(pool)
+        try:
+            yield
+        finally:
+            _part_pool.reset(token)
+
+
+def run_parts(fn, parts: int) -> None:
+    """Call fn(0), ..., fn(parts - 1) and return when all have returned.
+
+    Inside `part_threads` the caller runs part 0 and the pool the others,
+    each in a copy of the caller's context, so numpy's `errstate` holds
+    there too; elsewhere the parts run one after another. A part's
+    exception is raised here, once every part has ended. The parts must
+    not depend on one another's order: their results then do not depend on
+    how many threads ran them.
+    """
+    pool = _part_pool.get()
+    if pool is None:
+        for part in range(parts):
+            fn(part)
+        return
+    futures = [pool.submit(contextvars.copy_context().run, fn, part)
+               for part in range(1, parts)]
+    try:
+        fn(0)
+    finally:
+        errors = [future.exception() for future in futures]  # waits for each part
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 def _openblas_calls(path):

@@ -11,8 +11,9 @@ words and drops their padding with one `bytes.translate`. From the same
 decimal mantissa and exponent, `decimal_values` gives the float64 each
 text denotes, bit for bit `float(format(v, ".8g"))`: one multiply or
 divide by an exact power of ten (Clinger 1990). `write_lines` returns the
-SHA-256 of the bytes it wrote, so `save_embedding` keeps a file's digest
-and what a parse of it gives without reading it back.
+SHA-256 of the bytes it wrote when asked, so `save_embedding` keeps a
+file's digest and what a parse of it gives without reading it back; the
+other writers hash nothing.
 """
 
 from __future__ import annotations
@@ -297,17 +298,19 @@ def decimal_values(matrix) -> np.ndarray:
     return out.reshape(values.shape)
 
 
-def write_lines(path, header: str, lines) -> str:
+def write_lines(path, header: str, lines, sha256: bool = False):
     """Write `header` and then each of `lines`, each ended by a newline, as
-    UTF-8; the SHA-256 of the bytes written, hashed as they are written."""
-    digest = hashlib.sha256()
+    UTF-8. With `sha256`, return the SHA-256 of the bytes written, hashed
+    as they are written; else None."""
+    digest = hashlib.sha256() if sha256 else None
     lines = itertools.chain([header], lines)
     with Path(path).open("wb") as fh:
         for batch in iter(lambda: list(itertools.islice(lines, 64)), []):
             data = ("\n".join(batch) + "\n").encode("utf-8")
-            digest.update(data)
+            if digest is not None:
+                digest.update(data)
             fh.write(data)
-    return digest.hexdigest()
+    return None if digest is None else digest.hexdigest()
 
 
 def write_json(path, obj) -> None:

@@ -1,3 +1,4 @@
+import threading
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ from blas_threads import at_each_thread_count, cli_snippet
 from memtrace import traced_peak
 
 import colexvec.node2vec as n2v
+from colexvec import runtime
 from colexvec.errors import ValidationError
 from colexvec.graph import make_graph, save_graph
 from colexvec.node2vec import (
@@ -526,24 +528,91 @@ def test_node2vec_embed_rejects_graph_without_edges():
             node2vec_embed(g, WalkConfig(), SkipGramConfig(dim=2, epochs=1))
 
 
-def test_node2vec_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """OpenBLAS runs a GEMM on one thread when m * n * k is at most 65,536
-    times GEMM_MULTITHREAD_THRESHOLD (4 by default), 262,144. Each batch's
-    three products here are (distinct centres) x 400 x 64, at least 2.5
-    million for the hundred or more centres of a 512-pair batch, and the
-    validation loss's blocks 128 x 400 x 64, so at =2 every skip-gram
-    product runs on both threads; the vectors in memory then differ in
-    their last bits, and the test checks the file that is written."""
+def random_graph():
+    """400 nodes and 4,000 weighted edges: big enough that every skip-gram
+    product runs on both threads at OPENBLAS_NUM_THREADS=2."""
     rng = np.random.default_rng(3)
     nodes = [f"N{i:03d}" for i in range(400)]
     edges = {}
     while len(edges) < 4000:
         a, b = sorted(rng.choice(400, size=2, replace=False).tolist())
         edges.setdefault((nodes[a], nodes[b]), int(rng.integers(1, 9)))
+    return make_graph([(a, b, w) for (a, b), w in edges.items()], "full", False)
+
+
+def test_node2vec_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """OpenBLAS runs a GEMM on one thread when m * n * k is at most 65,536
+    times GEMM_MULTITHREAD_THRESHOLD (4 by default), 262,144. Each batch's
+    three products here are (distinct centres) x 400 x 64, at least 2.5
+    million for the hundred or more centres of a 512-pair batch, and the
+    validation loss's blocks 128 x 400 x 64, so at =2 every skip-gram
+    product would run on both threads outside `one_blas_thread`."""
     graph = tmp_path / "random.tsv"
-    save_graph(make_graph([(a, b, w) for (a, b), w in edges.items()], "full", False), graph)
+    save_graph(random_graph(), graph)
     out = str(tmp_path / "n2v.emb")
     argv = ["embed", "--graph", str(graph), "--method", "node2vec", "--out", out,
             "--seed", "1", "--dim", "64", "--epochs", "3", "--learning-rate", "20"]
     outputs = at_each_thread_count(cli_snippet(argv, out))
     assert outputs[0] == outputs[1]
+
+
+def test_node2vec_vectors_in_memory_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The vectors and the validation losses themselves, not only their
+    8-digit text, have the same bits at 1 and 2 OpenBLAS threads."""
+    graph = tmp_path / "random.tsv"
+    save_graph(random_graph(), graph)
+    code = ("import hashlib, numpy as np; from colexvec.graph import load_graph; "
+            "from colexvec.node2vec import SkipGramConfig, WalkConfig, node2vec_embed; "
+            f"es = node2vec_embed(load_graph({str(graph)!r}), WalkConfig(seed=1), "
+            "SkipGramConfig(dim=64, epochs=3, learning_rate=20, seed=1)); "
+            "loss = np.array(es.provenance['validation_loss']); "
+            "print(hashlib.sha256(es.values.tobytes()).hexdigest(), "
+            "hashlib.sha256(loss.tobytes()).hexdigest(), len(loss))")
+    outputs = at_each_thread_count(code)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].split()[2] == "3"
+
+
+def test_skipgram_bits_do_not_depend_on_the_worker_count(monkeypatch):
+    g = random_graph()
+    pairs = extract_pairs(sample_walks(g, WalkConfig(walks_per_node=1, seed=1)), 2)
+    cfg = SkipGramConfig(dim=64, epochs=2, learning_rate=20, seed=1)
+    threads = set()
+
+    def spy(fn, parts):
+        def part_on_thread(part):
+            threads.add(threading.get_ident())
+            fn(part)
+        runtime.run_parts(part_on_thread, parts)
+
+    monkeypatch.setattr(n2v, "run_parts", spy)
+    runs = []
+    for workers in (1, 8):
+        monkeypatch.setattr(runtime, "worker_count", lambda: workers)
+        threads.clear()
+        w_in, curves = train_skipgram(pairs, g.order, cfg)
+        runs.append((w_in.tobytes(), curves))
+        assert len(threads) == min(n2v.PARTS, workers)
+    assert runs[0] == runs[1]
+
+
+def test_skipgram_joins_its_threads(monkeypatch):
+    monkeypatch.setattr(runtime, "worker_count", lambda: 2)
+    original = n2v.batch_loss_and_row_grads
+    during = []
+
+    def counting(*args):
+        result = original(*args)
+        during.append(threading.active_count())
+        return result
+
+    monkeypatch.setattr(n2v, "batch_loss_and_row_grads", counting)
+    before = threading.active_count()
+    train_skipgram(star_pairs(), sorted(STAR.nodes), SkipGramConfig(dim=3, epochs=2, seed=3))
+    assert set(during) == {before + 1}
+    assert threading.active_count() == before
+    # also when training stops at a non-finite loss
+    cfg = SkipGramConfig(dim=3, epochs=50, learning_rate=1e9, batch_size=16, seed=3)
+    with np.errstate(all="ignore"), pytest.raises(ValidationError, match="at epoch 1 of 50"):
+        train_skipgram(star_pairs(), sorted(STAR.nodes), cfg)
+    assert threading.active_count() == before

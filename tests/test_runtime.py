@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -133,3 +134,60 @@ def test_cli_import_does_no_blas_lookup():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out == "0\n"
+
+
+# ---------------------------------------------------------------------------
+# part_threads and run_parts
+
+
+def parts_seen(monkeypatch, workers, fn=None):
+    """{part: (thread id, divide errstate)} of run_parts(_, 3) inside
+    part_threads(3) at `workers` cores, under np.errstate(divide="ignore")."""
+    monkeypatch.setattr(runtime, "worker_count", lambda: workers)
+    seen = {}
+
+    def part(p):
+        seen[p] = threading.get_ident(), np.geterr()["divide"]
+        if fn is not None:
+            fn(p)
+
+    with runtime.part_threads(3), np.errstate(divide="ignore"):
+        runtime.run_parts(part, 3)
+    return seen
+
+
+def test_parts_run_in_the_callers_context(monkeypatch):
+    seen = parts_seen(monkeypatch, 4)
+    assert sorted(seen) == [0, 1, 2]
+    assert {divide for _, divide in seen.values()} == {"ignore"}
+    assert seen[0][0] == threading.get_ident()
+    assert {seen[1][0], seen[2][0]}.isdisjoint({threading.get_ident()})
+    # so a warning numpy would raise under the default errstate stays quiet
+    monkeypatch.setattr(runtime, "worker_count", lambda: 2)
+    with runtime.part_threads(2), np.errstate(divide="ignore"):
+        runtime.run_parts(lambda p: np.log(np.zeros(3)), 2)
+
+
+def test_one_core_runs_the_parts_in_order_on_the_caller(monkeypatch):
+    order = []
+    seen = parts_seen(monkeypatch, 1, order.append)
+    assert order == [0, 1, 2]
+    assert {thread for thread, _ in seen.values()} == {threading.get_ident()}
+
+
+def test_a_parts_error_is_raised_once_every_part_ended(monkeypatch):
+    ended = []
+
+    def part(p):
+        if p == 1:
+            raise ValueError("part 1 failed")
+        threading.Event().wait(0.05 * p)
+        ended.append(p)
+
+    monkeypatch.setattr(runtime, "worker_count", lambda: 3)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="part 1 failed"):
+        with runtime.part_threads(3):
+            runtime.run_parts(part, 3)
+    assert sorted(ended) == [0, 2]
+    assert threading.active_count() == before

@@ -353,14 +353,14 @@ def test_format_rows_rejects_a_separator_it_cannot_write(sep):
 
 
 def test_writers_bytes(tmp_path):
-    write_lines(tmp_path / "t.tsv", "A\tB", (f"{i}\t{i * i}" for i in range(3)))
+    assert write_lines(tmp_path / "t.tsv", "A\tB", (f"{i}\t{i * i}" for i in range(3))) is None
     assert (tmp_path / "t.tsv").read_bytes() == b"A\tB\n0\t0\n1\t1\n2\t4\n"
     write_lines(tmp_path / "h.tsv", "A\tB", [])
     assert (tmp_path / "h.tsv").read_bytes() == b"A\tB\n"
     # the digest write_lines returns is that of the bytes on disk
     lines = ["Ärger\t1", "森林 TREE\t-2.5e-07"] * 40
     for name, rows in (("u.tsv", lines), ("header-only.tsv", [])):
-        digest = write_lines(tmp_path / name, "CONCEPT\tVALUE", iter(rows))
+        digest = write_lines(tmp_path / name, "CONCEPT\tVALUE", iter(rows), sha256=True)
         data = (tmp_path / name).read_bytes()
         assert data == "".join(f"{line}\n" for line in ["CONCEPT\tVALUE", *rows]).encode()
         assert digest == hashlib.sha256(data).hexdigest() == file_sha256(tmp_path / name)
