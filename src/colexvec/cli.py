@@ -61,77 +61,73 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message, f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-@functools.lru_cache(maxsize=2)
-def build_parser(add_help: bool = True) -> _Parser:
-    """The parser; pipeline steps are parsed without -h/--help (add_help=False).
+@functools.cache
+def build_parser() -> _Parser:
+    """The parser of every command and pipeline step.
 
-    Built once per process for each `add_help`, because every `run` and
-    every pipeline check parses with it. Each parse returns a new namespace
-    and leaves the parser as it was; callers must not change the parser.
+    Built once per process, because every `run` and every pipeline check
+    parses with it. Each parse returns a new namespace and leaves the
+    parser as it was; callers must not change the parser.
     """
     parser = _Parser(prog="colexvec", description=__doc__)
     parser.add_argument("--version", action="version", version=f"colexvec {__version__}")
     parser.add_argument("--log-level", choices=("warning", "info", "debug"),
                         default="warning", help="the least severe log records printed to stderr")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def add_command(name, help):
-        return sub.add_parser(name, help=help, add_help=add_help)
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     def add_config_options(p, *configs):
         # one option per field but the seed, typed by its default; a shared field is one option
+        p.set_defaults(configs=configs)
         defaults = {}
         for f in (f for config in configs for f in dataclasses.fields(config) if f.name != "seed"):
             defaults.setdefault(f.name, f.default)
         for name, default in defaults.items():
             p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
 
-    p = add_command("colexify", "infer a colexification network")
+    p = sub.add_parser("colexify", help="infer a colexification network")
     p.add_argument("--wordlist", required=True)
     p.add_argument("--type", required=True, choices=COLEX_TYPES)
     p.add_argument("--out", required=True)
     add_config_options(p, ColexParams)
 
-    p = add_command("embed", "train a concept embedding on a graph")
+    p = sub.add_parser("embed", help="train a concept embedding on a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--method", required=True, choices=("node2vec", "prone"))
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
     add_config_options(p, WalkConfig, SkipGramConfig, ProneConfig)
 
-    p = add_command("combine", "fuse embeddings via concatenation + PCA")
+    p = sub.add_parser("combine", help="fuse embeddings via concatenation + PCA")
     p.add_argument("--inputs", required=True, help="comma-separated embedding files")
     p.add_argument("--out", required=True)
     p.add_argument("--dim", type=int, required=True)
 
-    p = add_command("map-external", "map pretrained word vectors onto concepts")
+    p = sub.add_parser("map-external", help="map pretrained word vectors onto concepts")
     p.add_argument("--vectors", required=True)
     p.add_argument("--concept-map", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--dim", type=int, required=True)
 
-    p = add_command("baseline", "score pairs straight from graph topology")
+    p = sub.add_parser("baseline", help="score pairs straight from graph topology")
     p.add_argument("--graph", required=True)
     p.add_argument("--method", required=True, choices=BASELINE_METHODS)
     p.add_argument("--out", required=True)
     p.add_argument("--pairs", help="pair TSV to score; omit to dump the full matrix")
 
-    p = add_command("eval-lsim", "rank correlation against similarity ratings")
-    p.add_argument("--sim", required=True, help="embedding file or '<method>:<graph.tsv>'")
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--report", required=True)
-
-    for name in ("eval-shift", "eval-links"):
-        p = add_command(name, "binary prediction with negative sampling")
-        p.add_argument("--sim", required=True)
+    binary = "binary prediction with negative sampling"
+    for name, help in (("eval-lsim", "rank correlation against similarity ratings"),
+                       ("eval-shift", binary), ("eval-links", binary)):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--sim", required=True, help="embedding file or '<method>:<graph.tsv>'")
         p.add_argument("--pairs", required=True)
         p.add_argument("--report", required=True)
-        p.add_argument("--runs", type=int, default=50)
-        p.add_argument("--seed", type=int, required=True)
+        if name != "eval-lsim":
+            p.add_argument("--runs", type=int, default=50)
+            p.add_argument("--seed", type=int, required=True)
         if name == "eval-links":
             p.add_argument("--min-weight", type=int, default=5)
 
-    p = add_command("viz", "t-SNE projection and scatter export")
+    p = sub.add_parser("viz", help="t-SNE projection and scatter export")
     p.add_argument("--embedding", required=True)
     p.add_argument("--concepts", help="file with one concept per line to plot")
     p.add_argument("--out", required=True)
@@ -139,10 +135,20 @@ def build_parser(add_help: bool = True) -> _Parser:
     p.add_argument("--iterations", type=int, default=1000)
     p.add_argument("--seed", type=int, required=True)
 
-    p = add_command("pipeline", "run a declared step sequence from JSON")
+    p = sub.add_parser("pipeline", help="run a declared step sequence from JSON")
     p.add_argument("--config", required=True)
 
     return parser
+
+
+def parse(argv) -> argparse.Namespace:
+    """The namespace of `argv`, whose `configs` maps each config class of the
+    command to the config its options and --seed give: a usage error raises
+    UsageError, and a value a config rejects its ValidationError."""
+    ns = build_parser().parse_args(argv)
+    ns.configs = {cls: cls(**{f.name: getattr(ns, f.name) for f in dataclasses.fields(cls)})
+                  for cls in getattr(ns, "configs", ())}
+    return ns
 
 
 def parse_sim(spec: str) -> tuple:
@@ -222,14 +228,9 @@ def _provider(method, path, hashes=None) -> SimilarityProvider:
     return provider
 
 
-def _config(cls, args):
-    """A `cls` config whose every field takes the parsed option of the same name."""
-    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
-
-
 def cmd_colexify(args) -> dict:
     wordlist = load_wordlist(args.wordlist)
-    g = infer_network(wordlist, args.type, _config(ColexParams, args))
+    g = infer_network(wordlist, args.type, args.configs[ColexParams])
     save_graph(g, args.out)
     print(f"wrote {args.out}: {g.n_nodes} nodes, {g.n_edges} edges ({args.type})")
     return {"out": args.out, "nodes": g.n_nodes, "edges": g.n_edges}
@@ -238,9 +239,9 @@ def cmd_colexify(args) -> dict:
 def cmd_embed(args) -> dict:
     g = to_undirected(load_graph(args.graph))
     if args.method == "node2vec":
-        es = node2vec_embed(g, _config(WalkConfig, args), _config(SkipGramConfig, args))
+        es = node2vec_embed(g, args.configs[WalkConfig], args.configs[SkipGramConfig])
     else:
-        es = prone_embed(g, _config(ProneConfig, args))
+        es = prone_embed(g, args.configs[ProneConfig])
     save_embedding(es, args.out)
     uncovered = es.provenance.get("uncovered", ())
     print(
@@ -359,8 +360,8 @@ def cmd_viz(args) -> dict:
 def _check_pipeline_config(path, config) -> list:
     """The parsed arguments of every step of a well-formed config.
 
-    A malformed config, or a step whose arguments its command rejects,
-    fails with a field-level message before any step runs.
+    A malformed config, or a step whose arguments its command or configs
+    reject, fails with a field-level message before any step runs.
     """
     if not isinstance(config, dict):
         raise ColexvecError(f"{path}: top level must be a JSON object")
@@ -370,7 +371,6 @@ def _check_pipeline_config(path, config) -> list:
     report = config.get("report")
     if not isinstance(report, str) or not report:
         raise ColexvecError(f"{path}: needs a 'report' output path")
-    parser = build_parser(add_help=False)
     parsed = []
     for i, step in enumerate(steps):
         where = f"{path}: steps[{i}]"
@@ -393,8 +393,8 @@ def _check_pipeline_config(path, config) -> list:
             # one word, so a value that starts with "-" is not read as an option
             argv.append(f"--{str(key).replace('_', '-')}={value}")
         try:
-            parsed.append(parser.parse_args(argv))
-        except UsageError as exc:
+            parsed.append(parse(argv))
+        except (UsageError, ValidationError) as exc:
             raise ColexvecError(f"{where}: {exc.args[0]}") from None
     return parsed
 
@@ -411,7 +411,6 @@ def cmd_pipeline(args) -> dict:
     except ValidationError as exc:
         raise ColexvecError(f"{args.config}: {exc}") from None
     parsed = _check_pipeline_config(args.config, config)
-    steps = config["steps"]
     report_path = config["report"]
 
     # hash true externals only: a file another step writes is an intermediate,
@@ -424,7 +423,7 @@ def cmd_pipeline(args) -> dict:
 
     summaries = []
     metrics = {}
-    for step, ns in zip(steps, parsed):
+    for step, ns in zip(config["steps"], parsed):
         summary = _run_step(ns)
         summaries.append({"command": ns.command, "args": step.get("args", {}), "summary": summary})
         inner = summary.get("report")
@@ -441,7 +440,7 @@ def cmd_pipeline(args) -> dict:
         "metrics": metrics,
     }
     write_json(report_path, doc)
-    print(f"wrote {report_path}: {len(steps)} steps, metrics {metrics}")
+    print(f"wrote {report_path}: {len(parsed)} steps, metrics {metrics}")
     return doc
 
 
@@ -487,12 +486,8 @@ def _log_to_stderr(level: str):
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if not getattr(args, "command", None):
-            print(parser.format_usage(), file=sys.stderr)
-            return 1
+        args = parse(argv)
         with _log_to_stderr(args.log_level):
             _run_step(args)
         return 0

@@ -322,11 +322,13 @@ def train_skipgram(pairs, vocab, cfg: SkipGramConfig) -> tuple:
                 )
             else:
                 logger.debug("epoch %d: train loss %.6f", epoch, train_losses[-1])
+        # a norm is a BLAS dot, so it too runs on one thread
+        drift = float(np.linalg.norm(w_in - w_start) / np.linalg.norm(w_start))
 
     curves = {
         "train_loss": tuple(train_losses),
         "validation_loss": tuple(val_losses),
-        "drift": float(np.linalg.norm(w_in - w_start) / np.linalg.norm(w_start)),
+        "drift": drift,
     }
     return w_in, curves
 

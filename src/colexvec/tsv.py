@@ -4,8 +4,10 @@ A table is UTF-8 text: one header line, then one row per line with exactly
 as many tab-separated cells as the header. Blank lines are skipped, numbers
 must be finite, and every failure is a ParseError naming `path:line`.
 Every text input of the package, table or not, is read through `open_text`.
-Every number the package writes into a table or an embedding file goes
-through `format_rows`, one array kernel whose bytes are those of Python's
+Every float the package writes into a score table, a similarity matrix
+or an embedding file goes through `format_rows`; a graph's weights are
+written as bare integers and a t-SNE scatter's X and Y with `.6f`.
+`format_rows` is one array kernel whose bytes are those of Python's
 `%.8g` on each value: it packs a block of cells at a time into 16-byte
 words and drops their padding with one `bytes.translate`. From the same
 decimal mantissa and exponent, `decimal_values` gives the float64 each

@@ -696,16 +696,22 @@ def test_pipeline_keeps_every_metric_of_a_task(tmp_path):
         "wordlist": "w.tsv", "type": "full", "out": "g.tsv", "min_form_len": "x"}}]},
      "steps[1]: argument --min-form-len: invalid int value: 'x'"),
     ({"report": "r.json", "steps": [None, {"command": "colexify", "args": {"help": 1}}]},
-     "steps[1]: the following arguments are required: --wordlist, --type, --out"),
+     "steps[1]: argument -h/--help: ignored explicit argument '1'"),
     ({"report": "r.json", "steps": [None, {"command": "colexify", "args": {
         "wordlist": "w.tsv", "type": "full", "out": "g.tsv", "help": 1}}]},
-     "steps[1]: unrecognized arguments: --help=1"),
+     "steps[1]: argument -h/--help: ignored explicit argument '1'"),
     ({"report": "r.json", "steps": [None, {"command": "colexify", "args": {
         "wordlist": "w.tsv", "type": "full", "out": True}}]},
      "steps[1]: args.out must be a string or a number"),
     ({"report": "r.json", "steps": [None, {"command": "baseline", "args": {
         "graph": "g.tsv", "method": "random-walk", "out": "m.tsv", "alpha": 0.3}}]},
      "steps[1]: unrecognized arguments: --alpha=0.3"),
+    ({"report": "r.json", "steps": [None, {"command": "embed", "args": {
+        "graph": "g.tsv", "method": "node2vec", "out": "e.emb", "seed": 1, "epochs": 0}}]},
+     "steps[1]: batch_size and epochs must be >= 1"),
+    ({"report": "r.json", "steps": [None, {"command": "embed", "args": {
+        "graph": "g.tsv", "method": "node2vec", "out": "e.emb", "seed": 1, "shift": 0.5}}]},
+     "steps[1]: shift must be >= 1"),
 ])
 def test_pipeline_rejects_malformed_config_before_any_step(tmp_path, capsys, config, message):
     graph = tmp_path / "full.tsv"
@@ -725,8 +731,8 @@ def test_pipeline_rejects_malformed_config_before_any_step(tmp_path, capsys, con
 
 @pytest.mark.parametrize("token", ["NaN", "-Infinity", "1e400"])
 def test_pipeline_rejects_a_non_finite_number_before_any_step(tmp_path, capsys, token):
-    # learning_rate is a Node2Vec option that a ProNE step ignores; the
-    # report would copy it as a token that is not JSON
+    # learning_rate is a Node2Vec option on a ProNE step; the report would
+    # copy it as a token that is not JSON
     config = pipeline_config(tmp_path)
     config["steps"] = config["steps"][:2]
     config["steps"][1]["args"]["learning_rate"] = "TOKEN"
@@ -1170,6 +1176,23 @@ def test_embed_prone_rejects_non_finite_parameter(tmp_path, capsys):
     assert not (tmp_path / "e.txt").exists()
 
 
+@pytest.mark.parametrize("method, option, value, message", [
+    ("prone", "--learning-rate", "nan", "learning_rate must be finite"),
+    ("prone", "--epochs", "0", "batch_size and epochs must be >= 1"),
+    ("prone", "--p", "-3", "p and q must be positive"),
+    ("node2vec", "--mu", "nan", "mu must be finite"),
+    ("node2vec", "--shift", "0", "shift must be >= 1"),
+])
+def test_embed_checks_every_config_whichever_method_runs(tmp_path, capsys, method, option,
+                                                         value, message):
+    graph = toy_graph(tmp_path)
+    code = run(["embed", "--graph", str(graph), "--method", method, "--seed", "1",
+                "--dim", "4", option, value, "--out", str(tmp_path / "e.txt")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "e.txt").exists()
+
+
 def test_embed_node2vec_diverging_learning_rate_exits_1(tmp_path, capsys):
     graph = toy_graph(tmp_path)
     with np.errstate(all="ignore"):
@@ -1236,8 +1259,9 @@ def test_embedding_value_float_accepts_but_numpy_does_not_exits_1(tmp_path, caps
 
 
 def test_one_cached_parser_leaks_no_state_between_runs(tmp_path, monkeypatch, capsys):
-    """Back-to-back runs share one parser per add_help, and each handler gets
-    the namespace a newly built parser gives for the same arguments."""
+    """Back-to-back runs and pipeline steps share one parser, and each
+    handler gets the namespace a newly built parser gives for the same
+    arguments."""
     assert cli.build_parser() is cli.build_parser()
     seen = []
     for name, handler in list(cli.HANDLERS.items()):
@@ -1263,13 +1287,13 @@ def test_one_cached_parser_leaks_no_state_between_runs(tmp_path, monkeypatch, ca
     ]
     assert [run(argv) for argv in runs] == [0, 0, 1, 0, 0]
     assert "the following arguments are required: --seed" in capsys.readouterr().err
-    fresh = cli.build_parser.__wrapped__
-    expected = [vars(fresh().parse_args(argv)) for argv in runs if argv[0] != "embed"]
-    step_argv = walk + ["--out", step["out"]]
-    expected.insert(3, vars(fresh(add_help=False).parse_args(step_argv)))
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    expected = [vars(cli.parse(argv)) for argv in runs if argv[0] != "embed"]
+    expected.insert(3, vars(cli.parse(walk + ["--out", step["out"]])))
     assert seen == expected
     assert seen[1]["min_form_len"] == 3
-    # the pipeline step, parsed without -h, scores as the plain run does
+    assert seen[1]["configs"] == {ColexParams: ColexParams()}
+    # the pipeline step scores as the plain run does
     assert (tmp_path / "step.tsv").read_bytes() == (tmp_path / "plain.tsv").read_bytes()
 
 

@@ -557,8 +557,8 @@ def test_node2vec_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 def test_node2vec_vectors_in_memory_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """The vectors and the validation losses themselves, not only their
-    8-digit text, have the same bits at 1 and 2 OpenBLAS threads."""
+    """The vectors, the validation losses and the drift themselves, not only
+    their 8-digit text, have the same bits at 1 and 2 OpenBLAS threads."""
     graph = tmp_path / "random.tsv"
     save_graph(random_graph(), graph)
     code = ("import hashlib, numpy as np; from colexvec.graph import load_graph; "
@@ -567,7 +567,8 @@ def test_node2vec_vectors_in_memory_do_not_depend_on_the_blas_thread_count(tmp_p
             "SkipGramConfig(dim=64, epochs=3, learning_rate=20, seed=1)); "
             "loss = np.array(es.provenance['validation_loss']); "
             "print(hashlib.sha256(es.values.tobytes()).hexdigest(), "
-            "hashlib.sha256(loss.tobytes()).hexdigest(), len(loss))")
+            "hashlib.sha256(loss.tobytes()).hexdigest(), len(loss), "
+            "float(es.provenance['drift']).hex())")
     outputs = at_each_thread_count(code)
     assert outputs[0] == outputs[1]
     assert outputs[0].split()[2] == "3"
